@@ -185,11 +185,11 @@ mod tests {
     use super::*;
     use crate::stoer_wagner::stoer_wagner;
     use pmc_graph::gen;
-    use pmc_packing::{boruvka_mst, pack_trees, rooted_tree_from_edges, PackingConfig};
+    use pmc_packing::{kruskal_mst, pack_trees, rooted_tree_from_edges, PackingConfig};
 
     fn spanning_tree(g: &Graph) -> RootedTree {
         let cost: Vec<u64> = (0..g.m() as u64).collect();
-        let edges = boruvka_mst(g, &cost);
+        let edges = kruskal_mst(g, &cost);
         rooted_tree_from_edges(g, &edges, 0)
     }
 

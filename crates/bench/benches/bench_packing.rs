@@ -1,9 +1,9 @@
 //! Criterion companion to E6 (Lemma 1): packing cost vs graph size, and
-//! the Borůvka MST kernel that dominates it.
+//! one reference Kruskal MST on the same graph for scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmc_bench::table1_graph;
-use pmc_packing::{boruvka_mst, kruskal_mst, pack_trees, PackingConfig};
+use pmc_packing::{kruskal_mst, pack_trees, PackingConfig};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("packing");
@@ -14,9 +14,6 @@ fn bench(c: &mut Criterion) {
             b.iter(|| pack_trees(&g, &PackingConfig::default()).trees.len())
         });
         let cost: Vec<u64> = (0..g.m() as u64).map(|i| (i * 2654435761) % 1000).collect();
-        group.bench_with_input(BenchmarkId::new("boruvka", n), &n, |b, _| {
-            b.iter(|| boruvka_mst(&g, &cost))
-        });
         group.bench_with_input(BenchmarkId::new("kruskal", n), &n, |b, _| {
             b.iter(|| kruskal_mst(&g, &cost))
         });

@@ -12,7 +12,7 @@ pub mod workload;
 use std::time::{Duration, Instant};
 
 use pmc_graph::{gen, Graph, RootedTree};
-use pmc_packing::{boruvka_mst, rooted_tree_from_edges};
+use pmc_packing::{kruskal_mst, rooted_tree_from_edges};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -105,7 +105,7 @@ pub fn table1_graph(n: usize, density: usize, seed: u64) -> Graph {
 pub fn arbitrary_spanning_tree(g: &Graph, seed: u64) -> RootedTree {
     let mut rng = SmallRng::seed_from_u64(seed);
     let cost: Vec<u64> = (0..g.m()).map(|_| rng.gen_range(0..1 << 20)).collect();
-    let mst = boruvka_mst(g, &cost);
+    let mst = kruskal_mst(g, &cost);
     rooted_tree_from_edges(g, &mst, 0)
 }
 

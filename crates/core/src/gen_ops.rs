@@ -169,11 +169,11 @@ mod tests {
     use super::*;
     use crate::phases::build_phases;
     use pmc_graph::gen;
-    use pmc_packing::{boruvka_mst, rooted_tree_from_edges};
+    use pmc_packing::{kruskal_mst, rooted_tree_from_edges};
 
     fn phase0(n: usize, m: usize, seed: u64) -> Phase {
         let g = gen::gnm_connected(n, m, 5, seed);
-        let mst = boruvka_mst(&g, &vec![1; g.m()]);
+        let mst = kruskal_mst(&g, &vec![1; g.m()]);
         let tree = rooted_tree_from_edges(&g, &mst, 0);
         build_phases(&g, &tree).remove(0)
     }

@@ -205,11 +205,11 @@ pub fn build_phases(g: &Graph, tree: &RootedTree) -> Vec<Phase> {
 mod tests {
     use super::*;
     use pmc_graph::gen;
-    use pmc_packing::{boruvka_mst, rooted_tree_from_edges};
+    use pmc_packing::{kruskal_mst, rooted_tree_from_edges};
 
     fn cascade_for(n: usize, m: usize, seed: u64) -> (Graph, Vec<Phase>) {
         let g = gen::gnm_connected(n, m, 8, seed);
-        let mst = boruvka_mst(&g, &vec![1; g.m()]);
+        let mst = kruskal_mst(&g, &vec![1; g.m()]);
         let tree = rooted_tree_from_edges(&g, &mst, 0);
         let phases = build_phases(&g, &tree);
         (g, phases)

@@ -65,7 +65,7 @@ pub fn best_one_respect(cuts: &SubtreeCuts, tree: &RootedTree) -> Option<(i64, u
 mod tests {
     use super::*;
     use pmc_graph::gen;
-    use pmc_packing::{boruvka_mst, rooted_tree_from_edges};
+    use pmc_packing::{kruskal_mst, rooted_tree_from_edges};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -94,7 +94,7 @@ mod tests {
             let n = rng.gen_range(2..60);
             let m = rng.gen_range(n - 1..4 * n);
             let g = gen::gnm_connected(n, m, 9, trial);
-            let mst = boruvka_mst(&g, &vec![1; g.m()]);
+            let mst = kruskal_mst(&g, &vec![1; g.m()]);
             let tree = rooted_tree_from_edges(&g, &mst, 0);
             let cuts = one_respect_cuts(&g, &tree);
             for v in 0..n as u32 {
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn root_cut_is_zero() {
         let g = gen::gnm_connected(30, 80, 5, 2);
-        let mst = boruvka_mst(&g, &vec![1; g.m()]);
+        let mst = kruskal_mst(&g, &vec![1; g.m()]);
         let tree = rooted_tree_from_edges(&g, &mst, 0);
         let cuts = one_respect_cuts(&g, &tree);
         assert_eq!(cuts.cut1[tree.root() as usize], 0);

@@ -304,7 +304,7 @@ mod tests {
     use super::*;
     use pmc_baseline::{quadratic_two_respect, stoer_wagner};
     use pmc_graph::gen;
-    use pmc_packing::{boruvka_mst, pack_trees, rooted_tree_from_edges, PackingConfig};
+    use pmc_packing::{kruskal_mst, pack_trees, rooted_tree_from_edges, PackingConfig};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -312,7 +312,7 @@ mod tests {
         // A deterministic but arbitrary spanning tree.
         let mut rng = SmallRng::seed_from_u64(seed);
         let cost: Vec<u64> = (0..g.m()).map(|_| rng.gen_range(0..1000)).collect();
-        let mst = boruvka_mst(g, &cost);
+        let mst = kruskal_mst(g, &cost);
         rooted_tree_from_edges(g, &mst, 0)
     }
 

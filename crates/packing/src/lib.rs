@@ -16,14 +16,16 @@
 //! 3. **Selection**: sample `O(log n)` *distinct* trees from the packing,
 //!    proportionally to their packing weights.
 //!
-//! MSTs come from a parallel Borůvka implementation ([`mst`]); a Kruskal
-//! fallback exists for testing and small inputs.
+//! Every round of one greedy run solves an MST on the same skeleton under
+//! new loads, so [`mst::RepeatedMst`] reduces the skeleton once (bridges
+//! fixed, degree-2 chains compressed) and runs Kruskal on the small kernel
+//! each round; [`mst::kruskal_mst`] is the reference it is tested against.
 
 pub mod mst;
 pub mod pack;
 pub mod skeleton;
 
-pub use mst::{boruvka_mst, kruskal_mst};
+pub use mst::{kruskal_mst, RepeatedMst};
 pub use pack::{
     pack_greedy, pack_greedy_with, pack_trees, pack_trees_with, rooted_tree_from_edges,
     PackScratch, PackedTreeList, PackingConfig, RootScratch, TreePacking,

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 
 use pmc_graph::{Edge, Graph, RootedTree};
 
-use crate::mst::boruvka_mst;
+use crate::mst::RepeatedMst;
 use crate::skeleton::{full_skeleton, sample_skeleton, Skeleton};
 
 /// Fixed-point shift for load-ratio MST keys.
@@ -196,14 +196,17 @@ pub struct TreePacking {
 pub type PackedTrees = Vec<(Vec<u32>, u32)>;
 
 /// Reusable buffers for the greedy packing loop ([`pack_greedy_with`],
-/// [`pack_trees_with`]): the skeleton-subgraph arena, per-edge load and
-/// cost vectors, the chosen-tree staging buffer, and the distinct-tree
-/// accumulator. One scratch amortizes every packing a solver performs.
+/// [`pack_trees_with`]): the skeleton-subgraph arena, the repeated-MST
+/// engine, per-edge load and cost vectors, the chosen-tree staging
+/// buffers, and the distinct-tree accumulator. One scratch amortizes every
+/// packing a solver performs.
 #[derive(Clone, Debug)]
 pub struct PackScratch {
     sub: Graph,
+    mst: RepeatedMst,
     load: Vec<u64>,
     cost: Vec<u64>,
+    chosen: Vec<u32>,
     orig: Vec<u32>,
     trees: std::collections::HashMap<Vec<u32>, u32>,
 }
@@ -212,8 +215,10 @@ impl Default for PackScratch {
     fn default() -> Self {
         PackScratch {
             sub: Graph::from_edges(1, &[]).expect("placeholder graph"),
+            mst: RepeatedMst::new(),
             load: Vec::new(),
             cost: Vec::new(),
+            chosen: Vec::new(),
             orig: Vec::new(),
             trees: std::collections::HashMap::new(),
         }
@@ -231,8 +236,9 @@ impl PackScratch {
     /// multiplicities, not hash-table overhead).
     pub fn heap_bytes(&self) -> usize {
         self.sub.heap_bytes()
+            + self.mst.heap_bytes()
             + (self.load.len() + self.cost.len()) * std::mem::size_of::<u64>()
-            + self.orig.len() * std::mem::size_of::<u32>()
+            + (self.chosen.len() + self.orig.len()) * std::mem::size_of::<u32>()
             + self
                 .trees
                 .keys()
@@ -252,6 +258,11 @@ pub fn pack_greedy(g: &Graph, sk: &Skeleton, rounds: usize) -> Option<(PackedTre
 /// [`PackScratch`]. Identical results; at steady state the loop allocates
 /// only for trees it has not seen before (the returned `PackedTrees` owns
 /// its edge lists).
+///
+/// Every round's tree is the unique minimum spanning tree under
+/// `(load ratio, edge id)`. The skeleton is reduced once per call by
+/// [`RepeatedMst::prepare`], which also detects a disconnected skeleton;
+/// each round then costs one [`RepeatedMst::forest`] over the kernel.
 pub fn pack_greedy_with(
     g: &Graph,
     sk: &Skeleton,
@@ -278,29 +289,34 @@ pub fn pack_greedy_with(
             }),
         )
         .expect("skeleton subgraph is valid");
+    // A load never exceeds `rounds` and a multiplicity is at least 1, so
+    // no cost exceeds `rounds << RATIO_SHIFT`: 64-bit MST keys below 4096
+    // rounds, exact 128-bit keys from there on.
+    let max_cost = (rounds as u64).saturating_mul(1 << RATIO_SHIFT);
+    if ws.mst.prepare(&ws.sub, max_cost) != 1 {
+        return None; // skeleton disconnected
+    }
     ws.load.clear();
     ws.load.resize(live.len(), 0);
+    // cost[se] = (load[se] << RATIO_SHIFT) / multiplicity, kept current as
+    // the chosen edges' loads grow: the other costs do not change.
+    ws.cost.clear();
+    ws.cost.resize(live.len(), 0);
     ws.trees.clear();
     let mut max_ratio: f64 = 0.0;
     for _round in 0..rounds {
-        ws.cost.clear();
-        ws.cost.extend(
-            ws.load
-                .iter()
-                .zip(live.iter())
-                .map(|(&l, &eid)| (l << RATIO_SHIFT) / sk.multiplicity[eid as usize] as u64),
-        );
-        let chosen = boruvka_mst(&ws.sub, &ws.cost);
-        if chosen.len() != n - 1 {
-            return None; // skeleton disconnected
-        }
+        ws.mst.forest(&ws.cost, &mut ws.chosen);
+        debug_assert_eq!(ws.chosen.len(), n - 1);
         ws.orig.clear();
-        ws.orig.extend(chosen.iter().map(|&se| live[se as usize]));
+        ws.orig
+            .extend(ws.chosen.iter().map(|&se| live[se as usize]));
         ws.orig.sort_unstable();
-        for &se in &chosen {
-            ws.load[se as usize] += 1;
-            let r =
-                ws.load[se as usize] as f64 / sk.multiplicity[live[se as usize] as usize] as f64;
+        for &se in &ws.chosen {
+            let se = se as usize;
+            let mult = sk.multiplicity[live[se] as usize];
+            ws.load[se] += 1;
+            ws.cost[se] = (ws.load[se] << RATIO_SHIFT) / mult as u64;
+            let r = ws.load[se] as f64 / mult as f64;
             if r > max_ratio {
                 max_ratio = r;
             }
@@ -510,6 +526,7 @@ impl RootScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mst::kruskal_mst;
     use pmc_graph::gen;
     use pmc_graph::UnionFind;
 
@@ -657,6 +674,85 @@ mod tests {
             assert_eq!(got.tree_weights, want.tree_weights, "seed {seed}");
             assert_eq!(got.distinct_trees, want.distinct_trees, "seed {seed}");
         }
+    }
+
+    /// The greedy loop written plainly over the reference MST: a fresh
+    /// skeleton subgraph, cost vector and Kruskal tree every round.
+    fn reference_greedy(g: &Graph, sk: &Skeleton, rounds: usize) -> Option<(PackedTrees, f64)> {
+        let live = &sk.live_edges;
+        let mult = |se: usize| sk.multiplicity[live[se] as usize];
+        let pairs: Vec<(u32, u32, u64)> = live
+            .iter()
+            .map(|&eid| (g.edges()[eid as usize].u, g.edges()[eid as usize].v, 1))
+            .collect();
+        let sub = Graph::from_edges(g.n(), &pairs).unwrap();
+        let mut load = vec![0u64; live.len()];
+        let mut trees = std::collections::BTreeMap::<Vec<u32>, u32>::new();
+        let mut max_ratio: f64 = 0.0;
+        for _ in 0..rounds {
+            let cost: Vec<u64> = (0..live.len())
+                .map(|se| (load[se] << RATIO_SHIFT) / mult(se) as u64)
+                .collect();
+            let chosen = kruskal_mst(&sub, &cost);
+            if chosen.len() != g.n() - 1 {
+                return None;
+            }
+            for &se in &chosen {
+                load[se as usize] += 1;
+                max_ratio = max_ratio.max(load[se as usize] as f64 / mult(se as usize) as f64);
+            }
+            let mut orig: Vec<u32> = chosen.iter().map(|&se| live[se as usize]).collect();
+            orig.sort_unstable();
+            *trees.entry(orig).or_insert(0) += 1;
+        }
+        let mut list: PackedTrees = trees.into_iter().collect();
+        list.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        Some((list, rounds as f64 / max_ratio.max(f64::MIN_POSITIVE)))
+    }
+
+    /// Asserts `pack_greedy_with` equals [`reference_greedy`] bit for bit
+    /// (trees, multiplicities, packing value) and returns whether the
+    /// skeleton spanned.
+    fn matches_reference(ws: &mut PackScratch, g: &Graph, sk: &Skeleton, rounds: usize) -> bool {
+        let want = reference_greedy(g, sk, rounds);
+        let got = pack_greedy_with(g, sk, rounds, ws);
+        assert_eq!(got.as_ref().map(|p| &p.0), want.as_ref().map(|p| &p.0));
+        let spanned = want.is_some();
+        assert_eq!(got.map(|p| p.1.to_bits()), want.map(|p| p.1.to_bits()));
+        spanned
+    }
+
+    #[test]
+    fn greedy_packing_equals_reference_loop() {
+        let mut ws = PackScratch::new();
+        // A certificate-sparsified gnm with a weight-1 leaf: bridges,
+        // chains and a small kernel, packed on the full skeleton and on
+        // sampled ones (which may not span).
+        let g = (0u64..)
+            .map(|seed| gen::gnm_connected(256, 1024, 8, seed))
+            .find(|g| g.min_weighted_degree() == 1)
+            .unwrap();
+        let cert = pmc_graph::mincut_certificate(&g)
+            .expect("certificate shrinks")
+            .graph;
+        assert!(matches_reference(&mut ws, &cert, &full_skeleton(&cert), 60));
+        let mut rng = SmallRng::seed_from_u64(4);
+        for p in [0.9, 0.6] {
+            let sampled = sample_skeleton(&cert, p, &mut rng);
+            matches_reference(&mut ws, &cert, &sampled, 30);
+        }
+        // A small community ring: bridgeless, since the communities are
+        // joined in a ring, so every edge lies on a chain.
+        let (ring, _) = gen::community_ring(4, 12, 4, 3);
+        assert!(matches_reference(&mut ws, &ring, &full_skeleton(&ring), 80));
+        // More than 4096 rounds: costs pass 2^32 and keys go to u128.
+        let small = gen::gnm_connected(12, 30, 3, 9);
+        assert!(matches_reference(
+            &mut ws,
+            &small,
+            &full_skeleton(&small),
+            4100
+        ));
     }
 
     #[test]

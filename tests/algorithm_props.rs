@@ -4,7 +4,7 @@
 use parallel_mincut::baseline::{quadratic_two_respect, stoer_wagner};
 use parallel_mincut::core_alg::{minimum_cut, two_respect_mincut, MinCutConfig};
 use parallel_mincut::graph::Graph;
-use parallel_mincut::packing::{boruvka_mst, kruskal_mst, rooted_tree_from_edges};
+use parallel_mincut::packing::{kruskal_mst, rooted_tree_from_edges, RepeatedMst};
 use proptest::prelude::*;
 
 /// Arbitrary connected weighted graph: spanning-tree backbone + extras.
@@ -29,6 +29,101 @@ fn arb_connected_graph(max_n: usize, extra: usize) -> impl Strategy<Value = Grap
     })
 }
 
+/// Number of graph shapes [`structured_graph`] draws from.
+const SHAPES: usize = 7;
+
+/// Appends a cycle through the `k >= 2` vertices `base..base + k` (two
+/// parallel edges when `k = 2`) plus up to `chords` random chords.
+fn push_block(
+    edges: &mut Vec<(u32, u32, u64)>,
+    rng: &mut rand::rngs::SmallRng,
+    base: u32,
+    k: u32,
+    chords: usize,
+) {
+    use rand::Rng;
+    for i in 0..k {
+        edges.push((base + i, base + (i + 1) % k, 1));
+    }
+    for _ in 0..chords {
+        let (a, b) = (rng.gen_range(0..k), rng.gen_range(0..k));
+        if a != b {
+            edges.push((base + a, base + b, 1));
+        }
+    }
+}
+
+/// A random graph of one shape the repeated-MST engine reduces
+/// differently: 0 a random tree (every edge a bridge), 1 a single cycle,
+/// 2 a tree with parallel copies, 3 a cycle with pendant paths, 4 two
+/// blocks joined by one bridge, 5 a disconnected union with an isolated
+/// vertex, 6 a random multigraph.
+fn structured_graph(shape: usize, rng: &mut rand::rngs::SmallRng) -> Graph {
+    use rand::Rng;
+    let mut edges: Vec<(u32, u32, u64)> = Vec::new();
+    let n = match shape {
+        0 | 2 => {
+            let n = rng.gen_range(2..40u32);
+            for v in 1..n {
+                let p = rng.gen_range(0..v);
+                let copies = if shape == 2 { rng.gen_range(1..4) } else { 1 };
+                for _ in 0..copies {
+                    edges.push((p, v, 1));
+                }
+            }
+            n
+        }
+        1 => {
+            let n = rng.gen_range(2..40u32);
+            push_block(&mut edges, rng, 0, n, 0);
+            n
+        }
+        3 => {
+            let k = rng.gen_range(2..20u32);
+            push_block(&mut edges, rng, 0, k, 0);
+            let mut n = k;
+            for _ in 0..rng.gen_range(1..5) {
+                let mut at = rng.gen_range(0..n);
+                for _ in 0..rng.gen_range(1..6) {
+                    edges.push((at, n, 1));
+                    at = n;
+                    n += 1;
+                }
+            }
+            n
+        }
+        4 => {
+            let (a, b) = (rng.gen_range(2..20u32), rng.gen_range(2..20u32));
+            push_block(&mut edges, rng, 0, a, 4);
+            push_block(&mut edges, rng, a, b, 4);
+            edges.push((rng.gen_range(0..a), a + rng.gen_range(0..b), 1));
+            a + b
+        }
+        5 => {
+            let (a, b) = (rng.gen_range(2..20u32), rng.gen_range(2..20u32));
+            push_block(&mut edges, rng, 0, a, 3);
+            for v in 1..b {
+                edges.push((a + rng.gen_range(0..v), a + v, 1));
+            }
+            a + b + 1
+        }
+        _ => {
+            let n = rng.gen_range(2..40u32);
+            for v in 1..n {
+                edges.push((rng.gen_range(0..v), v, 1));
+            }
+            for _ in 0..rng.gen_range(0..2 * n) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b {
+                    edges.push((a, b, 1));
+                }
+            }
+            n
+        }
+    };
+    Graph::from_edges(n as usize, &edges).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -48,7 +143,7 @@ proptest! {
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
         let cost: Vec<u64> = (0..g.m()).map(|_| rng.gen_range(0..100)).collect();
-        let mst = boruvka_mst(&g, &cost);
+        let mst = kruskal_mst(&g, &cost);
         let tree = rooted_tree_from_edges(&g, &mst, 0);
         let ours = two_respect_mincut(&g, &tree);
         let base = quadratic_two_respect(&g, &tree).unwrap();
@@ -58,12 +153,33 @@ proptest! {
     }
 
     #[test]
-    fn mst_implementations_agree(g in arb_connected_graph(40, 80), seed in 0u64..1000) {
+    fn mst_implementations_agree(seed in 0u64..1 << 20) {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
-        let cost: Vec<u64> = (0..g.m()).map(|_| rng.gen_range(0..50)).collect();
-        prop_assert_eq!(boruvka_mst(&g, &cost), kruskal_mst(&g, &cost));
+        // One engine across every shape: re-preparation must not leak
+        // state from the previous graph.
+        let mut mst = RepeatedMst::new();
+        let mut out = Vec::new();
+        for shape in 0..SHAPES {
+            let g = structured_graph(shape, &mut rng);
+            // Several key vectors per preparation, as one greedy run uses
+            // the engine: 64-bit keys from many ties to spread costs, then
+            // exact u128 keys for costs of 2^32 and beyond.
+            for (bound, lows, spans) in [
+                (u64::from(u32::MAX), [0u64, 0, 0], [3u64, 8, 1 << 20]),
+                (u64::MAX, [1 << 32, 0, 1 << 40], [1 << 40, 8, 3]),
+            ] {
+                let components = mst.prepare(&g, bound);
+                for (lo, span) in lows.into_iter().zip(spans) {
+                    let cost: Vec<u64> =
+                        (0..g.m()).map(|_| rng.gen_range(lo..lo + span)).collect();
+                    mst.forest(&cost, &mut out);
+                    prop_assert_eq!(out.len() + components, g.n());
+                    prop_assert_eq!(&out, &kruskal_mst(&g, &cost));
+                }
+            }
+        }
     }
 
     #[test]
