@@ -16,21 +16,30 @@
 //! Reference sides ("before"):
 //! * decompose — `naive_bough_paths`, the nested-`Vec` one-vertex-at-a-time
 //!   peel retained in `pmc-minpath::naive` (also the property-test oracle).
-//! * sweep — `run_tree_batch`, the allocating per-node reference sweep.
+//! * sweep — `run_tree_batch`, the allocating per-node reference sweep, on
+//!   two workloads: random mixed ops on a table-1 spanning tree, and a
+//!   replay of every batch the solver generates on a community ring (the
+//!   `solve-community` shape: every packed tree, every bough phase, both
+//!   the incomparable and the ancestor batch; a small ring under
+//!   `--quick`).
 //! * pack — `pack_trees`, which builds a fresh `PackScratch` per call.
 //! * solve — the certificate → packing → per-tree 2-respect pipeline
 //!   recomposed from the allocating engines above (same seed wiring as
 //!   the paper solver), fresh buffers per request, one worker each side.
 //!
-//! Every pair is asserted bit-identical before it is timed.
+//! Every pair is asserted bit-identical before it is timed. The JSON
+//! records `hardware_threads`; every timed side runs on one thread.
 
 use std::io::Write as _;
 use std::time::Duration;
 
+use pmc_bench::loadgen::hardware_threads;
 use pmc_bench::{
     arbitrary_spanning_tree, header, random_tree_ops, row, solver, table1_graph, time_pair,
     SolverConfig, SolverWorkspace,
 };
+use pmc_core::gen_ops::{gen_ancestor, gen_incomparable, GenBatch};
+use pmc_core::phases::{build_phases, Phase};
 use pmc_core::two_respect_mincut;
 use pmc_graph::mincut_certificate;
 use pmc_minpath::{
@@ -71,6 +80,9 @@ fn main() {
     let rounds = if quick { 2 } else { 7 };
     let phase_sizes: &[usize] = if quick { &[64] } else { &[256, 1024] };
     let solve_sizes: &[usize] = if quick { &[64] } else { &[1024, 2048] };
+    // `community_ring(communities, size, 4, seed)`: the solve-community
+    // workload's ring, and a 128-vertex one for the CI smoke run.
+    let ring: (usize, usize) = if quick { (4, 32) } else { (32, 64) };
 
     println!("# E15 — flat u32 arenas on the two-respect hot path");
     println!();
@@ -132,6 +144,54 @@ fn main() {
         ms.push(Measurement {
             phase: "sweep",
             name: format!("tree_batch_n{n}_k{}", 4 * n),
+            n,
+            before_label: "allocating",
+            before_ns: ns(before),
+            after_ns: ns(after),
+        });
+    }
+
+    // --- sweep: replay of the solver's own batches on a community ring ----
+    {
+        let (communities, size) = ring;
+        let n = communities * size;
+        let phases = solver_batches(communities, size);
+        let nbatches: usize = phases.iter().map(|(_, bs)| bs.len()).sum();
+        let ops: usize = phases
+            .iter()
+            .flat_map(|(_, bs)| bs)
+            .map(|b| b.ops.len())
+            .sum();
+        let run_reference = || -> Vec<Vec<i64>> {
+            let mut out = Vec::new();
+            for (p, bs) in &phases {
+                for b in bs {
+                    out.push(run_tree_batch(&p.tree, &p.decomp, &b.init, &b.ops));
+                }
+            }
+            out
+        };
+        let mut ws = TreeBatchScratch::default();
+        let mut run_flat = || -> Vec<Vec<i64>> {
+            let mut out = Vec::new();
+            for (p, bs) in &phases {
+                for b in bs {
+                    out.push(run_tree_batch_with(
+                        &p.tree, &p.decomp, &b.init, &b.ops, &mut ws,
+                    ));
+                }
+            }
+            out
+        };
+        assert_eq!(run_flat(), run_reference(), "solver-batch sweep divergence");
+        let (before, after) = time_pair(
+            rounds,
+            || std::hint::black_box(run_reference()),
+            || std::hint::black_box(run_flat()),
+        );
+        ms.push(Measurement {
+            phase: "sweep",
+            name: format!("solver_batches_ring{communities}x{size}_b{nbatches}_k{ops}"),
             n,
             before_label: "allocating",
             before_ns: ns(before),
@@ -235,6 +295,7 @@ fn main() {
     println!();
     println!("min end-to-end solve ratio: {min_solve_ratio:.2}x");
     println!("steady-state workspace heap: {solve_heap_bytes} bytes");
+    println!("hardware threads: {}", hardware_threads());
 
     let json = render_json(&ms, rounds, quick, min_solve_ratio, solve_heap_bytes);
     let mut f = std::fs::File::create(&out_path)
@@ -261,6 +322,10 @@ fn render_json(
     );
     s.push_str("  \"regenerate\": \"cargo run --release -p pmc-bench --bin hotpath_report\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
+    s.push_str(&format!(
+        "  \"hardware_threads\": {},\n",
+        hardware_threads()
+    ));
     s.push_str(&format!("  \"rounds\": {rounds},\n"));
     s.push_str(&format!("  \"min_solve_ratio\": {min_solve_ratio:.3},\n"));
     s.push_str(&format!(
@@ -288,4 +353,27 @@ fn render_json(
     s.push_str("  ]\n");
     s.push_str("}\n");
     s
+}
+
+/// Every non-empty MinPath batch one paper solve of
+/// `community_ring(communities, size, 4, 1)` runs, grouped by bough phase:
+/// the certificate graph's packed trees (default packing config), each
+/// tree's phases, and per phase its incomparable and ancestor batches.
+fn solver_batches(communities: usize, size: usize) -> Vec<(Phase, Vec<GenBatch>)> {
+    let (g, _) = pmc_graph::gen::community_ring(communities, size, 4, 1);
+    let cert = mincut_certificate(&g);
+    let wg = cert.as_ref().map_or(&g, |c| &c.graph);
+    let packing = pack_trees(wg, &PackingConfig::default());
+    packing
+        .trees
+        .iter()
+        .flat_map(|te| build_phases(wg, &rooted_tree_from_edges(wg, te, 0)))
+        .map(|phase| {
+            let batches = [gen_incomparable(&phase), gen_ancestor(&phase)]
+                .into_iter()
+                .filter(|b| !b.ops.is_empty())
+                .collect();
+            (phase, batches)
+        })
+        .collect()
 }

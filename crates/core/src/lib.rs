@@ -128,9 +128,10 @@ pub struct MinCutConfig {
     /// (cheap: one parallel pass over the edges) and panic on mismatch.
     pub verify: bool,
     /// Sparsify dense inputs with a Nagamochi–Ibaraki certificate at
-    /// `k = min weighted degree` before packing. Exact (the certificate
-    /// preserves all minimum cuts); only applied when it actually shrinks
-    /// the graph. See `pmc_graph::certificate`.
+    /// `k = min weighted degree + 1` before packing. Exact: with `k` above
+    /// the minimum cut, the certificate preserves every minimum cut's value
+    /// and its witness sides (see `pmc_graph::mincut_certificate` for why
+    /// the `+ 1` matters). Only applied when it actually shrinks the graph.
     pub use_certificate: bool,
 }
 

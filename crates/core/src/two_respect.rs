@@ -360,6 +360,39 @@ mod tests {
     }
 
     #[test]
+    fn flat_sweep_matches_reference_on_solver_batches() {
+        // The solver's own op shape, including the ±INF guards: every
+        // phase's generated batches of every packed tree, through one
+        // reused scratch. Inputs: a community ring, and a sparse graph with
+        // a weight-1 leaf on its certificate (as the solver packs it).
+        let (ring, _) = gen::community_ring(4, 12, 4, 3);
+        let sparse = (0u64..)
+            .map(|k| gen::gnm_connected(120, 480, 8, 40 + k))
+            .find(|g| g.min_weighted_degree() == 1)
+            .expect("some draw has a weight-1 leaf");
+        let cert = pmc_graph::mincut_certificate(&sparse).expect("the certificate applies");
+        let mut ws = TreeBatchScratch::default();
+        for g in [&ring, &cert.graph] {
+            let packing = pack_trees(g, &PackingConfig::default());
+            for te in packing.trees.iter() {
+                let tree = rooted_tree_from_edges(g, te, 0);
+                for phase in build_phases(g, &tree) {
+                    for b in [gen_incomparable(&phase), gen_ancestor(&phase)] {
+                        if b.ops.is_empty() {
+                            continue; // the solver runs only non-empty batches
+                        }
+                        let (t, d) = (&phase.tree, &phase.decomp);
+                        assert_eq!(
+                            run_tree_batch_with(t, d, &b.init, &b.ops, &mut ws),
+                            run_tree_batch(t, d, &b.init, &b.ops)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn cycle_graph_value_two() {
         let g = gen::cycle_with_chords(16, 0, 0);
         let t = spanning_tree(&g, 1);

@@ -26,6 +26,24 @@
 //! processes its nodes in parallel, and within a node the merges, scans and
 //! broadcasts use the `pmc-par` primitives once the node's arrays exceed a
 //! threshold.
+//!
+//! Two realizations share these rules. The allocating reference
+//! ([`run_list_batch`], and the tree batches of
+//! [`run_tree_batch`](crate::run_tree_batch)) follows the description above
+//! literally and is kept as the test oracle. The flat sweep
+//! ([`run_list_batch_with`], and through the same leaf arena
+//! [`run_tree_batch_with`](crate::run_tree_batch_with)) is the amortized
+//! path the solver runs. It computes the same values with the same
+//! arithmetic in the same order, so every answer is bit-identical:
+//!
+//! * every record of a batch is counting-sorted once into a leaf arena,
+//!   keyed by its leaf slot, so a list's leaves are one slot range;
+//! * each node is one streaming merge of its children's time-sorted update
+//!   runs that carries the running `φ_l`/`φ_r` sums and the current `Δ`,
+//!   and resolves each query of the children's query runs as its time
+//!   comes up, with its side given by the run it came from;
+//! * the root's records fold straight into the answers: its running
+//!   minimum replaces the last prefix sum.
 
 use pmc_par::merge::merge_by_key;
 use pmc_par::scan::{inclusive_scan_in_place, inclusive_scan_in_place_with};
@@ -104,7 +122,7 @@ impl BatchStats {
 
 /// An update record travelling up the tree: `phi` is `φ_time(b)` for the
 /// node that currently owns the record.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Upd {
     time: u32,
     x: i64,
@@ -128,49 +146,130 @@ struct NodeState {
     qrys: Vec<Qry>,
 }
 
+/// A query record of the flat sweep: [`Qry`] without `pos`, because the
+/// flat sweep knows a record's side from the child run it came from.
+#[derive(Clone, Copy, Debug, Default)]
+struct FlatQry {
+    time: u32,
+    qid: u32,
+    d: i64,
+}
+
+/// One node's records in the flat sweep: its update and query runs, each
+/// sorted by time.
+type Runs<'a> = (&'a [Upd], &'a [FlatQry]);
+
+const NO_RUNS: Runs<'static> = (&[], &[]);
+
 /// One level of the flat sweep: every node's update and query records in
 /// two contiguous buffers, with u32 CSR offsets per record kind. Node `p`
 /// of the level owns `upds[upd_off[p]..upd_off[p+1]]` and
-/// `qrys[qry_off[p]..qry_off[p+1]]`, both sorted by time.
+/// `qrys[qry_off[p]..qry_off[p+1]]`, both sorted by time. The leaf arena
+/// uses the same layout with one node per leaf slot.
 #[derive(Clone, Debug, Default)]
 struct LevelArena {
     upds: Vec<Upd>,
     upd_off: Vec<u32>,
-    qrys: Vec<Qry>,
+    qrys: Vec<FlatQry>,
     qry_off: Vec<u32>,
 }
 
 impl LevelArena {
-    fn upds_of(&self, node: usize) -> &[Upd] {
-        &self.upds[self.upd_off[node] as usize..self.upd_off[node + 1] as usize]
+    fn runs(&self, node: usize) -> Runs<'_> {
+        (
+            &self.upds[self.upd_off[node] as usize..self.upd_off[node + 1] as usize],
+            &self.qrys[self.qry_off[node] as usize..self.qry_off[node + 1] as usize],
+        )
     }
 
-    fn qrys_of(&self, node: usize) -> &[Qry] {
-        &self.qrys[self.qry_off[node] as usize..self.qry_off[node + 1] as usize]
+    /// Empties the level; nodes are then appended with [`Self::close_node`].
+    fn clear(&mut self) {
+        self.upds.clear();
+        self.qrys.clear();
+        self.upd_off.clear();
+        self.upd_off.push(0);
+        self.qry_off.clear();
+        self.qry_off.push(0);
+    }
+
+    /// Ends the node whose records were pushed since the previous call.
+    fn close_node(&mut self) {
+        self.upd_off.push(self.upds.len() as u32);
+        self.qry_off.push(self.qrys.len() as u32);
     }
 
     fn heap_bytes(&self) -> usize {
         self.upds.len() * std::mem::size_of::<Upd>()
-            + self.qrys.len() * std::mem::size_of::<Qry>()
+            + self.qrys.len() * std::mem::size_of::<FlatQry>()
             + (self.upd_off.len() + self.qry_off.len()) * std::mem::size_of::<u32>()
     }
 }
 
-/// Reusable buffers for [`run_list_batch_with`]: the heap-layout subtree
-/// minima, the two ping-pong `LevelArena`s of the flat bottom-up sweep,
-/// and the per-node merge temporaries. Everything keeps its capacity
-/// across batches; one scratch amortizes every list batch a solver
-/// executes.
+/// Reusable buffers for [`run_list_batch_with`] and, through
+/// [`TreeBatchScratch`](crate::TreeBatchScratch), for
+/// [`run_tree_batch_with`](crate::run_tree_batch_with): the leaf arena
+/// the prefix records are bucketed into by slot, the heap-layout subtree
+/// minima of the list being swept, and the two ping-pong `LevelArena`s of
+/// its bottom-up sweep. Everything keeps its capacity across batches; one
+/// scratch amortizes every batch a solver executes.
 #[derive(Clone, Debug, Default)]
 pub struct ListBatchScratch {
+    leaves: LevelArena,
     mins: Vec<i64>,
     level_a: LevelArena,
     level_b: LevelArena,
-    merged: Vec<MergedUpd>,
-    sum_l: Vec<i64>,
-    sum_r: Vec<i64>,
-    merged_q: Vec<Qry>,
     par: ParScratch,
+}
+
+/// The counting pass of a leaf bucketing ([`ListBatchScratch::bucket`]).
+pub(crate) struct SlotCounts<'a>(&'a mut LevelArena);
+
+impl<'a> SlotCounts<'a> {
+    /// Counts `upds` update and `qrys` query records under leaf `slot`.
+    pub(crate) fn add(&mut self, slot: usize, upds: u32, qrys: u32) {
+        self.0.upd_off[slot + 2] += upds;
+        self.0.qry_off[slot + 2] += qrys;
+    }
+
+    /// Ends the counting pass. Every counted record must then be placed,
+    /// in time order.
+    pub(crate) fn place(self) -> SlotPlacer<'a> {
+        let leaves = self.0;
+        // Counts sit at `off[slot + 2]`; after the inclusive scan
+        // `off[slot + 1]` is the slot's start and serves as its cursor, so
+        // placing leaves `off[slot]..off[slot + 1]` as the slot's range.
+        for off in [&mut leaves.upd_off, &mut leaves.qry_off] {
+            for i in 1..off.len() {
+                off[i] += off[i - 1];
+            }
+        }
+        let nu = *leaves.upd_off.last().expect("bucketing sizes the offsets");
+        let nq = *leaves.qry_off.last().expect("bucketing sizes the offsets");
+        leaves.upds.clear();
+        leaves.upds.resize(nu as usize, Upd::default());
+        leaves.qrys.clear();
+        leaves.qrys.resize(nq as usize, FlatQry::default());
+        SlotPlacer(leaves)
+    }
+}
+
+/// The placing pass of a leaf bucketing ([`SlotCounts::place`]).
+pub(crate) struct SlotPlacer<'a>(&'a mut LevelArena);
+
+impl SlotPlacer<'_> {
+    /// Files `AddPrefix` record `(time, x)` under leaf `slot`.
+    pub(crate) fn add(&mut self, slot: usize, time: u32, x: i64) {
+        let cursor = &mut self.0.upd_off[slot + 1];
+        self.0.upds[*cursor as usize] = Upd { time, x, phi: x };
+        *cursor += 1;
+    }
+
+    /// Files `MinPrefix` record `(time, qid)` under leaf `slot`.
+    pub(crate) fn min(&mut self, slot: usize, time: u32, qid: u32) {
+        let cursor = &mut self.0.qry_off[slot + 1];
+        self.0.qrys[*cursor as usize] = FlatQry { time, qid, d: 0 };
+        *cursor += 1;
+    }
 }
 
 impl ListBatchScratch {
@@ -183,12 +282,147 @@ impl ListBatchScratch {
     /// Bytes of heap memory in active use by the scratch buffers
     /// (`len`-based, excluding the `pmc-par` scratch internals).
     pub fn heap_bytes(&self) -> usize {
-        self.mins.len() * std::mem::size_of::<i64>()
+        self.leaves.heap_bytes()
+            + self.mins.len() * std::mem::size_of::<i64>()
             + self.level_a.heap_bytes()
             + self.level_b.heap_bytes()
-            + self.merged.len() * std::mem::size_of::<MergedUpd>()
-            + (self.sum_l.len() + self.sum_r.len()) * std::mem::size_of::<i64>()
-            + self.merged_q.len() * std::mem::size_of::<Qry>()
+    }
+
+    /// Starts bucketing prefix records into the leaf arena's `nslots`
+    /// slots with one stable counting sort: count every record with the
+    /// returned [`SlotCounts`], then place them with [`SlotCounts::place`].
+    pub(crate) fn bucket(&mut self, nslots: usize) -> SlotCounts<'_> {
+        for off in [&mut self.leaves.upd_off, &mut self.leaves.qry_off] {
+            off.clear();
+            off.resize(nslots + 2, 0);
+        }
+        SlotCounts(&mut self.leaves)
+    }
+
+    /// The one flat sweep: executes the list whose leaves are the slots
+    /// `first..first + weights.len()` of the leaf arena, with `weights` as
+    /// its initial values, and hands each query's answer to `emit` as
+    /// `(qid, value)` in time order. A list without queries is skipped.
+    ///
+    /// Every tree node is one fused streaming pass over its children's
+    /// runs ([`combine_runs`]); the first level reads the leaf slots in
+    /// place, the inner levels ping-pong between two arenas, and only
+    /// nodes that cover a real (unpadded) leaf are visited.
+    ///
+    /// # Panics
+    /// Panics if times do not strictly increase within a slot.
+    pub(crate) fn sweep(
+        &mut self,
+        first: usize,
+        weights: impl ExactSizeIterator<Item = i64>,
+        emit: impl FnMut(u32, i64),
+    ) {
+        let ListBatchScratch {
+            leaves,
+            mins,
+            level_a,
+            level_b,
+            par: _,
+        } = self;
+        let len = weights.len();
+        if leaves.qry_off[first] == leaves.qry_off[first + len] {
+            return;
+        }
+        for slot in first..first + len {
+            let (upds, qrys) = leaves.runs(slot);
+            assert!(
+                upds.windows(2).all(|w| w[0].time < w[1].time)
+                    && qrys.windows(2).all(|w| w[0].time < w[1].time),
+                "times must strictly increase"
+            );
+        }
+        let cap = len.next_power_of_two();
+
+        // Initial subtree minima and Δ⁰ per inner node (heap layout, root = 1).
+        mins.clear();
+        mins.resize(2 * cap, PAD);
+        for (m, w) in mins[cap..].iter_mut().zip(weights) {
+            *m = w;
+        }
+        for i in (1..cap).rev() {
+            mins[i] = mins[2 * i].min(mins[2 * i + 1]);
+        }
+        let mins = &*mins;
+        let delta0 = |node: usize| mins[2 * node + 1] - mins[2 * node];
+        let mut root = RootSink {
+            min0: mins[1],
+            acc: 0,
+            emit,
+        };
+        if cap == 1 {
+            // The leaf is the root: replay its runs in time order.
+            let (upds, qrys) = leaves.runs(first);
+            let mut j = 0;
+            for &q in qrys {
+                while j < upds.len() && upds[j].time < q.time {
+                    root.upd(upds[j]);
+                    j += 1;
+                }
+                root.qry(q);
+            }
+            return;
+        }
+        // Bottom-up level sweep below the root. `base` is the heap id of a
+        // level's first parent and `live` the child level's count of nodes
+        // that cover a real leaf (the rest are empty padding). More than
+        // half of the leaves are real, so both root children are live.
+        let (mut child, mut live, mut base) = (&*leaves, len, cap / 2);
+        let mut child_first = first;
+        while base > 1 {
+            combine_level(child, child_first, live, base, delta0, level_b);
+            std::mem::swap(level_a, level_b);
+            (child, child_first) = (&*level_a, 0);
+            live = live.div_ceil(2);
+            base /= 2;
+        }
+        combine_runs(
+            child.runs(child_first),
+            child.runs(child_first + 1),
+            delta0(1),
+            &mut root,
+        );
+    }
+}
+
+/// Where a node's combined records go: the next level's arena, or, at
+/// the root, straight into the answers ([`RootSink`]). Records arrive in
+/// time order across both kinds.
+trait Sink {
+    fn upd(&mut self, u: Upd);
+    fn qry(&mut self, q: FlatQry);
+}
+
+impl Sink for LevelArena {
+    fn upd(&mut self, u: Upd) {
+        self.upds.push(u);
+    }
+
+    fn qry(&mut self, q: FlatQry) {
+        self.qrys.push(q);
+    }
+}
+
+/// The root walk (§3.1.3): the running overall minimum is `min0` plus the
+/// root's `φ` of every update so far, and a query's answer is its `d` plus
+/// that minimum.
+struct RootSink<F> {
+    min0: i64,
+    acc: i64,
+    emit: F,
+}
+
+impl<F: FnMut(u32, i64)> Sink for RootSink<F> {
+    fn upd(&mut self, u: Upd) {
+        self.acc += u.phi;
+    }
+
+    fn qry(&mut self, q: FlatQry) {
+        (self.emit)(q.qid, q.d + (self.min0 + self.acc));
     }
 }
 
@@ -204,19 +438,47 @@ pub fn run_list_batch(init: &[i64], ops: &[PrefixOp]) -> Vec<(u32, i64)> {
 }
 
 /// [`run_list_batch`] drawing all working state from a reusable
-/// [`ListBatchScratch`]. Identical results, produced by the flat-arena
-/// sweep: each level's node states live in two contiguous record buffers
-/// with offset arrays (ping-ponged between two arenas) instead of a `Vec`
-/// pair per node, and the per-node merge temporaries are recycled too.
-/// The sweep is strictly sequential — this is the amortized serving path,
-/// where concurrency comes from independent requests, each with its own
-/// workspace.
+/// [`ListBatchScratch`]. Identical results (in time order), produced by
+/// the flat sweep that also serves
+/// [`run_tree_batch_with`](crate::run_tree_batch_with): the ops are
+/// counting-sorted by position into the leaf arena once, each tree node
+/// is one fused merge of its children's time-sorted runs, written into two
+/// ping-ponged flat level arenas instead of a `Vec` pair per node, and the
+/// root's records fold straight into the answers. The sweep is strictly
+/// sequential — this is the amortized serving path, where concurrency
+/// comes from independent requests, each with its own workspace.
+///
+/// # Panics
+/// Panics if times are not strictly increasing, a position is out of range,
+/// or the list is empty.
 pub fn run_list_batch_with(
     init: &[i64],
     ops: &[PrefixOp],
     ws: &mut ListBatchScratch,
 ) -> Vec<(u32, i64)> {
-    run_list_batch_flat(init, ops, ws)
+    let n = init.len();
+    assert!(n > 0, "empty list");
+    for w in ops.windows(2) {
+        assert!(w[0].time() < w[1].time(), "times must strictly increase");
+    }
+    for op in ops {
+        assert!((op.pos() as usize) < n, "position out of range");
+    }
+    let mut counts = ws.bucket(n);
+    for op in ops {
+        let is_add = matches!(op, PrefixOp::Add { .. });
+        counts.add(op.pos() as usize, u32::from(is_add), u32::from(!is_add));
+    }
+    let mut placer = counts.place();
+    for op in ops {
+        match *op {
+            PrefixOp::Add { time, pos, x } => placer.add(pos as usize, time, x),
+            PrefixOp::Min { time, pos, qid } => placer.min(pos as usize, time, qid),
+        }
+    }
+    let mut out = Vec::new();
+    ws.sweep(0, init.iter().copied(), |qid, value| out.push((qid, value)));
+    out
 }
 
 /// [`run_list_batch`] with all internal parallelism disabled: one strictly
@@ -361,288 +623,150 @@ fn run_list_batch_impl(
     finish_root(root, min0_root, par_threshold, par)
 }
 
-/// The flat-arena sweep behind [`run_list_batch_with`]: identical results
-/// to [`run_list_batch`], zero per-node allocation. Leaf bucketing is a
-/// stable counting sort into one [`LevelArena`]; each level is combined
-/// into the other arena node by node, appending to the flat record buffers
-/// and closing the CSR offsets as it goes (per-node output sizes are exact:
-/// every record survives to the root, so a parent holds exactly the sum of
-/// its children's records). The merge temporaries are recycled from the
-/// scratch.
-fn run_list_batch_flat(
-    init: &[i64],
-    ops: &[PrefixOp],
-    ws: &mut ListBatchScratch,
-) -> Vec<(u32, i64)> {
-    let n = init.len();
-    assert!(n > 0, "empty list");
-    for w in ops.windows(2) {
-        assert!(w[0].time() < w[1].time(), "times must strictly increase");
+/// Combines one level of the flat sweep into `out`: parent `p` (heap id
+/// `base + p`) merges the child level's nodes `first + 2p` and
+/// `first + 2p + 1`, where child nodes at or past `first + live` are empty
+/// padding. Only parents with a live child are emitted.
+fn combine_level(
+    child: &LevelArena,
+    first: usize,
+    live: usize,
+    base: usize,
+    delta0: impl Fn(usize) -> i64,
+    out: &mut LevelArena,
+) {
+    out.clear();
+    for p in 0..live.div_ceil(2) {
+        let right = if 2 * p + 1 < live {
+            child.runs(first + 2 * p + 1)
+        } else {
+            NO_RUNS
+        };
+        combine_runs(child.runs(first + 2 * p), right, delta0(base + p), out);
+        out.close_node();
     }
-    for op in ops {
-        assert!((op.pos() as usize) < n, "position out of range");
-    }
-    let cap = n.next_power_of_two();
-    let ListBatchScratch {
-        mins,
-        level_a,
-        level_b,
-        merged,
-        sum_l,
-        sum_r,
-        merged_q,
-        par: _,
-    } = ws;
-
-    // Initial subtree minima and Δ⁰ per inner node (heap layout, root = 1).
-    mins.clear();
-    mins.resize(2 * cap, PAD);
-    for (i, &w) in init.iter().enumerate() {
-        mins[cap + i] = w;
-    }
-    for i in (1..cap).rev() {
-        mins[i] = mins[2 * i].min(mins[2 * i + 1]);
-    }
-    let mins = &*mins;
-    let delta0 = |node: usize| mins[2 * node + 1] - mins[2 * node];
-    let min0_root = mins[1.min(2 * cap - 1)];
-
-    // Leaf level: bucket ops by position with a stable counting sort (ops
-    // are scanned in time order; the offset cursors preserve it).
-    level_a.upd_off.clear();
-    level_a.upd_off.resize(cap + 1, 0);
-    level_a.qry_off.clear();
-    level_a.qry_off.resize(cap + 1, 0);
-    for op in ops {
-        match op {
-            PrefixOp::Add { pos, .. } => level_a.upd_off[*pos as usize + 1] += 1,
-            PrefixOp::Min { pos, .. } => level_a.qry_off[*pos as usize + 1] += 1,
-        }
-    }
-    for i in 0..cap {
-        level_a.upd_off[i + 1] += level_a.upd_off[i];
-        level_a.qry_off[i + 1] += level_a.qry_off[i];
-    }
-    level_a.upds.clear();
-    level_a.upds.resize(
-        level_a.upd_off[cap] as usize,
-        Upd {
-            time: 0,
-            x: 0,
-            phi: 0,
-        },
-    );
-    level_a.qrys.clear();
-    level_a.qrys.resize(
-        level_a.qry_off[cap] as usize,
-        Qry {
-            time: 0,
-            qid: 0,
-            pos: 0,
-            d: 0,
-        },
-    );
-    for op in ops {
-        match *op {
-            PrefixOp::Add { time, pos, x } => {
-                let slot = &mut level_a.upd_off[pos as usize];
-                level_a.upds[*slot as usize] = Upd { time, x, phi: x };
-                *slot += 1;
-            }
-            PrefixOp::Min { time, pos, qid } => {
-                let slot = &mut level_a.qry_off[pos as usize];
-                level_a.qrys[*slot as usize] = Qry {
-                    time,
-                    qid,
-                    pos,
-                    d: 0,
-                };
-                *slot += 1;
-            }
-        }
-    }
-    for i in (1..=cap).rev() {
-        level_a.upd_off[i] = level_a.upd_off[i - 1];
-        level_a.qry_off[i] = level_a.qry_off[i - 1];
-    }
-    level_a.upd_off[0] = 0;
-    level_a.qry_off[0] = 0;
-
-    // Bottom-up level sweep, ping-ponging between the two arenas.
-    let mut cur_len = cap;
-    let mut child_shift = 0u32;
-    while cur_len > 1 {
-        let parents = cur_len / 2;
-        let heap_base = parents;
-        level_b.upds.clear();
-        level_b.qrys.clear();
-        level_b.upd_off.clear();
-        level_b.upd_off.push(0);
-        level_b.qry_off.clear();
-        level_b.qry_off.push(0);
-        for p in 0..parents {
-            combine_flat(
-                level_a.upds_of(2 * p),
-                level_a.upds_of(2 * p + 1),
-                level_a.qrys_of(2 * p),
-                level_a.qrys_of(2 * p + 1),
-                delta0(heap_base + p),
-                child_shift,
-                merged,
-                sum_l,
-                sum_r,
-                merged_q,
-                &mut level_b.upds,
-                &mut level_b.qrys,
-            );
-            level_b.upd_off.push(level_b.upds.len() as u32);
-            level_b.qry_off.push(level_b.qrys.len() as u32);
-        }
-        std::mem::swap(level_a, level_b);
-        cur_len = parents;
-        child_shift += 1;
-    }
-
-    // Root: running overall minima after each update (§3.1.3) and the
-    // per-query attach, fused into one streaming walk — queries and
-    // updates are both time-sorted.
-    let root_upds = level_a.upds_of(0);
-    let root_qrys = level_a.qrys_of(0);
-    let mut out = Vec::with_capacity(root_qrys.len());
-    let mut j = 0usize;
-    let mut acc = 0i64;
-    let mut cur = min0_root;
-    for q in root_qrys {
-        while j < root_upds.len() && root_upds[j].time < q.time {
-            acc += root_upds[j].phi;
-            cur = min0_root + acc;
-            j += 1;
-        }
-        out.push((q.qid, q.d + cur));
-    }
-    out
 }
 
-/// Combines two child node states (given as flat slices) into the output
-/// arena buffers: the node-local equivalent of [`combine_into`], strictly
-/// sequential, with every temporary drawn from the scratch. Appends
-/// exactly `l_upds.len() + r_upds.len()` updates and
-/// `l_qrys.len() + r_qrys.len()` queries.
-#[allow(clippy::too_many_arguments)]
-fn combine_flat(
-    l_upds: &[Upd],
-    r_upds: &[Upd],
-    l_qrys: &[Qry],
-    r_qrys: &[Qry],
+/// One tree node of the flat sweep as a single streaming pass: merges the
+/// children's update runs by time (`H(b)`, Observation 2) while carrying
+/// the running `φ_l`/`φ_r` sums and the current `Δ` (Observation 3, with
+/// Observation 4's trivial side filled in), and resolves each query of the
+/// two children's query runs as its time comes up (§3.2 rule; a query's
+/// side is the run it came from). Hands `out` exactly the children's
+/// records, in time order. The arithmetic and its order are the reference
+/// [`combine_into`]'s, so every value is bit-identical.
+///
+/// The run heads are cached so the merge picks each record with selects
+/// rather than branches on the data, which mispredict about half the time.
+fn combine_runs(
+    (l_upds, l_qrys): Runs<'_>,
+    (r_upds, r_qrys): Runs<'_>,
     delta0: i64,
-    child_shift: u32,
-    merged: &mut Vec<MergedUpd>,
-    sum_l: &mut Vec<i64>,
-    sum_r: &mut Vec<i64>,
-    merged_q: &mut Vec<Qry>,
-    out_upds: &mut Vec<Upd>,
-    out_qrys: &mut Vec<Qry>,
+    out: &mut impl Sink,
 ) {
-    let nu = l_upds.len() + r_upds.len();
-    let nq = l_qrys.len() + r_qrys.len();
-    if nu == 0 && nq == 0 {
-        return;
-    }
-
-    // --- Updates: H(b), φ_l/φ_r, Δ(b), Φ(b) ---------------------------------
-    merged.clear();
-    merged.reserve(nu);
     let (mut i, mut j) = (0, 0);
-    while i < l_upds.len() || j < r_upds.len() {
-        let take_left = j == r_upds.len() || (i < l_upds.len() && l_upds[i].time < r_upds[j].time);
-        if take_left {
-            merged.push(MergedUpd {
-                time: l_upds[i].time,
-                x: l_upds[i].x,
-                phi_l: l_upds[i].phi,
-                phi_r: 0,
-            });
-            i += 1;
-        } else {
-            merged.push(MergedUpd {
-                time: r_upds[j].time,
-                x: r_upds[j].x,
-                phi_l: r_upds[j].x,
-                phi_r: r_upds[j].phi,
-            });
-            j += 1;
+    let (mut l_head, mut r_head) = (head(l_upds, 0), head(r_upds, 0));
+    let mut queries = (0, 0);
+    let mut next_query = head(l_qrys, 0).0.min(head(r_qrys, 0).0);
+    let (mut sum_l, mut sum_r) = (0i64, 0i64);
+    let mut delta = delta0;
+    for _ in 0..l_upds.len() + r_upds.len() {
+        let take_left = l_head.0 < r_head.0;
+        let u = if take_left { l_head.1 } else { r_head.1 };
+        let (phi_l, phi_r) = if take_left { (u.phi, 0) } else { (u.x, u.phi) };
+        i += usize::from(take_left);
+        j += usize::from(!take_left);
+        (l_head, r_head) = (head(l_upds, i), head(r_upds, j));
+        // Queries up to this update's time read the Δ current before it.
+        let end = u64::from(u.time) + 1;
+        if next_query < end {
+            next_query = resolve_queries(l_qrys, r_qrys, &mut queries, end, delta, out);
         }
-    }
-    // Prefix sums of φ_l and φ_r give Δ via Observation 3.
-    sum_l.clear();
-    sum_l.extend(merged.iter().map(|u| u.phi_l));
-    sum_r.clear();
-    sum_r.extend(merged.iter().map(|u| u.phi_r));
-    seq_scan(sum_l);
-    seq_scan(sum_r);
-    for (i, u) in merged.iter().enumerate() {
-        let old = if i == 0 {
-            delta0
+        sum_l += phi_l;
+        sum_r += phi_r;
+        let new = delta0 + sum_r - sum_l;
+        // (delta > 0, new > 0): (T,T) φ_l, (F,T) φ_l − Δ, (F,F) φ_r,
+        // (T,F) φ_r + Δ.
+        let phi = if new > 0 {
+            phi_l - if delta > 0 { 0 } else { delta }
         } else {
-            delta0 + sum_r[i - 1] - sum_l[i - 1]
+            phi_r + if delta > 0 { delta } else { 0 }
         };
-        let new = delta0 + sum_r[i] - sum_l[i];
-        let phi = match (old > 0, new > 0) {
-            (true, true) => u.phi_l,
-            (false, false) => u.phi_r,
-            (false, true) => u.phi_l - old,
-            (true, false) => u.phi_r + old,
-        };
-        out_upds.push(Upd {
-            time: u.time,
-            x: u.x,
-            phi,
-        });
+        out.upd(Upd { phi, ..u });
+        delta = new;
     }
+    if next_query != u64::MAX {
+        resolve_queries(l_qrys, r_qrys, &mut queries, u64::MAX, delta, out);
+    }
+}
 
-    // --- Queries -------------------------------------------------------------
-    if nq > 0 {
-        merged_q.clear();
-        merged_q.reserve(nq);
-        let (mut i, mut j) = (0, 0);
-        while i < l_qrys.len() || j < r_qrys.len() {
-            let take_left =
-                j == r_qrys.len() || (i < l_qrys.len() && l_qrys[i].time < r_qrys[j].time);
-            if take_left {
-                merged_q.push(l_qrys[i]);
-                i += 1;
-            } else {
-                merged_q.push(r_qrys[j]);
-                j += 1;
-            }
+/// A run's record `k` with its merge key, the record's time; past the end
+/// of the run the key is `u64::MAX`, so an exhausted run loses every
+/// comparison.
+fn head<T: Timed + Default>(run: &[T], k: usize) -> (u64, T) {
+    match run.get(k) {
+        Some(&r) => (u64::from(r.time()), r),
+        None => (u64::MAX, T::default()),
+    }
+}
+
+/// Records the flat sweep merges by time.
+trait Timed: Copy {
+    fn time(&self) -> u32;
+}
+
+impl Timed for Upd {
+    fn time(&self) -> u32 {
+        self.time
+    }
+}
+
+impl Timed for FlatQry {
+    fn time(&self) -> u32 {
+        self.time
+    }
+}
+
+/// Merges the two children's pending queries with merge key below `end`
+/// into `out` in time order, applying the §3.2 update rule with `delta`,
+/// the node's `Δ` current at those times; `end = u64::MAX` takes them all.
+/// `(a, b)` are the runs' cursors. Returns the merge key of the next
+/// pending query. Kept out of line: inlined, it costs the update loop its
+/// registers (measured slower).
+#[inline(never)]
+fn resolve_queries(
+    l_qrys: &[FlatQry],
+    r_qrys: &[FlatQry],
+    (a, b): &mut (usize, usize),
+    end: u64,
+    delta: i64,
+    out: &mut impl Sink,
+) -> u64 {
+    let (mut l_head, mut r_head) = (head(l_qrys, *a), head(r_qrys, *b));
+    loop {
+        let key = l_head.0.min(r_head.0);
+        if key >= end {
+            return key;
         }
-        // Δ value current at each query's time: both sequences are
-        // time-sorted, so one streaming walk replaces the merge +
-        // segmented broadcast of the parallel path.
-        let mut k = 0usize;
-        let mut dcur = delta0;
-        for q in merged_q.iter() {
-            while k < nu && merged[k].time < q.time {
-                dcur = delta0 + sum_r[k] - sum_l[k];
-                k += 1;
-            }
-            // Child side of the query leaf at this node (paper §3.2 rule).
-            let from_right = (q.pos >> child_shift) & 1 == 1;
-            let d = if from_right {
-                if dcur > 0 {
-                    0
-                } else if q.d + dcur < 0 {
-                    q.d
-                } else {
-                    -dcur
-                }
-            } else if dcur <= 0 {
-                q.d - dcur
+        let from_left = l_head.0 < r_head.0;
+        let q = if from_left { l_head.1 } else { r_head.1 };
+        *a += usize::from(from_left);
+        *b += usize::from(!from_left);
+        (l_head, r_head) = (head(l_qrys, *a), head(r_qrys, *b));
+        let d = if from_left {
+            if delta <= 0 {
+                q.d - delta
             } else {
                 q.d
-            };
-            out_qrys.push(Qry { d, ..*q });
-        }
+            }
+        } else if delta > 0 {
+            0
+        } else if q.d + delta < 0 {
+            q.d
+        } else {
+            -delta
+        };
+        out.qry(FlatQry { d, ..q });
     }
 }
 

@@ -96,8 +96,15 @@ impl Decomposition {
 
     /// The vertices of path `p`, top-first.
     pub fn path(&self, p: u32) -> &[u32] {
-        &self.path_data
-            [self.path_offsets[p as usize] as usize..self.path_offsets[p as usize + 1] as usize]
+        &self.path_data[self.slot_range(p)]
+    }
+
+    /// The slots of path `p`: the indices of its vertices in the flat path
+    /// storage, so slot `slot_range(p).start + i` holds `path(p)[i]`. The
+    /// slots of all paths tile `0..n`, which lets the batch engine bucket
+    /// the prefix records of every path with one counting sort.
+    pub fn slot_range(&self, p: u32) -> std::ops::Range<usize> {
+        self.path_offsets[p as usize] as usize..self.path_offsets[p as usize + 1] as usize
     }
 
     /// Iterates over all paths (each top-first), in path-id order.

@@ -11,12 +11,17 @@
 //! * [`naive`] — a straightforward `O(depth)`-per-op oracle used by tests.
 //! * [`seq`] — the sequential `Δ`-tree structure (§2.3): `O(log² n)` per
 //!   operation, with **argmin tracking** used for witness extraction.
-//! * [`batch`] — the parallel batched engine (§3.1–3.2, Lemmas 5 & 6): all
-//!   intermediate states of every node are materialized level by level with
-//!   parallel merges, prefix sums and segmented broadcasts.
+//! * [`batch`] — the batched engine (§3.1–3.2, Lemmas 5 & 6). The
+//!   allocating reference ([`run_list_batch`]) materializes every node's
+//!   intermediate states level by level with parallel merges, prefix sums
+//!   and segmented broadcasts. The flat sweep behind [`run_list_batch_with`]
+//!   and [`run_tree_batch_with`] computes the same values sequentially:
+//!   records are counting-sorted into a leaf arena once per batch, and each
+//!   tree node is one fused streaming merge of its children's runs.
 //! * [`ops`] — the tree-level batch API (Lemma 9): decomposes a mixed
 //!   `MinPath`/`AddPath` sequence onto the path lists and executes every
-//!   list's batch in parallel.
+//!   list's batch (in parallel in [`run_tree_batch`], back to back through
+//!   one scratch in [`run_tree_batch_with`]).
 //!
 //! Weight convention: weights are `i64`. Callers may use [`INF`] as a guard
 //! value (the two-respect reduction masks vertices with `±INF`); all

@@ -9,10 +9,7 @@
 
 use rayon::prelude::*;
 
-use crate::batch::{
-    run_list_batch, run_list_batch_stats, run_list_batch_with, BatchStats, ListBatchScratch,
-    PrefixOp,
-};
+use crate::batch::{run_list_batch, run_list_batch_stats, BatchStats, ListBatchScratch, PrefixOp};
 use crate::decompose::{Decomposition, NONE};
 use pmc_graph::RootedTree;
 
@@ -79,10 +76,25 @@ pub fn run_tree_batch_stats(
     (out, stats)
 }
 
-/// Decomposes one tree op into its per-list prefix ops: walks the chain of
-/// decomposition-path tops crossed by the `v → root` path, emitting
-/// `(path id, prefix op)` for each. Shared by the parallel and amortized
-/// execution paths so the decomposition rule exists exactly once.
+/// Walks the decomposition paths crossed by the `v → root` path,
+/// bottom-up, calling `f(pid, pos)` with each path and the position at
+/// which the walk enters it: an op at `v` leaves one prefix record at each
+/// such `(pid, pos)`. Every execution path decomposes its ops through this
+/// walk, so the decomposition rule exists exactly once.
+fn walk_chain(decomp: &Decomposition, v: u32, mut f: impl FnMut(u32, u32)) {
+    let mut cur = v;
+    loop {
+        let pid = decomp.path_of(cur);
+        f(pid, decomp.pos_in_path(cur));
+        cur = decomp.parent_of_top(pid);
+        if cur == NONE {
+            break;
+        }
+    }
+}
+
+/// Decomposes one tree op into its per-list prefix ops, emitting
+/// `(path id, prefix op)` for each path [`walk_chain`] crosses.
 fn decompose_op(
     decomp: &Decomposition,
     op: &TreeOp,
@@ -93,21 +105,13 @@ fn decompose_op(
         TreeOp::Add { v, .. } => (v, 0),
         TreeOp::Min { v } => (v, time),
     };
-    let mut cur = v0;
-    loop {
-        let pid = decomp.path_of(cur);
-        let pos = decomp.pos_in_path(cur);
+    walk_chain(decomp, v0, |pid, pos| {
         let pop = match *op {
             TreeOp::Add { x, .. } => PrefixOp::Add { time, pos, x },
             TreeOp::Min { .. } => PrefixOp::Min { time, pos, qid },
         };
         emit(pid, pop);
-        let up = decomp.parent_of_top(pid);
-        if up == NONE {
-            break;
-        }
-        cur = up;
-    }
+    });
 }
 
 /// Fills `result_index[t]` with the ordinal position of the `Min` op at
@@ -137,30 +141,31 @@ fn no_queries(list_ops: &[PrefixOp]) -> bool {
 /// op's batch time, mapped back through `result_index`).
 fn fold_list_results(list_results: &[(u32, i64)], result_index: &[u32], out: &mut [i64]) {
     for &(qid, val) in list_results {
-        let slot = result_index[qid as usize] as usize;
-        if val < out[slot] {
-            out[slot] = val;
-        }
+        fold_result(qid, val, result_index, out);
     }
 }
 
-/// Reusable buffers for [`run_tree_batch_with`]: the flat per-list
-/// operation arena (one contiguous op buffer + a u32 offset array instead
-/// of a `Vec` bucket per list), the staging buffer of its counting sort,
-/// the per-list initial-weight staging vector, the query→slot index, and
-/// one [`ListBatchScratch`] shared by every list. One scratch amortizes
-/// every tree batch a solver executes.
+/// Folds one sub-result into the `Min` op it belongs to.
+fn fold_result(qid: u32, val: i64, result_index: &[u32], out: &mut [i64]) {
+    let slot = &mut out[result_index[qid as usize] as usize];
+    if val < *slot {
+        *slot = val;
+    }
+}
+
+/// Reusable buffers for [`run_tree_batch_with`]: the per-vertex op counts
+/// and chains of slots that drive its bucketing pass, the query→output
+/// index, and one [`ListBatchScratch`], whose leaf arena holds every
+/// prefix record of the batch and whose level arenas are shared by every
+/// list. One scratch amortizes every tree batch a solver executes.
 #[derive(Clone, Debug, Default)]
 pub struct TreeBatchScratch {
-    /// `(pid, op)` records in emission (= time) order, before bucketing.
-    staged: Vec<(u32, PrefixOp)>,
-    /// CSR offsets into `list_ops`, one per list plus the end sentinel.
-    list_off: Vec<u32>,
-    /// Flat per-list op storage: list `p`'s ops are
-    /// `list_ops[list_off[p]..list_off[p+1]]`, in time order (the counting
-    /// sort below is stable).
-    list_ops: Vec<PrefixOp>,
-    init_ws: Vec<i64>,
+    /// `(AddPath, MinPath)` op counts per vertex, for the counting pass.
+    vertex_ops: Vec<(u32, u32)>,
+    /// Each vertex's chain of slots in CSR form: the slots at which
+    /// [`walk_chain`] enters each path; empty for vertices without ops.
+    chain_off: Vec<u32>,
+    chains: Vec<u32>,
     result_index: Vec<u32>,
     list: ListBatchScratch,
 }
@@ -175,21 +180,33 @@ impl TreeBatchScratch {
     /// Bytes of heap memory in active use by the scratch buffers
     /// (`len`-based), including the embedded list scratch.
     pub fn heap_bytes(&self) -> usize {
-        self.staged.len() * std::mem::size_of::<(u32, PrefixOp)>()
-            + self.list_off.len() * std::mem::size_of::<u32>()
-            + self.list_ops.len() * std::mem::size_of::<PrefixOp>()
-            + self.init_ws.len() * std::mem::size_of::<i64>()
-            + self.result_index.len() * std::mem::size_of::<u32>()
+        self.vertex_ops.len() * std::mem::size_of::<(u32, u32)>()
+            + (self.chain_off.len() + self.chains.len() + self.result_index.len())
+                * std::mem::size_of::<u32>()
             + self.list.heap_bytes()
     }
 }
 
 /// [`run_tree_batch`] drawing all working state from a reusable
-/// [`TreeBatchScratch`]. Identical results. The per-list batches run one
-/// after another (sharing the scratch) instead of fanning out — this is the
-/// amortized serving path, which optimizes allocation traffic over span;
-/// concurrency in a serving scenario comes from independent requests, each
-/// with its own workspace.
+/// [`TreeBatchScratch`]. Identical results. One counting sort buckets
+/// every prefix record of the batch into the leaf arena, keyed by its
+/// decomposition slot ([`Decomposition::slot_range`]), so each list's
+/// leaves are one contiguous slot range. The lists then run one after
+/// another through the flat sweep of
+/// [`run_list_batch_with`](crate::run_list_batch_with), lists without
+/// queries are skipped, and each answer is folded into the output as the
+/// sweep reaches the root. This is the amortized serving path, which
+/// optimizes allocation traffic over span; concurrency in a serving
+/// scenario comes from independent requests, each with its own workspace.
+///
+/// # Panics
+/// Panics if `init` does not hold one weight per tree vertex, or (like
+/// [`run_list_batch_with`](crate::run_list_batch_with)) if times do not
+/// strictly increase at a list position or a position lies outside its
+/// list.
+///
+/// # Panics
+/// Panics if `init` does not hold one weight per tree vertex.
 pub fn run_tree_batch_with(
     tree: &RootedTree,
     decomp: &Decomposition,
@@ -198,60 +215,61 @@ pub fn run_tree_batch_with(
     ws: &mut TreeBatchScratch,
 ) -> Vec<i64> {
     assert_eq!(init.len(), tree.n());
-    let npaths = decomp.npaths();
+    let TreeBatchScratch {
+        vertex_ops,
+        chain_off,
+        chains,
+        result_index,
+        list,
+    } = ws;
 
-    // Decompose every tree op into `(pid, prefix op)` records. The
-    // sequential walk emits them in time order.
-    ws.staged.clear();
-    for (t, op) in ops.iter().enumerate() {
-        let staged = &mut ws.staged;
-        decompose_op(decomp, op, t as u32, |pid, pop| staged.push((pid, pop)));
-    }
-
-    // Bucket the records by list with a stable counting sort into the flat
-    // arena: count per list, exclusive-scan into offsets, scatter with the
-    // offsets as cursors (preserving time order within each list), shift
-    // the cursors back.
-    ws.list_off.clear();
-    ws.list_off.resize(npaths + 1, 0);
-    for &(pid, _) in &ws.staged {
-        ws.list_off[pid as usize + 1] += 1;
-    }
-    for p in 0..npaths {
-        ws.list_off[p + 1] += ws.list_off[p];
-    }
-    ws.list_ops.clear();
-    ws.list_ops.resize(
-        ws.staged.len(),
-        PrefixOp::Add {
-            time: 0,
-            pos: 0,
-            x: 0,
-        },
-    );
-    for &(pid, pop) in &ws.staged {
-        ws.list_ops[ws.list_off[pid as usize] as usize] = pop;
-        ws.list_off[pid as usize] += 1;
-    }
-    for p in (1..=npaths).rev() {
-        ws.list_off[p] = ws.list_off[p - 1];
-    }
-    ws.list_off[0] = 0;
-
-    let nqueries = fill_result_slots(ops, &mut ws.result_index);
-    let mut out = vec![i64::MAX; nqueries];
-
-    // Run the per-list batches back to back through the shared scratch.
-    for p in 0..npaths {
-        let list_ops = &ws.list_ops[ws.list_off[p] as usize..ws.list_off[p + 1] as usize];
-        if no_queries(list_ops) {
-            continue;
+    // Every op at `v` leaves one record in each slot of `v`'s chain, so
+    // count the ops per vertex and walk each vertex's chain once, caching
+    // it for the placing pass.
+    vertex_ops.clear();
+    vertex_ops.resize(init.len(), (0, 0));
+    for op in ops {
+        match *op {
+            TreeOp::Add { v, .. } => vertex_ops[v as usize].0 += 1,
+            TreeOp::Min { v } => vertex_ops[v as usize].1 += 1,
         }
-        ws.init_ws.clear();
-        ws.init_ws
-            .extend(decomp.path(p as u32).iter().map(|&v| init[v as usize]));
-        let list_results = run_list_batch_with(&ws.init_ws, list_ops, &mut ws.list);
-        fold_list_results(&list_results, &ws.result_index, &mut out);
+    }
+    let mut counts = list.bucket(init.len());
+    chain_off.clear();
+    chains.clear();
+    for (v, &(upds, qrys)) in vertex_ops.iter().enumerate() {
+        chain_off.push(chains.len() as u32);
+        if upds + qrys > 0 {
+            walk_chain(decomp, v as u32, |pid, pos| {
+                let slots = decomp.slot_range(pid);
+                assert!((pos as usize) < slots.len(), "position out of range");
+                let slot = slots.start + pos as usize;
+                counts.add(slot, upds, qrys);
+                chains.push(slot as u32);
+            });
+        }
+    }
+    chain_off.push(chains.len() as u32);
+    let mut placer = counts.place();
+    for (t, op) in ops.iter().enumerate() {
+        let time = t as u32;
+        let (TreeOp::Add { v, .. } | TreeOp::Min { v }) = *op;
+        let chain = &chains[chain_off[v as usize] as usize..chain_off[v as usize + 1] as usize];
+        match *op {
+            TreeOp::Add { x, .. } => chain.iter().for_each(|&s| placer.add(s as usize, time, x)),
+            TreeOp::Min { .. } => chain
+                .iter()
+                .for_each(|&s| placer.min(s as usize, time, time)),
+        }
+    }
+
+    let nqueries = fill_result_slots(ops, result_index);
+    let mut out = vec![i64::MAX; nqueries];
+    for p in 0..decomp.npaths() as u32 {
+        let weights = decomp.path(p).iter().map(|&v| init[v as usize]);
+        list.sweep(decomp.slot_range(p).start, weights, |qid, val| {
+            fold_result(qid, val, result_index, &mut out)
+        });
     }
     out
 }

@@ -6,7 +6,7 @@ use parallel_mincut::graph::RootedTree;
 use parallel_mincut::minpath::{
     decompose::{Decomposition, Strategy as DecompStrategy},
     naive_bough_paths, run_list_batch, run_list_batch_with, run_tree_batch, run_tree_batch_with,
-    ListBatchScratch, NaiveMinPath, PrefixOp, SeqMinPath, TreeBatchScratch, TreeOp,
+    ListBatchScratch, NaiveMinPath, PrefixOp, SeqMinPath, TreeBatchScratch, TreeOp, INF,
 };
 use proptest::prelude::*;
 
@@ -189,31 +189,43 @@ proptest! {
 
     #[test]
     fn flat_tree_sweep_equals_allocating_reference(
-        tree in arb_tree(60),
+        trees in prop::collection::vec(arb_tree(60), 2..5),
         seed in 0u64..1000,
     ) {
-        // Same equivalence one layer up: the flat counting-sort bucketing +
-        // flat sweep of run_tree_batch_with against the allocating path.
-        let n = tree.n();
+        // Same equivalence one layer up: the slot-keyed bucketing + flat
+        // sweep of run_tree_batch_with against the allocating path. One
+        // scratch serves every tree of the case, so per-slot offsets left
+        // over from a differently sized tree would show, and the ops carry
+        // the two-respect search's ±INF guards: a vertex's root path is
+        // masked with +INF and unmasked later, as gen_ops emits them.
         let mut r = rand::rngs::mock::StepRng::new(seed, 0x9e3779b97f4a7c15);
         use rand::RngCore;
-        let init: Vec<i64> = (0..n).map(|_| (r.next_u32() % 2000) as i64 - 1000).collect();
-        let ops: Vec<TreeOp> = (0..70)
-            .map(|_| {
-                let v = (r.next_u32() as usize % n) as u32;
-                if r.next_u32().is_multiple_of(2) {
-                    TreeOp::Add { v, x: (r.next_u32() % 600) as i64 - 300 }
-                } else {
-                    TreeOp::Min { v }
-                }
-            })
-            .collect();
         let mut ws = TreeBatchScratch::default();
-        for strat in [DecompStrategy::BoughWalk, DecompStrategy::HeavyLight] {
-            let d = Decomposition::new(&tree, strat);
-            let want = run_tree_batch(&tree, &d, &init, &ops);
-            let got = run_tree_batch_with(&tree, &d, &init, &ops, &mut ws);
-            prop_assert_eq!(got, want);
+        for (ti, tree) in trees.iter().enumerate() {
+            let n = tree.n();
+            let init: Vec<i64> = (0..n).map(|_| (r.next_u32() % 2000) as i64 - 1000).collect();
+            let mut ops: Vec<TreeOp> = (0..70)
+                .map(|_| {
+                    let v = (r.next_u32() as usize % n) as u32;
+                    if r.next_u32().is_multiple_of(2) {
+                        TreeOp::Add { v, x: (r.next_u32() % 600) as i64 - 300 }
+                    } else {
+                        TreeOp::Min { v }
+                    }
+                })
+                .collect();
+            for _ in 0..2 {
+                let guard = (r.next_u32() as usize % n) as u32;
+                let (a, b) = (r.next_u32() as usize % ops.len(), r.next_u32() as usize % ops.len());
+                ops.insert(a.max(b), TreeOp::Add { v: guard, x: -INF });
+                ops.insert(a.min(b), TreeOp::Add { v: guard, x: INF });
+            }
+            for strat in [DecompStrategy::BoughWalk, DecompStrategy::HeavyLight] {
+                let d = Decomposition::new(tree, strat);
+                let want = run_tree_batch(tree, &d, &init, &ops);
+                let got = run_tree_batch_with(tree, &d, &init, &ops, &mut ws);
+                prop_assert_eq!(got, want, "tree {} strategy {:?}", ti, strat);
+            }
         }
     }
 }
