@@ -2,12 +2,13 @@
 //!
 //! The paper's pipeline factors a solve into reusable stages —
 //! certificate → tree packing (Lemma 1) → per-tree two-respect sweep
-//! (Lemma 13) — and the stage costs are wildly asymmetric: on the bench
-//! graphs the packing costs ~50× one per-tree sweep (`BENCH_hotpath.json`).
-//! A [`SolveState`] therefore *pins* the packed trees of a solved graph and
-//! answers edge mutations by re-sweeping only the trees whose cached
-//! per-tree winner the mutation can have changed, taking the min against
-//! the untouched trees' cached values.
+//! (Lemma 13). On the graphs a [`SolveState`] packs (the served graph
+//! itself; the certificate is skipped) the packing costs about three to
+//! five per-tree sweeps (EXPERIMENTS.md E6). A [`SolveState`] therefore
+//! *pins* the packed trees of a solved graph and answers edge mutations by
+//! re-sweeping only the trees whose cached per-tree winner the mutation
+//! can have changed, taking the min against the untouched trees' cached
+//! values.
 //!
 //! The invalidation rule is exact, not heuristic. The per-tree sweep
 //! minimizes over the fixed candidate set of one/two-respecting cuts of

@@ -4,10 +4,12 @@
 //! a single maximum-adjacency sweep partitions the edges into forests
 //! `F₁, F₂, …` such that the union of the first `k` forests — the
 //! *k-certificate* — preserves every cut of value `≤ k` exactly, while
-//! larger cuts keep value `≥ k`. With `k` set to any upper bound on the
-//! minimum cut (we use the minimum weighted degree), the certificate has
-//! total weight at most `k·(n−1)` yet has exactly the same minimum cuts as
-//! the input. For dense graphs this is a drop-in sparsifier in front of the
+//! larger cuts keep value `≥ k`. [`mincut_certificate`] sets `k` to the
+//! minimum weighted degree plus one: strictly above the minimum cut, so no
+//! heavier cut can drop to the minimum value and every witness found on
+//! the certificate is a minimum cut of the input. The certificate has
+//! total weight at most `k·(n−1)` yet exactly the same minimum cuts as the
+//! input. For dense graphs this is a drop-in sparsifier in front of the
 //! whole pipeline: the min-cut work bound becomes
 //! `O(min(m, c·n) · log⁴ n)`.
 //!

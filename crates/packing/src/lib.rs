@@ -19,13 +19,17 @@
 //! Every round of one greedy run solves an MST on the same skeleton under
 //! new loads, so [`mst::RepeatedMst`] reduces the skeleton once (bridges
 //! fixed, degree-2 chains compressed) and runs Kruskal on the small kernel
-//! each round; [`mst::kruskal_mst`] is the reference it is tested against.
+//! each round, reporting the edges the round leaves out as a bitset. The
+//! greedy loop keeps no loads: an edge's load is the rounds run minus the
+//! rounds that left it out, and the left-out bitset keys the round's tree,
+//! so outside the engine a round touches only the edges it leaves out.
+//! [`mst::kruskal_mst`] is the reference the engine is tested against.
 
 pub mod mst;
 pub mod pack;
 pub mod skeleton;
 
-pub use mst::{kruskal_mst, RepeatedMst};
+pub use mst::{kruskal_mst, set_bits, RepeatedMst};
 pub use pack::{
     pack_greedy, pack_greedy_with, pack_trees, pack_trees_with, rooted_tree_from_edges,
     PackScratch, PackedTreeList, PackingConfig, RootScratch, TreePacking,

@@ -6,8 +6,9 @@
 //! [`RepeatedMst`] exploits that. Once per skeleton it finds the bridges
 //! (they lie in every spanning tree) and compresses each maximal path
 //! through vertices with exactly two non-bridge edges into one chain. Each
-//! round then runs Kruskal over the chains alone, keyed by their heaviest
-//! members, and emits the tree in one scan over the edge ids.
+//! round then prices the chain members alone, runs Kruskal over the chains,
+//! keyed by their heaviest members, and reports the edges the round leaves
+//! out as a bitset over the edge ids: `m / 8` bytes, whatever the tree.
 //!
 //! Costs are abstract `u64` keys supplied per edge (the packing uses scaled
 //! load ratios). Ties are broken by edge id, so `(cost, edge id)` is a
@@ -80,11 +81,16 @@ struct Frame {
 ///
 /// Every cycle through one chain member contains the whole chain, so only
 /// the chain's maximum under `(cost, edge id)` can be the heaviest edge of
-/// a cycle. [`RepeatedMst::forest`] therefore drops the maximum of every
+/// a cycle. [`RepeatedMst::left_out`] therefore drops the maximum of every
 /// closed chain, runs Kruskal over the open chains (one kernel edge each,
-/// keyed by its maximum), drops the maxima Kruskal rejects, and keeps every
-/// other edge. By the cycle property that is exactly the unique minimum
-/// spanning forest [`kruskal_mst`] returns.
+/// keyed by its maximum) and drops the maxima Kruskal rejects. By the
+/// cycle property every other edge is in the unique minimum spanning forest
+/// [`kruskal_mst`] returns, so the dropped edges are exactly its
+/// complement. Bridges are never priced.
+///
+/// The `m − n + 1` dropped edges of a connected graph are fewer than its
+/// `n − 1` tree edges only while `m < 2n`, and the packing's skeletons can
+/// be much denser, so a round reports them as a bitset rather than a list.
 ///
 /// Keys are `cost << 32 | edge id` in a `u64`, radix-sorted, when every
 /// cost fits in 32 bits (decided once per [`RepeatedMst::prepare`] from the
@@ -92,8 +98,6 @@ struct Frame {
 /// allocates nothing per round.
 #[derive(Clone, Debug, Default)]
 pub struct RepeatedMst {
-    /// Edge count of the prepared graph.
-    m: usize,
     /// Whether costs may exceed 32 bits (exact `u128` keys then).
     wide: bool,
     /// Bridge search: discovery time and low-link per vertex (`0` =
@@ -120,7 +124,7 @@ pub struct RepeatedMst {
     wide_keys: Vec<u128>,
     /// Union-find parents over the kernel labels.
     parent: Vec<u32>,
-    /// Bitset of the edges left out of the current round's forest.
+    /// Bitset of the edges the current round leaves out.
     dropped: Vec<u64>,
 }
 
@@ -131,11 +135,10 @@ impl RepeatedMst {
     }
 
     /// Reduces `g` to its bridges, chains and kernel for the following
-    /// [`RepeatedMst::forest`] calls, and returns the number of connected
+    /// [`RepeatedMst::left_out`] calls, and returns the number of connected
     /// components of `g`. `max_cost` bounds every cost those calls pass;
     /// it decides once whether keys fit in 64 bits.
     pub fn prepare(&mut self, g: &Graph, max_cost: u64) -> usize {
-        self.m = g.m();
         self.wide = max_cost > u64::from(u32::MAX);
         let components = self.find_bridges(g);
         let kernel_vertices = self.build_chains(g);
@@ -149,33 +152,36 @@ impl RepeatedMst {
             }
         }
         self.dropped.clear();
-        self.dropped.resize(self.m.div_ceil(64), 0);
+        self.dropped.resize(g.m().div_ceil(64), 0);
         components
     }
 
-    /// Writes the minimum spanning forest of the prepared graph under
-    /// `cost` into `out` as sorted edge ids, identical to
-    /// [`kruskal_mst`]`(g, cost)`.
+    /// The edges the minimum spanning forest of the prepared graph under
+    /// `cost` leaves out, the complement of [`kruskal_mst`]`(g, cost)`, as
+    /// a bitset over the edge ids: bit `e % 64` of word `e / 64` is set iff
+    /// edge `e` is left out ([`set_bits`] lists them). `cost` maps an edge
+    /// id to its cost and is called once per chain member, never for a
+    /// bridge.
     ///
     /// # Panics
-    /// Panics if `cost.len()` differs from the prepared graph's edge count,
-    /// or if a chain edge's cost does not fit the key width chosen from the
-    /// `max_cost` given to [`RepeatedMst::prepare`]; prepare the engine
+    /// Panics if a chain edge's cost does not fit the key width chosen from
+    /// the `max_cost` given to [`RepeatedMst::prepare`]; prepare the engine
     /// again before reusing it after such a panic.
-    pub fn forest(&mut self, cost: &[u64], out: &mut Vec<u32>) {
-        assert_eq!(cost.len(), self.m, "cost vector does not match the graph");
+    pub fn left_out(&mut self, cost: impl Fn(u32) -> u64) -> &[u64] {
+        self.dropped.fill(0);
         if self.wide {
             let mut keys = std::mem::take(&mut self.wide_keys);
-            self.round(cost, &mut keys, &mut Vec::new(), out);
+            self.round(&cost, &mut keys, &mut Vec::new());
             self.wide_keys = keys;
         } else {
             let (mut keys, mut tmp) = (
                 std::mem::take(&mut self.keys),
                 std::mem::take(&mut self.keys_tmp),
             );
-            self.round(cost, &mut keys, &mut tmp, out);
+            self.round(&cost, &mut keys, &mut tmp);
             (self.keys, self.keys_tmp) = (keys, tmp);
         }
+        &self.dropped
     }
 
     /// Bytes of heap memory in active use by the engine's buffers
@@ -334,25 +340,28 @@ impl RepeatedMst {
         }
     }
 
-    /// One round: chain maxima, Kruskal over the open chains, and the
-    /// sorted scan emitting every edge not dropped.
+    /// One round: chain maxima and Kruskal over the open chains, marking
+    /// every dropped edge.
     fn round<K: ChainKey>(
         &mut self,
-        cost: &[u64],
+        cost: &impl Fn(u32) -> u64,
         keys: &mut Vec<K>,
         tmp: &mut Vec<K>,
-        out: &mut Vec<u32>,
     ) {
         keys.clear();
         let mut high = 0u64;
         for (c, &[a, b]) in self.chain_ends.iter().enumerate() {
             let members =
                 &self.chain_edges[self.chain_off[c] as usize..self.chain_off[c + 1] as usize];
-            let mut best = K::new(cost[members[0] as usize], members[0]);
-            for &e in members {
-                high |= cost[e as usize];
-                best = best.max(K::new(cost[e as usize], e));
-            }
+            let best = members
+                .iter()
+                .map(|&e| {
+                    let cost_e = cost(e);
+                    high |= cost_e;
+                    K::new(cost_e, e)
+                })
+                .max()
+                .expect("a chain has at least one edge");
             if a == b {
                 mark(&mut self.dropped, best.eid());
             } else {
@@ -376,18 +385,6 @@ impl RepeatedMst {
             }
             mark(&mut self.dropped, e);
         }
-        out.clear();
-        for (w, word) in self.dropped.iter_mut().enumerate() {
-            let base = w * 64;
-            let mut keep = !std::mem::take(word);
-            if self.m - base < 64 {
-                keep &= (1u64 << (self.m - base)) - 1;
-            }
-            while keep != 0 {
-                out.push((base + keep.trailing_zeros() as usize) as u32);
-                keep &= keep - 1;
-            }
-        }
     }
 }
 
@@ -396,15 +393,32 @@ fn mark(bits: &mut [u64], e: u32) {
     bits[e as usize / 64] |= 1 << (e % 64);
 }
 
-/// Union-find over kernel labels with path halving; returns false if `a`
-/// and `b` were already joined.
+/// The positions of the set bits of `words` in increasing order, bit `i`
+/// of word `w` being position `64 w + i`: the edge ids a
+/// [`RepeatedMst::left_out`] bitset marks.
+pub fn set_bits(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = u32> {
+    words.into_iter().enumerate().flat_map(|(w, word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                (w * 64) as u32 + bit
+            })
+        })
+    })
+}
+
+/// Union-find over kernel labels with path halving, linking the lower
+/// root under the higher; returns false if `a` and `b` were already
+/// joined. Kruskal's accepted set does not depend on how roots are linked.
 #[inline]
 fn union(parent: &mut [u32], a: u32, b: u32) -> bool {
     let (ra, rb) = (find(parent, a), find(parent, b));
     if ra == rb {
         return false;
     }
-    parent[ra as usize] = rb;
+    parent[ra.min(rb) as usize] = ra.max(rb);
     true
 }
 
@@ -505,13 +519,23 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// Engine forest for one cost vector, with a fresh engine.
-    fn engine_mst(g: &Graph, cost: &[u64]) -> Vec<u32> {
+    /// The sorted ids of the edges of `g` outside `edges`.
+    fn complement(g: &Graph, edges: &[u32]) -> Vec<u32> {
+        (0..g.m() as u32)
+            .filter(|e| edges.binary_search(e).is_err())
+            .collect()
+    }
+
+    /// The edge ids a left-out bitset marks.
+    fn ids(bits: &[u64]) -> Vec<u32> {
+        set_bits(bits.iter().copied()).collect()
+    }
+
+    /// Engine left-out set for one cost vector, with a fresh engine.
+    fn engine_left_out(g: &Graph, cost: &[u64]) -> Vec<u32> {
         let mut mst = RepeatedMst::new();
         mst.prepare(g, cost.iter().copied().max().unwrap_or(0));
-        let mut out = Vec::new();
-        mst.forest(cost, &mut out);
-        out
+        ids(mst.left_out(|e| cost[e as usize]))
     }
 
     #[test]
@@ -520,7 +544,7 @@ mod tests {
         let cost = vec![5, 1, 3];
         let got = kruskal_mst(&g, &cost);
         assert_eq!(got, vec![1, 2]); // edges with costs 1 and 3
-        assert_eq!(engine_mst(&g, &cost), got);
+        assert_eq!(engine_left_out(&g, &cost), vec![0]);
     }
 
     #[test]
@@ -529,16 +553,14 @@ mod tests {
         assert_eq!(kruskal_mst(&g, &[7, 9]), vec![0, 1]);
         let mut mst = RepeatedMst::new();
         assert_eq!(mst.prepare(&g, 9), 2);
-        let mut out = Vec::new();
-        mst.forest(&[7, 9], &mut out);
-        assert_eq!(out, vec![0, 1]);
+        let bits = mst.left_out(|e| [7, 9][e as usize]);
+        assert_eq!(bits, [0], "a forest of bridges leaves nothing out");
     }
 
     #[test]
     fn matches_kruskal_on_random_graphs() {
         let mut rng = SmallRng::seed_from_u64(13);
         let mut mst = RepeatedMst::new();
-        let mut out = Vec::new();
         for trial in 0..30 {
             let n = rng.gen_range(2..120);
             let m = rng.gen_range(n - 1..4 * n);
@@ -549,8 +571,9 @@ mod tests {
                 let cost: Vec<u64> = (0..g.m()).map(|_| rng.gen_range(0..1000)).collect();
                 let want = kruskal_mst(&g, &cost);
                 assert_eq!(want.len(), n - 1, "spanning tree size");
-                mst.forest(&cost, &mut out);
-                assert_eq!(out, want, "trial {trial}");
+                let bits = mst.left_out(|e| cost[e as usize]);
+                assert_eq!(bits.len(), g.m().div_ceil(64), "one bit per edge");
+                assert_eq!(ids(bits), complement(&g, &want), "trial {trial}");
             }
         }
     }
@@ -575,9 +598,46 @@ mod tests {
         assert_eq!(mst.prepare(&g, 10), 1);
         assert_eq!(mst.chain_ends, vec![[NONE, NONE]]);
         assert_eq!(mst.edge_chain[4..], [BRIDGE, BRIDGE]);
-        let mut out = Vec::new();
-        mst.forest(&[3, 9, 1, 2, 0, 0], &mut out);
-        assert_eq!(out, vec![0, 2, 3, 4, 5]); // the cycle's max (edge 1) drops
+        let cost = [3, 9, 1, 2, 0, 0];
+        assert_eq!(mst.left_out(|e| cost[e as usize]), [1 << 1]); // the cycle's max drops
+    }
+
+    #[test]
+    fn rounds_price_each_chain_member_once_and_no_bridge() {
+        // A theta graph on kernel vertices 0 and 3, the bridge 3-4 to the
+        // pure cycle 4-5-6, and the pendant bridge 6-7.
+        let g = Graph::from_edges(
+            8,
+            &[
+                (0, 1, 1),
+                (1, 3, 1),
+                (0, 2, 1),
+                (2, 3, 1),
+                (0, 3, 1),
+                (3, 4, 1),
+                (4, 5, 1),
+                (5, 6, 1),
+                (6, 4, 1),
+                (6, 7, 1),
+            ],
+        )
+        .unwrap();
+        let non_bridge = vec![0, 1, 2, 3, 4, 6, 7, 8];
+        let mut mst = RepeatedMst::new();
+        assert_eq!(mst.prepare(&g, 100), 1);
+        let mut rng = SmallRng::seed_from_u64(3);
+        for round in 0..6 {
+            let cost: Vec<u64> = (0..g.m()).map(|_| rng.gen_range(0..100)).collect();
+            let priced = std::cell::RefCell::new(Vec::new());
+            let out = ids(mst.left_out(|e| {
+                priced.borrow_mut().push(e);
+                cost[e as usize]
+            }));
+            let mut priced = priced.into_inner();
+            priced.sort_unstable();
+            assert_eq!(priced, non_bridge, "round {round}");
+            assert_eq!(out, complement(&g, &kruskal_mst(&g, &cost)));
+        }
     }
 
     #[test]
@@ -588,12 +648,14 @@ mod tests {
         let big = 1u64 << 40;
         let cost = vec![big + 1, 5, big, big + 1, 7];
         let want = kruskal_mst(&g, &cost);
-        assert_eq!(engine_mst(&g, &cost), want);
+        assert_eq!(engine_left_out(&g, &cost), complement(&g, &want));
         // A narrow engine refuses costs beyond its bound instead of
         // misordering them.
         let mut mst = RepeatedMst::new();
         mst.prepare(&g, u64::from(u32::MAX));
-        let caught = std::panic::catch_unwind(move || mst.forest(&cost, &mut Vec::new()));
+        let caught = std::panic::catch_unwind(move || {
+            mst.left_out(|e| cost[e as usize]);
+        });
         assert!(caught.is_err());
     }
 
@@ -620,11 +682,10 @@ mod tests {
         mst.prepare(&g, 100);
         let prepared = mst.heap_bytes();
         assert!(prepared > 0);
-        let cost: Vec<u64> = (0..g.m() as u64).map(|i| i % 7).collect();
-        let mut out = Vec::new();
-        mst.forest(&cost, &mut out);
+        let cost = |e: u32| u64::from(e % 7);
+        mst.left_out(cost);
         let warm = mst.heap_bytes();
-        mst.forest(&cost, &mut out);
+        mst.left_out(cost);
         assert_eq!(mst.heap_bytes(), warm, "rounds reuse the same buffers");
     }
 
@@ -632,7 +693,7 @@ mod tests {
     fn equal_costs_still_spanning() {
         let g = gen::gnm_connected(200, 600, 1, 3);
         let cost = vec![0u64; g.m()];
-        let t = engine_mst(&g, &cost);
+        let t = complement(&g, &engine_left_out(&g, &cost));
         assert_eq!(t.len(), 199);
         assert_eq!(t, kruskal_mst(&g, &cost));
         // Verify acyclic + spanning via union-find.
@@ -648,6 +709,6 @@ mod tests {
     fn single_vertex() {
         let g = Graph::from_edges(1, &[]).unwrap();
         assert!(kruskal_mst(&g, &[]).is_empty());
-        assert!(engine_mst(&g, &[]).is_empty());
+        assert!(engine_left_out(&g, &[]).is_empty());
     }
 }

@@ -8,6 +8,13 @@
 //! `R / max_ratio` estimates the packing value, which Nash-Williams ties to
 //! the minimum cut (`c/2 ≤ packing ≤ c`).
 //!
+//! The loop stores no loads. [`PackScratch`] counts, per skeleton edge,
+//! the rounds that left it out: the load is the rounds run minus that
+//! count. A round prices the chain members the MST engine asks for, bumps
+//! one counter per edge it leaves out, and keys its tree by the engine's
+//! left-out bitset. Each distinct tree's edge list is built once, when the
+//! run ends.
+//!
 //! `pack_trees` wraps the full Lemma 1 pipeline: exponential search for a
 //! sampling rate whose skeleton has packing value `Θ(log n)`, a final
 //! packing at that rate, and weighted sampling of `O(log n)` distinct
@@ -19,7 +26,7 @@ use rand::{Rng, SeedableRng};
 
 use pmc_graph::{Edge, Graph, RootedTree};
 
-use crate::mst::RepeatedMst;
+use crate::mst::{set_bits, RepeatedMst};
 use crate::skeleton::{full_skeleton, sample_skeleton, Skeleton};
 
 /// Fixed-point shift for load-ratio MST keys.
@@ -195,20 +202,26 @@ pub struct TreePacking {
 /// greedy multiplicities.
 pub type PackedTrees = Vec<(Vec<u32>, u32)>;
 
-/// Reusable buffers for the greedy packing loop ([`pack_greedy_with`],
+/// Reusable state of the greedy packing loop ([`pack_greedy_with`],
 /// [`pack_trees_with`]): the skeleton-subgraph arena, the repeated-MST
-/// engine, per-edge load and cost vectors, the chosen-tree staging
-/// buffers, and the distinct-tree accumulator. One scratch amortizes every
-/// packing a solver performs.
+/// engine, two per-skeleton-edge counters, and the distinct trees keyed by
+/// their left-out bitsets. One scratch amortizes every packing a solver
+/// performs.
+///
+/// An edge's load is never stored: it is the number of rounds run so far
+/// minus the number of rounds that left the edge out.
 #[derive(Clone, Debug)]
 pub struct PackScratch {
     sub: Graph,
     mst: RepeatedMst,
-    load: Vec<u64>,
-    cost: Vec<u64>,
-    chosen: Vec<u32>,
-    orig: Vec<u32>,
-    trees: std::collections::HashMap<Vec<u32>, u32>,
+    /// Per skeleton edge: its multiplicity, the capacity its load is
+    /// measured against.
+    mult: Vec<u32>,
+    /// Per skeleton edge: how many rounds left it out.
+    left_out: Vec<u32>,
+    /// Multiplicity of each distinct tree, keyed by the bitset of the
+    /// skeleton edges it leaves out (`m / 8` bytes).
+    trees: std::collections::HashMap<Vec<u64>, u32>,
 }
 
 impl Default for PackScratch {
@@ -216,10 +229,8 @@ impl Default for PackScratch {
         PackScratch {
             sub: Graph::from_edges(1, &[]).expect("placeholder graph"),
             mst: RepeatedMst::new(),
-            load: Vec::new(),
-            cost: Vec::new(),
-            chosen: Vec::new(),
-            orig: Vec::new(),
+            mult: Vec::new(),
+            left_out: Vec::new(),
             trees: std::collections::HashMap::new(),
         }
     }
@@ -232,17 +243,17 @@ impl PackScratch {
     }
 
     /// Bytes of heap memory in active use by the scratch buffers
-    /// (`len`-based; the distinct-tree map counts its key lists and
+    /// (`len`-based; the distinct-tree map counts its bitset keys and
     /// multiplicities, not hash-table overhead).
     pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.sub.heap_bytes()
             + self.mst.heap_bytes()
-            + (self.load.len() + self.cost.len()) * std::mem::size_of::<u64>()
-            + (self.chosen.len() + self.orig.len()) * std::mem::size_of::<u32>()
+            + (self.mult.len() + self.left_out.len()) * size_of::<u32>()
             + self
                 .trees
                 .keys()
-                .map(|k| (k.len() + 1) * std::mem::size_of::<u32>())
+                .map(|k| k.len() * size_of::<u64>() + size_of::<u32>())
                 .sum::<usize>()
     }
 }
@@ -255,14 +266,16 @@ pub fn pack_greedy(g: &Graph, sk: &Skeleton, rounds: usize) -> Option<(PackedTre
 }
 
 /// [`pack_greedy`] with all working state drawn from a reusable
-/// [`PackScratch`]. Identical results; at steady state the loop allocates
-/// only for trees it has not seen before (the returned `PackedTrees` owns
-/// its edge lists).
+/// [`PackScratch`]. Identical results; at steady state a round allocates
+/// only for a tree it has not seen before, and each distinct tree's edge
+/// list is built once, at the end.
 ///
 /// Every round's tree is the unique minimum spanning tree under
 /// `(load ratio, edge id)`. The skeleton is reduced once per call by
 /// [`RepeatedMst::prepare`], which also detects a disconnected skeleton;
-/// each round then costs one [`RepeatedMst::forest`] over the kernel.
+/// each round then costs one [`RepeatedMst::left_out`] over the kernel,
+/// one counter update per left-out edge, and one hash of the left-out
+/// bitset.
 pub fn pack_greedy_with(
     g: &Graph,
     sk: &Skeleton,
@@ -296,42 +309,62 @@ pub fn pack_greedy_with(
     if ws.mst.prepare(&ws.sub, max_cost) != 1 {
         return None; // skeleton disconnected
     }
-    ws.load.clear();
-    ws.load.resize(live.len(), 0);
-    // cost[se] = (load[se] << RATIO_SHIFT) / multiplicity, kept current as
-    // the chosen edges' loads grow: the other costs do not change.
-    ws.cost.clear();
-    ws.cost.resize(live.len(), 0);
-    ws.trees.clear();
-    let mut max_ratio: f64 = 0.0;
-    for _round in 0..rounds {
-        ws.mst.forest(&ws.cost, &mut ws.chosen);
-        debug_assert_eq!(ws.chosen.len(), n - 1);
-        ws.orig.clear();
-        ws.orig
-            .extend(ws.chosen.iter().map(|&se| live[se as usize]));
-        ws.orig.sort_unstable();
-        for &se in &ws.chosen {
-            let se = se as usize;
-            let mult = sk.multiplicity[live[se] as usize];
-            ws.load[se] += 1;
-            ws.cost[se] = (ws.load[se] << RATIO_SHIFT) / mult as u64;
-            let r = ws.load[se] as f64 / mult as f64;
-            if r > max_ratio {
-                max_ratio = r;
-            }
+    let PackScratch {
+        mst,
+        mult,
+        left_out,
+        trees,
+        ..
+    } = ws;
+    mult.clear();
+    mult.extend(live.iter().map(|&eid| sk.multiplicity[eid as usize]));
+    left_out.clear();
+    left_out.resize(live.len(), 0);
+    trees.clear();
+    for done in 0..rounds as u64 {
+        // An edge's load is `done - left_out[e]`: the integer cost is
+        // `(load << RATIO_SHIFT) / multiplicity`.
+        let dropped = mst.left_out(|e| {
+            let e = e as usize;
+            ((done - u64::from(left_out[e])) << RATIO_SHIFT) / u64::from(mult[e])
+        });
+        let mut count = 0;
+        for e in set_bits(dropped.iter().copied()) {
+            left_out[e as usize] += 1;
+            count += 1;
         }
-        // Only clone the staging buffer for a tree seen for the first time.
-        if let Some(mult) = ws.trees.get_mut(&ws.orig) {
-            *mult += 1;
+        debug_assert_eq!(count + n, live.len() + 1, "not a spanning tree");
+        // Only clone the bitset of a tree seen for the first time.
+        if let Some(seen) = trees.get_mut(dropped) {
+            *seen += 1;
         } else {
-            ws.trees.insert(ws.orig.clone(), 1);
+            trees.insert(dropped.to_vec(), 1);
         }
     }
+    // Loads only grow, so the final counters hold every edge's largest
+    // load ratio.
+    let max_ratio = left_out
+        .iter()
+        .zip(mult.iter())
+        .map(|(&lo, &cap)| (rounds as u64 - u64::from(lo)) as f64 / f64::from(cap))
+        .fold(0.0, f64::max);
     let value = rounds as f64 / max_ratio.max(f64::MIN_POSITIVE);
-    // Deterministic order (HashMap iteration order is randomized): heaviest
-    // trees first, ties broken lexicographically by edge ids.
-    let mut list: Vec<(Vec<u32>, u32)> = ws.trees.drain().collect();
+    // Each distinct tree is the complement of its left-out bitset, mapped
+    // to original ids. Deterministic order (HashMap iteration order is
+    // randomized): heaviest trees first, ties broken lexicographically by
+    // edge ids.
+    let m = live.len() as u32;
+    let mut list: PackedTrees = trees
+        .drain()
+        .map(|(dropped, count)| {
+            let mut tree: Vec<u32> = set_bits(dropped.iter().map(|w| !w))
+                .take_while(|&e| e < m)
+                .map(|e| live[e as usize])
+                .collect();
+            tree.sort_unstable();
+            (tree, count)
+        })
+        .collect();
     list.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     Some((list, value))
 }
@@ -745,6 +778,13 @@ mod tests {
         // joined in a ring, so every edge lies on a chain.
         let (ring, _) = gen::community_ring(4, 12, 4, 3);
         assert!(matches_reference(&mut ws, &ring, &full_skeleton(&ring), 80));
+        // A weighted complete graph: far more left-out edges than tree
+        // edges. Its live edges are listed in reverse, since `Skeleton`'s
+        // fields are public: trees come out sorted whatever their order.
+        let dense = gen::complete(24, 5, 2);
+        let mut reversed = full_skeleton(&dense);
+        reversed.live_edges.reverse();
+        assert!(matches_reference(&mut ws, &dense, &reversed, 60));
         // More than 4096 rounds: costs pass 2^32 and keys go to u128.
         let small = gen::gnm_connected(12, 30, 3, 9);
         assert!(matches_reference(

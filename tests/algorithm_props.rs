@@ -4,7 +4,7 @@
 use parallel_mincut::baseline::{quadratic_two_respect, stoer_wagner};
 use parallel_mincut::core_alg::{minimum_cut, two_respect_mincut, MinCutConfig};
 use parallel_mincut::graph::Graph;
-use parallel_mincut::packing::{kruskal_mst, rooted_tree_from_edges, RepeatedMst};
+use parallel_mincut::packing::{kruskal_mst, rooted_tree_from_edges, set_bits, RepeatedMst};
 use proptest::prelude::*;
 
 /// Arbitrary connected weighted graph: spanning-tree backbone + extras.
@@ -160,7 +160,6 @@ proptest! {
         // One engine across every shape: re-preparation must not leak
         // state from the previous graph.
         let mut mst = RepeatedMst::new();
-        let mut out = Vec::new();
         for shape in 0..SHAPES {
             let g = structured_graph(shape, &mut rng);
             // Several key vectors per preparation, as one greedy run uses
@@ -174,9 +173,15 @@ proptest! {
                 for (lo, span) in lows.into_iter().zip(spans) {
                     let cost: Vec<u64> =
                         (0..g.m()).map(|_| rng.gen_range(lo..lo + span)).collect();
-                    mst.forest(&cost, &mut out);
-                    prop_assert_eq!(out.len() + components, g.n());
-                    prop_assert_eq!(&out, &kruskal_mst(&g, &cost));
+                    let bits = mst.left_out(|e| cost[e as usize]);
+                    prop_assert_eq!(bits.len(), g.m().div_ceil(64));
+                    let out: Vec<u32> = set_bits(bits.iter().copied()).collect();
+                    prop_assert_eq!(out.len() + g.n(), g.m() + components);
+                    let tree = kruskal_mst(&g, &cost);
+                    let complement: Vec<u32> = (0..g.m() as u32)
+                        .filter(|e| tree.binary_search(e).is_err())
+                        .collect();
+                    prop_assert_eq!(&out, &complement);
                 }
             }
         }
