@@ -24,7 +24,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use pmc_bench::{header, row, solver, table1_graph, SolverConfig, SolverWorkspace};
-use pmc_core::{apply_delta, MutationOp, ResolveMode, SolveState, DEFAULT_STALENESS};
+use pmc_core::{apply_delta, MutationOp, ResolveMode, SolveState};
 use pmc_graph::Graph;
 
 struct Cell {
@@ -112,8 +112,8 @@ fn main() {
         let mut ws = SolverWorkspace::new();
         // The cached snapshot an `update` request finds: built once,
         // cloned (untimed) per trial — exactly the service's checkout.
-        let base_state = SolveState::fresh(&g, cfg.seed, DEFAULT_STALENESS, &mut ws, Some(1))
-            .expect("base graph solves");
+        let base_state =
+            SolveState::fresh(&g, cfg.seed, &mut ws, Some(1)).expect("base graph solves");
         for &delta in deltas {
             let mut rng = 0x5EED_0000 + (n as u64) * 31 + delta as u64;
             let mut inc_us: Vec<u128> = Vec::with_capacity(trials);

@@ -1,21 +1,24 @@
 //! Incremental re-solve over a pinned tree packing.
 //!
-//! The paper's pipeline factors a solve into reusable stages —
-//! certificate → tree packing (Lemma 1) → per-tree two-respect sweep
-//! (Lemma 13). On the graphs a [`SolveState`] packs (the served graph
-//! itself; the certificate is skipped) the packing costs about three to
-//! five per-tree sweeps (EXPERIMENTS.md E6). A [`SolveState`] therefore
-//! *pins* the packed trees of a solved graph and answers edge mutations by
-//! re-sweeping only the trees whose cached per-tree winner the mutation
-//! can have changed, taking the min against the untouched trees' cached
-//! values.
+//! A [`SolveState`] runs the crate's one pipeline (see the crate docs)
+//! with the certificate stage off — shortcuts, Lemma 1 packing, the
+//! Lemma 13 sweep of every packed tree, then the smallest
+//! `(value, tree index)` — and keeps what it built: the packed trees, each
+//! tree's sweep winner, and the answer. The certificate is skipped so that
+//! pinned trees reference edge ids of the *served* graph, against which
+//! mutations are classified. On such graphs the packing costs about three
+//! to five per-tree sweeps (EXPERIMENTS.md E6), so the state answers edge
+//! mutations by re-sweeping, through the pipeline's own per-tree loop,
+//! only the trees whose cached winner a mutation can have changed, and
+//! reducing the per-tree cache again.
 //!
-//! The invalidation rule is exact, not heuristic. The per-tree sweep
-//! minimizes over the fixed candidate set of one/two-respecting cuts of
-//! that tree, breaking ties toward the earliest candidate in scan order
-//! (strict `<` comparisons). An edge mutation changes a candidate's value
-//! iff the candidate cut separates the edge's endpoints, and a weight
-//! *increase* only raises values. So after an increase on edge `(u, v)`:
+//! The invalidation rule is exact with respect to the pinned trees. The
+//! per-tree sweep minimizes over the fixed candidate set of
+//! one/two-respecting cuts of that tree, breaking ties toward the earliest
+//! candidate in scan order (strict `<` comparisons). An edge mutation
+//! changes a candidate's value iff the candidate cut separates the edge's
+//! endpoints, and a weight *increase* only raises values. So after an
+//! increase on edge `(u, v)`:
 //!
 //! * if the cached winner does **not** separate `u` from `v`, its value is
 //!   unchanged and every other candidate's value is unchanged-or-higher —
@@ -27,28 +30,29 @@
 //! that still skips the dominant packing stage. Structural invalidation is
 //! separate: removing an edge a pinned tree *uses* breaks that tree's
 //! spanning property, and there is no cheap local repair, so the state
-//! falls back to a full re-pack. The same fallback triggers once the
-//! accumulated delta weight exceeds the staleness budget: Karger's
+//! re-runs the pipeline. So does a state whose accumulated delta weight
+//! exceeds a quarter of the total weight at the last pack: Karger's
 //! analysis only guarantees that cuts within `3/2` of the minimum are
 //! 2-respected w.h.p., so unbounded drift would erode the packing's
-//! coverage guarantee.
+//! coverage guarantee. "Exact" therefore means equal to re-sweeping every
+//! pinned tree, not equal to a fresh packing of the mutated graph.
 //!
 //! Determinism: re-sweeps run through the same
-//! [`fanout_units`](pmc_par::fanout_units) fan-out as the one-shot solver,
-//! in stable tree order, so resolved answers are bit-identical at every
+//! [`fanout_units`](pmc_par::fanout_units) loop as the one-shot solver, in
+//! stable tree order, so resolved answers are bit-identical at every
 //! thread count, and bit-identical to re-sweeping *all* pinned trees
 //! (property-tested in `tests/dynamic_props.rs`).
 
-use pmc_graph::{connected_components, Graph};
-use pmc_packing::{pack_trees_with, PackedTreeList, PackingConfig};
+use pmc_graph::Graph;
+use pmc_packing::PackedTreeList;
 
-use crate::two_respect::{two_respect_mincut_reusing, RespectKind};
-use crate::workspace::{SolverWorkspace, TreeArena};
-use crate::{tree_loop_workers, MinCutResult, PmcError};
+use crate::two_respect::{RespectKind, TwoRespectCut};
+use crate::workspace::SolverWorkspace;
+use crate::{best_tree_cut, solve_pipeline, sweep_trees, MinCutConfig, MinCutResult, PmcError};
 
-/// Default staleness budget: re-pack once the accumulated absolute delta
-/// weight exceeds this fraction of the total weight at the last pack.
-pub const DEFAULT_STALENESS: f64 = 0.25;
+/// Staleness budget: re-pack once the accumulated absolute delta weight
+/// exceeds this fraction of the total weight at the last pack.
+const STALENESS: f64 = 0.25;
 
 /// Cached outcome of one pinned tree's two-respect sweep. Only the fields
 /// a fresh sweep reproduces verbatim under the invalidation rule — the
@@ -59,6 +63,16 @@ struct TreeCut {
     value: i64,
     side: Vec<bool>,
     kind: RespectKind,
+}
+
+impl From<TwoRespectCut> for TreeCut {
+    fn from(cut: TwoRespectCut) -> Self {
+        TreeCut {
+            value: cut.value,
+            side: cut.side,
+            kind: cut.kind,
+        }
+    }
 }
 
 /// How one edge mutation changed the graph, as reported by the `Graph`
@@ -118,16 +132,16 @@ pub enum ResolveMode {
 /// cached sweep winner, and the solved minimum — everything needed to
 /// answer an edge mutation without repeating the packing stage.
 ///
-/// Lifecycle: [`SolveState::fresh`] packs and sweeps from scratch; after
-/// each `Graph` mutation the owner reports the delta via
+/// Lifecycle: [`SolveState::fresh`] runs the pipeline and pins what it
+/// packed; after each `Graph` mutation the owner reports the delta via
 /// [`SolveState::note_mutation`]; [`SolveState::resolve`] then re-sweeps
-/// what the deltas invalidated (or re-packs past the staleness budget) and
-/// updates [`SolveState::best`]. The graph passed to `resolve` must be the
-/// same instance the deltas were applied to.
+/// what the deltas invalidated (or re-runs the pipeline when a pinned tree
+/// lost an edge or the deltas exceed the staleness budget) and updates
+/// [`SolveState::best`]. The graph passed to `resolve` must be the same
+/// instance the deltas were applied to.
 #[derive(Clone, Debug)]
 pub struct SolveState {
     seed: u64,
-    staleness: f64,
     /// Pinned packing (empty for the shortcut cases: disconnected, n ≤ 2).
     trees: PackedTreeList,
     per_tree: Vec<TreeCut>,
@@ -141,39 +155,37 @@ pub struct SolveState {
 }
 
 impl SolveState {
-    /// Solves `g` from scratch (pack + sweep every tree) and pins the
-    /// packing. `seed` feeds the packing exactly like
-    /// [`MinCutConfig::seed`](crate::MinCutConfig::seed); `staleness` is
-    /// the re-pack budget as a fraction of total weight
-    /// ([`DEFAULT_STALENESS`] when in doubt). The certificate stage is
-    /// skipped: pinned trees must reference ids of the *served* graph so
-    /// mutations can be classified against them.
+    /// Solves `g` from scratch through the crate's pipeline with the
+    /// certificate off, and pins the packing. `seed` and `threads` act
+    /// exactly like [`MinCutConfig::seed`] and [`MinCutConfig::threads`],
+    /// so the answer equals
+    /// `minimum_cut_with(g, MinCutConfig { seed, threads, use_certificate:
+    /// false, .. })`. The certificate is skipped because pinned trees must
+    /// reference ids of the *served* graph so mutations can be classified
+    /// against them.
     pub fn fresh(
         g: &Graph,
         seed: u64,
-        staleness: f64,
         ws: &mut SolverWorkspace,
         threads: Option<usize>,
     ) -> Result<Self, PmcError> {
-        let mut state = SolveState {
+        let cfg = MinCutConfig {
             seed,
-            staleness,
-            trees: PackedTreeList::empty(),
-            per_tree: Vec::new(),
-            invalid: Vec::new(),
-            best: MinCutResult {
-                value: 0,
-                side: Vec::new(),
-                algorithm: "paper",
-                kind: None,
-                tree_index: None,
-            },
-            packed_weight: 0,
-            stale_weight: 0,
-            force_repack: true,
+            threads,
+            use_certificate: false,
+            ..MinCutConfig::default()
         };
-        state.repack(g, ws, threads)?;
-        Ok(state)
+        let solved = solve_pipeline(g, &cfg, ws)?;
+        Ok(SolveState {
+            seed,
+            trees: solved.trees,
+            invalid: vec![false; solved.cuts.len()],
+            per_tree: solved.cuts.into_iter().map(TreeCut::from).collect(),
+            best: solved.result,
+            packed_weight: g.total_weight(),
+            stale_weight: 0,
+            force_repack: false,
+        })
     }
 
     /// The current solved minimum cut of the graph this state tracks.
@@ -197,11 +209,6 @@ impl SolveState {
     /// Accumulated absolute delta weight since the last pack.
     pub fn stale_weight(&self) -> u64 {
         self.stale_weight
-    }
-
-    /// The staleness budget fraction this state re-packs at.
-    pub fn staleness(&self) -> f64 {
-        self.staleness
     }
 
     /// Bytes of heap memory in active use by the snapshot (`len`-based,
@@ -293,14 +300,18 @@ impl SolveState {
 
     /// Whether the accumulated deltas exceed the staleness budget.
     fn over_budget(&self) -> bool {
-        (self.stale_weight as f64) > self.staleness * (self.packed_weight.max(1) as f64)
+        (self.stale_weight as f64) > STALENESS * (self.packed_weight.max(1) as f64)
     }
 
     /// Re-establishes the solved minimum after the mutations reported
     /// since the last resolve: re-sweeps the invalidated pinned trees (or
-    /// re-packs when forced or past the staleness budget) and returns what
-    /// it did. `g` must be the mutated graph the deltas described.
-    /// Deterministic at every `threads` width.
+    /// re-runs the pipeline when forced or past the staleness budget) and
+    /// returns what it did. `g` must be the mutated graph the deltas
+    /// described. Deterministic at every `threads` width.
+    ///
+    /// All or nothing: on an error (a tripped [`CancelToken`](crate::CancelToken)
+    /// answers [`PmcError::Cancelled`]) the state is left as it was, so a
+    /// retry redoes the same work.
     pub fn resolve(
         &mut self,
         g: &Graph,
@@ -308,158 +319,25 @@ impl SolveState {
         threads: Option<usize>,
     ) -> Result<ResolveMode, PmcError> {
         if self.force_repack || self.over_budget() {
-            self.repack(g, ws, threads)?;
+            *self = Self::fresh(g, self.seed, ws, threads)?;
             return Ok(ResolveMode::Repack);
         }
         let stale: Vec<usize> = (0..self.invalid.len())
             .filter(|&i| self.invalid[i])
             .collect();
         if !stale.is_empty() {
-            let cancel = ws.cancel.clone();
-            let workers = tree_loop_workers(stale.len(), g.m(), threads);
-            let arenas = ws.tree_arenas(workers);
-            let trees = &self.trees;
-            let swept = pmc_par::fanout_units(arenas, stale.len(), |arena, k| {
-                // Cooperative deadline checkpoint, mirroring the one-shot
-                // solver's per-tree granularity.
-                if cancel.as_deref().is_some_and(|c| c.expired()) {
-                    return None;
-                }
-                let TreeArena { root, batch } = arena;
-                root.rebuild(g, &trees[stale[k]], 0);
-                Some(two_respect_mincut_reusing(g, root.tree(), batch))
-            });
-            // Apply all-or-nothing: a cancelled resolve must not leave a
-            // half-updated per-tree cache behind.
-            let outcomes = swept
-                .into_iter()
-                .collect::<Option<Vec<_>>>()
-                .ok_or(PmcError::Cancelled)?;
-            for (&i, out) in stale.iter().zip(outcomes) {
-                self.per_tree[i] = TreeCut {
-                    value: out.value,
-                    side: out.side,
-                    kind: out.kind,
-                };
+            let cancel = ws.cancel.as_deref();
+            let cuts = sweep_trees(g, &self.trees, &stale, &mut ws.trees, threads, cancel)?;
+            for (&i, cut) in stale.iter().zip(cuts) {
+                self.per_tree[i] = cut.into();
                 self.invalid[i] = false;
             }
-            self.rebuild_best(g);
+            let per_tree = self.per_tree.iter().map(|c| (c.value, &c.side[..], c.kind));
+            self.best = best_tree_cut(g, per_tree, true);
         }
         Ok(ResolveMode::Incremental {
             reswept: stale.len(),
         })
-    }
-
-    /// Recomputes the global best from the per-tree cache under the same
-    /// deterministic `(value, tree_index)` order as the one-shot solver,
-    /// and verifies the witness against the graph.
-    fn rebuild_best(&mut self, g: &Graph) {
-        let (ti, best) = self
-            .per_tree
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, c)| (c.value, *i))
-            .expect("pinned packing has no trees");
-        let value = best.value as u64;
-        assert!(g.is_proper_cut(&best.side), "witness is not a proper cut");
-        let check = g.cut_value(&best.side);
-        assert_eq!(
-            check, value,
-            "internal error: incremental witness value {check} != reported {value}"
-        );
-        self.best = MinCutResult {
-            value,
-            side: best.side.clone(),
-            algorithm: "paper",
-            kind: Some(best.kind),
-            tree_index: Some(ti),
-        };
-    }
-
-    /// The from-scratch path: mirrors `minimum_cut_with` (shortcuts
-    /// included) minus the certificate stage, then pins the new packing
-    /// and resets the staleness accounting.
-    fn repack(
-        &mut self,
-        g: &Graph,
-        ws: &mut SolverWorkspace,
-        threads: Option<usize>,
-    ) -> Result<(), PmcError> {
-        let n = g.n();
-        if n < 2 {
-            return Err(PmcError::TooSmall);
-        }
-        self.trees = PackedTreeList::empty();
-        self.per_tree.clear();
-        self.invalid.clear();
-        self.packed_weight = g.total_weight();
-        self.stale_weight = 0;
-        self.force_repack = false;
-
-        let (labels, ncomp) = connected_components(g);
-        if ncomp > 1 {
-            let side: Vec<bool> = labels.iter().map(|&l| l == labels[0]).collect();
-            self.best = MinCutResult {
-                value: 0,
-                side,
-                algorithm: "paper",
-                kind: Some(RespectKind::One),
-                tree_index: None,
-            };
-            return Ok(());
-        }
-        if n == 2 {
-            self.best = MinCutResult {
-                value: g.total_weight(),
-                side: vec![true, false],
-                algorithm: "paper",
-                kind: Some(RespectKind::One),
-                tree_index: None,
-            };
-            return Ok(());
-        }
-
-        // Cooperative deadline checkpoint before the packing stage. A
-        // cancelled repack leaves the state mid-rebuild; callers (the
-        // service) treat any `Err` as "discard this state clone".
-        let cancel = ws.cancel.clone();
-        if cancel.as_deref().is_some_and(|c| c.expired()) {
-            return Err(PmcError::Cancelled);
-        }
-
-        let base = PackingConfig::default();
-        let pcfg = PackingConfig {
-            seed: base.seed.wrapping_add(self.seed),
-            ..base
-        };
-        let packing = pack_trees_with(g, &pcfg, &mut ws.packing);
-        self.trees = packing.trees;
-
-        let workers = tree_loop_workers(self.trees.len(), g.m(), threads);
-        let arenas = ws.tree_arenas(workers);
-        let trees = &self.trees;
-        let swept = pmc_par::fanout_units(arenas, trees.len(), |arena, i| {
-            if cancel.as_deref().is_some_and(|c| c.expired()) {
-                return None;
-            }
-            let TreeArena { root, batch } = arena;
-            root.rebuild(g, &trees[i], 0);
-            Some(two_respect_mincut_reusing(g, root.tree(), batch))
-        });
-        self.per_tree = swept
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or(PmcError::Cancelled)?
-            .into_iter()
-            .map(|out| TreeCut {
-                value: out.value,
-                side: out.side,
-                kind: out.kind,
-            })
-            .collect();
-        self.invalid = vec![false; self.per_tree.len()];
-        self.rebuild_best(g);
-        Ok(())
     }
 }
 
@@ -552,7 +430,7 @@ mod tests {
         let mut ws = SolverWorkspace::new();
         for seed in 0..4 {
             let g = gen::gnm_connected(32, 96, 8, 100 + seed);
-            let state = SolveState::fresh(&g, seed, DEFAULT_STALENESS, &mut ws, None).unwrap();
+            let state = SolveState::fresh(&g, seed, &mut ws, None).unwrap();
             assert_matches_sw(&g, &state);
             assert!(state.tree_count() > 0);
             assert!(state.heap_bytes() > 0);
@@ -563,7 +441,7 @@ mod tests {
     fn reweight_up_incremental_matches_mark_all_bitwise() {
         let mut ws = SolverWorkspace::new();
         let mut g = gen::gnm_connected(28, 84, 6, 7);
-        let mut inc = SolveState::fresh(&g, 1, DEFAULT_STALENESS, &mut ws, None).unwrap();
+        let mut inc = SolveState::fresh(&g, 1, &mut ws, None).unwrap();
         let mut all = inc.clone();
         for (step, eid) in [0usize, 11, 23, 40].into_iter().enumerate() {
             let w = g.edges()[eid].w + 3;
@@ -588,29 +466,32 @@ mod tests {
     fn decrease_and_removal_resweep_everything_and_stay_exact() {
         let mut ws = SolverWorkspace::new();
         let mut g = gen::gnm_connected(26, 90, 9, 17);
-        let mut state = SolveState::fresh(&g, 2, 10.0, &mut ws, None).unwrap();
+        let mut state = SolveState::fresh(&g, 2, &mut ws, None).unwrap();
+        // Every step stays far inside the staleness budget, so each one is
+        // answered by re-sweeping the pinned trees.
+        let mut resolve = |g: &Graph, state: &mut SolveState| {
+            let mode = state.resolve(g, &mut ws, None).unwrap();
+            assert!(matches!(mode, ResolveMode::Incremental { .. }), "{mode:?}");
+            assert_matches_sw(g, state);
+        };
         // Reweight down: exact again afterwards.
         apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid: 5, w: 1 }).unwrap();
-        state.resolve(&g, &mut ws, None).unwrap();
-        assert_matches_sw(&g, &state);
-        // Remove a non-tree edge if one exists; otherwise the repack path
-        // covers it — both must stay exact.
+        resolve(&g, &mut state);
+        // Remove a non-tree edge if one exists.
         if let Some(eid) = (0..g.m() as u32).find(|&e| !state.trees.any_tree_contains(e)) {
             apply_delta(&mut g, &mut state, &MutationOp::Remove { eid }).unwrap();
-            state.resolve(&g, &mut ws, None).unwrap();
-            assert_matches_sw(&g, &state);
+            resolve(&g, &mut state);
         }
         // Add an edge.
         apply_delta(&mut g, &mut state, &MutationOp::Add { u: 0, v: 13, w: 4 }).unwrap();
-        state.resolve(&g, &mut ws, None).unwrap();
-        assert_matches_sw(&g, &state);
+        resolve(&g, &mut state);
     }
 
     #[test]
     fn tree_edge_removal_forces_repack() {
         let mut ws = SolverWorkspace::new();
         let mut g = gen::gnm_connected(24, 60, 5, 23);
-        let mut state = SolveState::fresh(&g, 0, 10.0, &mut ws, None).unwrap();
+        let mut state = SolveState::fresh(&g, 0, &mut ws, None).unwrap();
         let tree_edge = state.trees[0][0];
         apply_delta(&mut g, &mut state, &MutationOp::Remove { eid: tree_edge }).unwrap();
         let mode = state.resolve(&g, &mut ws, None).unwrap();
@@ -626,9 +507,10 @@ mod tests {
     fn staleness_budget_triggers_repack() {
         let mut ws = SolverWorkspace::new();
         let mut g = gen::gnm_connected(24, 60, 5, 31);
-        // Budget 0: every delta exceeds it.
-        let mut state = SolveState::fresh(&g, 0, 0.0, &mut ws, None).unwrap();
-        let w = g.edges()[0].w + 1;
+        let mut state = SolveState::fresh(&g, 0, &mut ws, None).unwrap();
+        // A weight increase alone never forces a re-pack; one larger than
+        // a quarter of the total weight crosses the budget.
+        let w = g.edges()[0].w + g.total_weight() / 4 + 1;
         apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid: 0, w }).unwrap();
         assert!(state.stale_weight() > 0);
         let mode = state.resolve(&g, &mut ws, None).unwrap();
@@ -655,7 +537,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut state = SolveState::fresh(&g, 3, DEFAULT_STALENESS, &mut ws, None).unwrap();
+        let mut state = SolveState::fresh(&g, 3, &mut ws, None).unwrap();
         assert_eq!(state.best().value, 7);
         apply_delta(&mut g, &mut state, &MutationOp::Remove { eid: 6 }).unwrap();
         assert_eq!(
@@ -678,7 +560,7 @@ mod tests {
     fn two_vertex_graphs_use_the_shortcut() {
         let mut ws = SolverWorkspace::new();
         let mut g = Graph::from_edges(2, &[(0, 1, 9)]).unwrap();
-        let mut state = SolveState::fresh(&g, 0, DEFAULT_STALENESS, &mut ws, None).unwrap();
+        let mut state = SolveState::fresh(&g, 0, &mut ws, None).unwrap();
         assert_eq!(state.best().value, 9);
         assert_eq!(state.tree_count(), 0);
         apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid: 0, w: 4 }).unwrap();
@@ -690,7 +572,7 @@ mod tests {
     fn apply_delta_surfaces_graph_errors_without_corrupting_state() {
         let mut ws = SolverWorkspace::new();
         let mut g = gen::gnm_connected(16, 40, 4, 41);
-        let mut state = SolveState::fresh(&g, 0, DEFAULT_STALENESS, &mut ws, None).unwrap();
+        let mut state = SolveState::fresh(&g, 0, &mut ws, None).unwrap();
         let before = state.best().value;
         assert!(apply_delta(&mut g, &mut state, &MutationOp::Remove { eid: 999 }).is_err());
         assert!(apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid: 999, w: 1 }).is_err());
@@ -705,8 +587,8 @@ mod tests {
         let mut g8 = g1.clone();
         let mut ws1 = SolverWorkspace::new();
         let mut ws8 = SolverWorkspace::new();
-        let mut s1 = SolveState::fresh(&g1, 5, DEFAULT_STALENESS, &mut ws1, Some(1)).unwrap();
-        let mut s8 = SolveState::fresh(&g8, 5, DEFAULT_STALENESS, &mut ws8, Some(8)).unwrap();
+        let mut s1 = SolveState::fresh(&g1, 5, &mut ws1, Some(1)).unwrap();
+        let mut s8 = SolveState::fresh(&g8, 5, &mut ws8, Some(8)).unwrap();
         for step in 0..6u32 {
             let op = match step % 3 {
                 0 => MutationOp::Reweight {
@@ -728,6 +610,101 @@ mod tests {
             assert_eq!(s1.best().value, s8.best().value, "step {step}");
             assert_eq!(s1.best().side, s8.best().side, "step {step}");
         }
+    }
+
+    fn expired_token() -> std::sync::Arc<crate::CancelToken> {
+        let token = crate::CancelToken::new();
+        token.cancel();
+        std::sync::Arc::new(token)
+    }
+
+    fn assert_same_state(a: &SolveState, b: &SolveState) {
+        assert_eq!(a.trees, b.trees);
+        assert_eq!(a.per_tree, b.per_tree);
+        assert_eq!(a.invalid, b.invalid);
+        assert_eq!(a.best().value, b.best().value);
+        assert_eq!(a.best().side, b.best().side);
+        assert_eq!(a.best().tree_index, b.best().tree_index);
+        assert_eq!(a.stale_weight(), b.stale_weight());
+    }
+
+    #[test]
+    fn cancelled_repack_is_redone_by_the_retry() {
+        for s in 0..20u64 {
+            let mut ws = SolverWorkspace::new();
+            let mut g = gen::gnm_connected(24, 60, 5, 23 + s);
+            let mut state = SolveState::fresh(&g, s, &mut ws, None).unwrap();
+            // Lighten vertex 0, then cross the staleness budget with one
+            // weight increase elsewhere: the next resolve must re-pack.
+            for eid in 0..g.m() {
+                let e = g.edges()[eid];
+                if e.u == 0 || e.v == 0 {
+                    let op = MutationOp::Reweight {
+                        eid: eid as u32,
+                        w: 1,
+                    };
+                    apply_delta(&mut g, &mut state, &op).unwrap();
+                }
+            }
+            let eid = (0..g.m()).find(|&e| g.edges()[e].u != 0 && g.edges()[e].v != 0);
+            let eid = eid.expect("an edge away from vertex 0");
+            let w = g.edges()[eid].w + g.total_weight() / 4 + 1;
+            let op = MutationOp::Reweight { eid: eid as u32, w };
+            apply_delta(&mut g, &mut state, &op).unwrap();
+            let mut twin = state.clone();
+
+            ws.install_cancel(expired_token());
+            let cancelled = state.resolve(&g, &mut ws, None);
+            assert_eq!(cancelled, Err(PmcError::Cancelled), "seed {s}");
+            ws.clear_cancel();
+            let retry = state.resolve(&g, &mut ws, None).unwrap();
+            assert_eq!(retry, ResolveMode::Repack, "seed {s}");
+            assert_matches_sw(&g, &state);
+            assert_eq!(twin.resolve(&g, &mut ws, None), Ok(ResolveMode::Repack));
+            assert_same_state(&state, &twin);
+        }
+    }
+
+    #[test]
+    fn expired_token_cancels_fresh_and_resolve_and_the_retry_matches_a_twin() {
+        let mut ws = SolverWorkspace::new();
+        let mut g = gen::gnm_connected(30, 90, 7, 61);
+        ws.install_cancel(expired_token());
+        assert_eq!(
+            SolveState::fresh(&g, 4, &mut ws, None).err(),
+            Some(PmcError::Cancelled)
+        );
+        ws.clear_cancel();
+
+        let mut state = SolveState::fresh(&g, 4, &mut ws, None).unwrap();
+        // A weight decrease invalidates every pinned tree.
+        let eid = (0..g.m()).find(|&e| g.edges()[e].w > 1).unwrap();
+        let op = MutationOp::Reweight {
+            eid: eid as u32,
+            w: g.edges()[eid].w - 1,
+        };
+        apply_delta(&mut g, &mut state, &op).unwrap();
+        let mut twin = state.clone();
+        let before = state.best().clone();
+        ws.install_cancel(expired_token());
+        let cancelled = state.resolve(&g, &mut ws, None);
+        assert_eq!(cancelled, Err(PmcError::Cancelled));
+        assert_eq!(state.best().value, before.value);
+        assert_eq!(state.best().side, before.side);
+        assert_eq!(state.best().tree_index, before.tree_index);
+        ws.clear_cancel();
+
+        let retry = state.resolve(&g, &mut ws, None).unwrap();
+        let want = twin.resolve(&g, &mut ws, None).unwrap();
+        assert_eq!(retry, want);
+        assert_eq!(
+            retry,
+            ResolveMode::Incremental {
+                reswept: state.tree_count()
+            }
+        );
+        assert_same_state(&state, &twin);
+        assert_matches_sw(&g, &state);
     }
 
     use pmc_graph::Graph;

@@ -4,14 +4,25 @@
 //! Theorem 10: a Monte Carlo minimum cut in `O(m log⁴ n)` work and
 //! `O(log³ n)` depth.
 //!
-//! Structure (paper §4):
-//! 1. [`pmc_packing::pack_trees`] produces `O(log n)` spanning trees such
+//! One private pipeline runs every paper solve, in this order:
+//! 1. shortcuts: fewer than two vertices is an error, a disconnected graph
+//!    answers 0, two vertices answer their one cut;
+//! 2. optionally ([`MinCutConfig::use_certificate`]) a Nagamochi–Ibaraki
+//!    certificate replaces the graph by an exact sparse subgraph;
+//! 3. [`pmc_packing::pack_trees_with`] packs `O(log n)` spanning trees such
 //!    that w.h.p. one of them crosses a minimum cut at most twice
-//!    (Lemma 1).
-//! 2. For each tree, [`two_respect::two_respect_mincut`] finds the smallest
-//!    cut crossing at most two of its edges (Lemma 13), using the parallel
-//!    Minimum Path batch engine of `pmc-minpath` (§3).
-//! 3. The smallest result over all trees is a minimum cut w.h.p.
+//!    (Lemma 1);
+//! 4. on every tree, [`two_respect::two_respect_mincut_reusing`] finds the
+//!    smallest cut crossing at most two of its edges (Lemma 13), using the
+//!    Minimum Path batch engine of `pmc-minpath` (§3); the trees fan out
+//!    across OS workers, and a cancellation token is polled before each;
+//! 5. the smallest `(value, tree index)` wins, and its witness is checked
+//!    against the input graph.
+//!
+//! [`minimum_cut_with`] runs it on a reused [`SolverWorkspace`];
+//! [`minimum_cut`] and [`minimum_cut_report`] run it on a fresh one; a
+//! [`SolveState`] runs it without the certificate and keeps the trees and
+//! per-tree cuts, so an edge update re-sweeps only the trees it touched.
 //!
 //! ```
 //! use pmc_core::{minimum_cut, MinCutConfig};
@@ -30,14 +41,14 @@ pub mod solver;
 pub mod two_respect;
 pub mod workspace;
 
+use std::time::Instant;
+
 use rayon::prelude::*;
 
 use pmc_graph::{connected_components, Graph};
-use pmc_packing::{pack_trees, pack_trees_with, PackingConfig};
+use pmc_packing::{pack_trees_with, PackedTreeList, PackingConfig};
 
-pub use dynamic::{
-    apply_delta, GraphDelta, MutationOp, ResolveMode, SolveState, DEFAULT_STALENESS,
-};
+pub use dynamic::{apply_delta, GraphDelta, MutationOp, ResolveMode, SolveState};
 pub use pmc_graph::PmcError;
 pub use respect1::{best_one_respect, one_respect_cuts, SubtreeCuts};
 pub use solver::{
@@ -73,45 +84,71 @@ fn tree_loop_workers(ntrees: usize, m: usize, threads: Option<usize>) -> usize {
         .clamp(1, ntrees)
 }
 
-/// Runs the Lemma 13 two-respect search over every packed tree, fanned
-/// across `arenas.len()` OS workers (sequential when there is one arena),
-/// returning the per-tree outcomes in tree order. Each worker owns one
-/// [`TreeArena`], so tree rooting and the batch engine run against
-/// recycled buffers; results are bit-identical regardless of worker count
-/// because every per-tree computation is independent of its arena's
-/// history and the output order is fixed.
-fn two_respect_all_trees(
-    work_graph: &Graph,
-    trees: &pmc_packing::PackedTreeList,
-    arenas: &mut [TreeArena],
-) -> Vec<TwoRespectCut> {
-    two_respect_all_trees_cancellable(work_graph, trees, arenas, None)
-        .expect("solve without a cancel token cannot be cancelled")
-}
-
-/// [`two_respect_all_trees`] with a cooperative cancellation checkpoint
-/// before each tree's sweep: a tripped token makes every remaining unit
-/// skip its work and the whole loop answer [`PmcError::Cancelled`].
-/// Checkpoints are per tree — one sweep is the granularity at which a
-/// deadline can interrupt a solve.
-fn two_respect_all_trees_cancellable(
-    work_graph: &Graph,
-    trees: &pmc_packing::PackedTreeList,
-    arenas: &mut [TreeArena],
+/// Runs the Lemma 13 two-respect search on `g` over the trees
+/// `trees[indices[k]]`, returning the cuts in `indices` order. The loop
+/// fans across [`tree_loop_workers`] OS workers, each owning one
+/// [`TreeArena`] of `arenas` (grown to that width), so rooting and the
+/// batch engine run on recycled buffers; each tree's cut is independent of
+/// its arena's history, so results are bit-identical at every width.
+/// `cancel` is polled before each tree: once it trips, the remaining trees
+/// are skipped and the loop answers [`PmcError::Cancelled`].
+fn sweep_trees(
+    g: &Graph,
+    trees: &PackedTreeList,
+    indices: &[usize],
+    arenas: &mut Vec<TreeArena>,
+    threads: Option<usize>,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<TwoRespectCut>, PmcError> {
-    let outcomes = pmc_par::fanout_units(arenas, trees.len(), |arena, i| {
+    let workers = tree_loop_workers(indices.len(), g.m(), threads);
+    if arenas.len() < workers {
+        arenas.resize_with(workers, TreeArena::default);
+    }
+    pmc_par::fanout_units(&mut arenas[..workers], indices.len(), |arena, k| {
         if cancel.is_some_and(|c| c.expired()) {
             return None;
         }
         let TreeArena { root, batch } = arena;
-        root.rebuild(work_graph, &trees[i], 0);
-        Some(two_respect_mincut_reusing(work_graph, root.tree(), batch))
-    });
-    outcomes
-        .into_iter()
-        .collect::<Option<Vec<_>>>()
-        .ok_or(PmcError::Cancelled)
+        root.rebuild(g, &trees[indices[k]], 0);
+        Some(two_respect_mincut_reusing(g, root.tree(), batch))
+    })
+    .into_iter()
+    .collect::<Option<Vec<_>>>()
+    .ok_or(PmcError::Cancelled)
+}
+
+/// The answer from per-tree cuts `(value, side, kind)` given in tree
+/// order: the smallest under the deterministic `(value, tree index)`
+/// order.
+///
+/// # Panics
+/// Panics if `cuts` is empty, or, with `verify`, if the winner's side is
+/// not a proper cut of `g` of the winner's value.
+fn best_tree_cut<'a>(
+    g: &Graph,
+    cuts: impl Iterator<Item = (i64, &'a [bool], RespectKind)>,
+    verify: bool,
+) -> MinCutResult {
+    let (ti, (value, side, kind)) = cuts
+        .enumerate()
+        .min_by_key(|&(i, (value, _, _))| (value, i))
+        .expect("packing returned no trees");
+    let value = value as u64;
+    if verify {
+        assert!(g.is_proper_cut(side), "witness is not a proper cut");
+        let check = g.cut_value(side);
+        assert_eq!(
+            check, value,
+            "internal error: witness value {check} != reported {value}"
+        );
+    }
+    MinCutResult {
+        value,
+        side: side.to_vec(),
+        algorithm: "paper",
+        kind: Some(kind),
+        tree_index: Some(ti),
+    }
 }
 
 /// Configuration for [`minimum_cut`].
@@ -234,153 +271,166 @@ pub struct MinCutReport {
     pub t_two_respect: std::time::Duration,
 }
 
-/// Computes a minimum cut of `g` (Theorem 10). Monte Carlo: the result is
-/// a true minimum cut with high probability; the returned partition always
-/// *is* a cut of the returned value (verified when `cfg.verify`).
-pub fn minimum_cut(g: &Graph, cfg: &MinCutConfig) -> Result<MinCutResult, PmcError> {
-    minimum_cut_report(g, cfg).map(|(r, _)| r)
+/// What one run of the pipeline built: the answer, the stage report, and
+/// the packed trees with each tree's cut in tree order (both empty for the
+/// shortcut answers).
+struct Solved {
+    result: MinCutResult,
+    report: MinCutReport,
+    trees: PackedTreeList,
+    cuts: Vec<TwoRespectCut>,
 }
 
-/// [`minimum_cut`] with all per-call working memory drawn from a reusable
-/// [`SolverWorkspace`]: the certificate sweep and its output graph, the
-/// greedy packing buffers, the rooted-tree rebuild arenas, and the batch
-/// engine's scratch are recycled across calls. Identical results for
-/// identical `(g, cfg)`.
+/// The paper's pipeline (Theorem 10), in the stage order of the crate
+/// docs, on the arenas of `ws`: the certificate is built into
+/// `ws.cert_graph`, the packing runs on `ws.packing`, the per-tree loop on
+/// `ws.trees`. The token installed on `ws` is polled before the
+/// certificate, before the packing, and before each tree's sweep.
+fn solve_pipeline(
+    g: &Graph,
+    cfg: &MinCutConfig,
+    ws: &mut SolverWorkspace,
+) -> Result<Solved, PmcError> {
+    let n = g.n();
+    if n < 2 {
+        return Err(PmcError::TooSmall);
+    }
+    let mut report = MinCutReport {
+        certificate_kept: 1.0,
+        ..MinCutReport::default()
+    };
+
+    // A disconnected graph has a 0-valued cut along any component; two
+    // vertices have exactly one cut.
+    let (labels, ncomp) = connected_components(g);
+    let shortcut = if ncomp > 1 {
+        Some((0, labels.iter().map(|&l| l == labels[0]).collect()))
+    } else {
+        (n == 2).then(|| (g.total_weight(), vec![true, false]))
+    };
+    if let Some((value, side)) = shortcut {
+        let result = MinCutResult {
+            value,
+            side,
+            algorithm: "paper",
+            kind: Some(RespectKind::One),
+            tree_index: None,
+        };
+        return Ok(Solved {
+            result,
+            report,
+            trees: PackedTreeList::empty(),
+            cuts: Vec::new(),
+        });
+    }
+
+    // Split the borrow: the certificate graph is read while the rest of
+    // the workspace keeps feeding the pipeline mutably.
+    let SolverWorkspace {
+        cert,
+        cert_graph,
+        packing: pack_ws,
+        trees: arenas,
+        cancel,
+        ..
+    } = ws;
+    let cancel = cancel.as_deref();
+    let expired = || cancel.is_some_and(|c| c.expired());
+    // A request whose deadline passed while queued does not start.
+    if expired() {
+        return Err(PmcError::Cancelled);
+    }
+
+    // The certificate at k = min degree + 1 preserves every minimum cut
+    // and its witness sides, so the rest of the pipeline runs on it
+    // verbatim (sides are vertex sets).
+    let t0 = Instant::now();
+    let certified = if cfg.use_certificate {
+        let out =
+            cert_graph.get_or_insert_with(|| Graph::from_edges(1, &[]).expect("placeholder graph"));
+        pmc_graph::mincut_certificate_with(g, cert, out)
+    } else {
+        None
+    };
+    report.t_certificate = t0.elapsed();
+    let work_graph: &Graph = match certified {
+        Some((_, kept)) => {
+            report.certificate_applied = true;
+            report.certificate_kept = kept;
+            cert_graph.as_ref().expect("certificate arena initialized")
+        }
+        None => g,
+    };
+    if expired() {
+        return Err(PmcError::Cancelled);
+    }
+
+    // Lemma 1: O(log n) candidate trees.
+    let t0 = Instant::now();
+    let mut pcfg = cfg.packing.clone();
+    pcfg.seed = pcfg.seed.wrapping_add(cfg.seed);
+    let packing = pack_trees_with(work_graph, &pcfg, pack_ws);
+    report.t_packing = t0.elapsed();
+    report.skeleton_p = packing.skeleton_p;
+    report.packing_value = packing.packing_value;
+    report.distinct_trees = packing.distinct_trees;
+    report.trees_examined = packing.trees.len();
+
+    // Lemma 13 on every tree; the smallest (value, tree index) wins.
+    let t0 = Instant::now();
+    let every_tree: Vec<usize> = (0..packing.trees.len()).collect();
+    let cuts = sweep_trees(
+        work_graph,
+        &packing.trees,
+        &every_tree,
+        arenas,
+        cfg.threads,
+        cancel,
+    )?;
+    report.t_two_respect = t0.elapsed();
+    report.batch_ops_total = cuts.iter().map(|c| c.batch_ops).sum();
+    let per_tree = cuts.iter().map(|c| (c.value, &c.side[..], c.kind));
+    let result = best_tree_cut(g, per_tree, cfg.verify);
+    report.phases = cuts[result.tree_index.expect("a tree cut")].phases;
+    Ok(Solved {
+        result,
+        report,
+        trees: packing.trees,
+        cuts,
+    })
+}
+
+/// Computes a minimum cut of `g` (Theorem 10) on a fresh
+/// [`SolverWorkspace`]. Monte Carlo: the result is a true minimum cut with
+/// high probability; the returned partition always *is* a cut of the
+/// returned value (verified when `cfg.verify`).
+pub fn minimum_cut(g: &Graph, cfg: &MinCutConfig) -> Result<MinCutResult, PmcError> {
+    minimum_cut_with(g, cfg, &mut SolverWorkspace::new())
+}
+
+/// Computes a minimum cut of `g` (Theorem 10) with all per-call working
+/// memory drawn from a reusable [`SolverWorkspace`]: the certificate sweep
+/// and its output graph, the greedy packing buffers, the rooted-tree
+/// rebuild arenas and the batch engine's scratch are recycled across
+/// calls. Identical results for identical `(g, cfg)`, whatever the
+/// workspace served before.
 ///
-/// The per-tree 2-respect searches fan out across OS workers — one
-/// [`TreeArena`] per worker — up to the ambient
-/// rayon thread budget (install a pool via [`SolverConfig::threads`] to
-/// bound it); small inputs and single-thread budgets run the same loop
-/// sequentially through `trees[0]`. Results are bit-identical at every
-/// width, so this is simultaneously the amortized serving path and the
-/// intra-solve parallel path.
+/// The stages run in the order of the crate docs: shortcuts, the
+/// Nagamochi–Ibaraki certificate (when `cfg.use_certificate` and it
+/// shrinks the graph), the Lemma 1 packing, the Lemma 13 search on every
+/// packed tree, then the smallest `(value, tree index)` wins. The per-tree
+/// searches fan out across OS workers — one [`TreeArena`] per worker — up
+/// to `cfg.threads` or the ambient rayon thread budget; small inputs run
+/// the same loop on `trees[0]`. Results are bit-identical at every width.
+/// A [`CancelToken`] installed on `ws` is polled before the certificate,
+/// before the packing and before each tree, and answers
+/// [`PmcError::Cancelled`] once it trips.
 pub fn minimum_cut_with(
     g: &Graph,
     cfg: &MinCutConfig,
     ws: &mut SolverWorkspace,
 ) -> Result<MinCutResult, PmcError> {
-    let n = g.n();
-    if n < 2 {
-        return Err(PmcError::TooSmall);
-    }
-
-    // Disconnected graphs have a 0-valued cut along any component.
-    let (labels, ncomp) = connected_components(g);
-    if ncomp > 1 {
-        let side: Vec<bool> = labels.iter().map(|&l| l == labels[0]).collect();
-        return Ok(MinCutResult {
-            value: 0,
-            side,
-            algorithm: "paper",
-            kind: Some(RespectKind::One),
-            tree_index: None,
-        });
-    }
-    if n == 2 {
-        return Ok(MinCutResult {
-            value: g.total_weight(),
-            side: vec![true, false],
-            algorithm: "paper",
-            kind: Some(RespectKind::One),
-            tree_index: None,
-        });
-    }
-
-    // First cancellation checkpoint: a request whose deadline passed while
-    // queued should not start the pipeline at all.
-    if ws.cancel.as_ref().is_some_and(|c| c.expired()) {
-        return Err(PmcError::Cancelled);
-    }
-
-    // Optional exact sparsification into the workspace's certificate arena.
-    let use_cert = cfg.use_certificate && {
-        let cert_graph = ws
-            .cert_graph
-            .get_or_insert_with(|| Graph::from_edges(1, &[]).expect("placeholder graph"));
-        pmc_graph::mincut_certificate_with(g, &mut ws.cert, cert_graph).is_some()
-    };
-    // Split the borrow: the certificate graph is read while the rest of
-    // the workspace keeps feeding the pipeline mutably.
-    let SolverWorkspace {
-        cert_graph,
-        packing: pack_ws,
-        trees: tree_ws,
-        cancel,
-        ..
-    } = ws;
-    let cancel = cancel.as_deref();
-    let work_graph: &Graph = if use_cert {
-        cert_graph.as_ref().expect("certificate arena initialized")
-    } else {
-        g
-    };
-
-    // Checkpoint between the certificate and the packing stage (the two
-    // heaviest stages bracket it).
-    if cancel.is_some_and(|c| c.expired()) {
-        return Err(PmcError::Cancelled);
-    }
-
-    // Lemma 1: O(log n) candidate trees, packed through the reusable arena.
-    let mut pcfg = cfg.packing.clone();
-    pcfg.seed = pcfg.seed.wrapping_add(cfg.seed);
-    let packing = pack_trees_with(work_graph, &pcfg, pack_ws);
-
-    // Lemma 13 per tree, fanned across per-worker arenas; deterministic
-    // (value, tree index) reduction.
-    let workers = tree_loop_workers(packing.trees.len(), work_graph.m(), cfg.threads);
-    if tree_ws.len() < workers {
-        tree_ws.resize_with(workers, TreeArena::default);
-    }
-    let outcomes = two_respect_all_trees_cancellable(
-        work_graph,
-        &packing.trees,
-        &mut tree_ws[..workers],
-        cancel,
-    )?;
-    let (ti, best) = outcomes
-        .into_iter()
-        .enumerate()
-        .min_by_key(|(i, c)| (c.value, *i))
-        .expect("packing returned no trees");
-
-    let value = best.value as u64;
-    if cfg.verify {
-        assert!(g.is_proper_cut(&best.side), "witness is not a proper cut");
-        let check = g.cut_value(&best.side);
-        assert_eq!(
-            check, value,
-            "internal error: witness value {check} != reported {value}"
-        );
-    }
-    Ok(MinCutResult {
-        value,
-        side: best.side,
-        algorithm: "paper",
-        kind: Some(best.kind),
-        tree_index: Some(ti),
-    })
-}
-
-/// Incremental re-solve entry point: applies one batch of mutation ops to
-/// `g`, classifies what each invalidates against the pinned
-/// [`SolveState`], and resolves once at the end — the cheapest sound
-/// schedule for a multi-op delta (per-op resolution would re-sweep
-/// intermediate states nobody observes). On an op error the graph and
-/// state may already reflect the *earlier* ops of the batch; callers
-/// wanting transactional batches apply ops to a clone (the service does).
-/// Returns what the resolve did.
-pub fn resolve_delta(
-    g: &mut Graph,
-    state: &mut SolveState,
-    ops: &[MutationOp],
-    ws: &mut SolverWorkspace,
-    threads: Option<usize>,
-) -> Result<ResolveMode, PmcError> {
-    for op in ops {
-        dynamic::apply_delta(g, state, op).map_err(PmcError::Graph)?;
-    }
-    state.resolve(g, ws, threads)
+    solve_pipeline(g, cfg, ws).map(|s| s.result)
 }
 
 /// [`minimum_cut`] plus a stage-by-stage [`MinCutReport`] with timings and
@@ -389,107 +439,7 @@ pub fn minimum_cut_report(
     g: &Graph,
     cfg: &MinCutConfig,
 ) -> Result<(MinCutResult, MinCutReport), PmcError> {
-    let n = g.n();
-    if n < 2 {
-        return Err(PmcError::TooSmall);
-    }
-
-    let mut report = MinCutReport {
-        certificate_kept: 1.0,
-        ..MinCutReport::default()
-    };
-
-    // Disconnected graphs have a 0-valued cut along any component.
-    let (labels, ncomp) = connected_components(g);
-    if ncomp > 1 {
-        let side: Vec<bool> = labels.iter().map(|&l| l == labels[0]).collect();
-        return Ok((
-            MinCutResult {
-                value: 0,
-                side,
-                algorithm: "paper",
-                kind: Some(RespectKind::One),
-                tree_index: None,
-            },
-            report,
-        ));
-    }
-    if n == 2 {
-        let side = vec![true, false];
-        return Ok((
-            MinCutResult {
-                value: g.total_weight(),
-                side,
-                algorithm: "paper",
-                kind: Some(RespectKind::One),
-                tree_index: None,
-            },
-            report,
-        ));
-    }
-
-    // Optional exact sparsification: the NI certificate (at k = min degree
-    // + 1) preserves every minimum cut and its witnesses, so the rest of
-    // the pipeline may run on it verbatim (sides are vertex sets).
-    let t0 = std::time::Instant::now();
-    let certificate = if cfg.use_certificate {
-        pmc_graph::certificate::mincut_certificate(g)
-    } else {
-        None
-    };
-    report.t_certificate = t0.elapsed();
-    if let Some(c) = &certificate {
-        report.certificate_applied = true;
-        report.certificate_kept = c.kept_fraction;
-    }
-    let work_graph: &Graph = certificate.as_ref().map_or(g, |c| &c.graph);
-
-    // Lemma 1: O(log n) candidate trees.
-    let t0 = std::time::Instant::now();
-    let mut pcfg = cfg.packing.clone();
-    pcfg.seed = pcfg.seed.wrapping_add(cfg.seed);
-    let packing = pack_trees(work_graph, &pcfg);
-    report.t_packing = t0.elapsed();
-    report.skeleton_p = packing.skeleton_p;
-    report.packing_value = packing.packing_value;
-    report.distinct_trees = packing.distinct_trees;
-    report.trees_examined = packing.trees.len();
-
-    // Lemma 13 per tree, fanned across OS workers with per-worker arenas;
-    // keep the best under the deterministic (value, tree index) order.
-    let t0 = std::time::Instant::now();
-    let workers = tree_loop_workers(packing.trees.len(), work_graph.m(), cfg.threads);
-    let mut arenas: Vec<TreeArena> = Vec::new();
-    arenas.resize_with(workers, TreeArena::default);
-    let outcomes = two_respect_all_trees(work_graph, &packing.trees, &mut arenas);
-    report.t_two_respect = t0.elapsed();
-    report.batch_ops_total = outcomes.iter().map(|c| c.batch_ops).sum();
-    let (ti, best) = outcomes
-        .into_iter()
-        .enumerate()
-        .min_by_key(|(i, c)| (c.value, *i))
-        .expect("packing returned no trees");
-    report.phases = best.phases;
-
-    let value = best.value as u64;
-    if cfg.verify {
-        assert!(g.is_proper_cut(&best.side), "witness is not a proper cut");
-        let check = g.cut_value(&best.side);
-        assert_eq!(
-            check, value,
-            "internal error: witness value {check} != reported {value}"
-        );
-    }
-    Ok((
-        MinCutResult {
-            value,
-            side: best.side,
-            algorithm: "paper",
-            kind: Some(best.kind),
-            tree_index: Some(ti),
-        },
-        report,
-    ))
+    solve_pipeline(g, cfg, &mut SolverWorkspace::new()).map(|s| (s.result, s.report))
 }
 
 #[cfg(test)]

@@ -738,6 +738,7 @@ mod tests {
                 assert_eq!(got.value, want.value, "solver {}", s.name());
                 assert_eq!(got.side, want.side, "solver {}", s.name());
                 assert_eq!(got.kind, want.kind, "solver {}", s.name());
+                assert_eq!(got.tree_index, want.tree_index, "solver {}", s.name());
             }
         }
     }

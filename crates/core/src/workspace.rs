@@ -1,11 +1,12 @@
 //! The solver scratch arena: every reusable buffer of every layer, bundled.
 //!
 //! A one-shot `minimum_cut` call allocates its working memory on entry and
-//! frees it on exit — scan partials in `pmc-par`, the skeleton subgraph and
-//! load vectors in `pmc-packing`, the heap minima and operation buckets in
-//! `pmc-minpath`, the dense matrix of the Stoer–Wagner oracle, the
-//! Nagamochi–Ibaraki sweep state in `pmc-graph`. A serving loop that
-//! answers thousands of cut queries repeats all of that per request.
+//! frees it on exit — the Nagamochi–Ibaraki sweep state in `pmc-graph`,
+//! the skeleton subgraph and packing counters in `pmc-packing`, the
+//! rooted-tree rebuild and the batch engine's leaf and level arenas in
+//! `pmc-minpath`, the dense matrix of the Stoer–Wagner oracle. A serving
+//! loop that answers thousands of cut queries repeats all of that per
+//! request.
 //!
 //! [`SolverWorkspace`] owns those buffers instead. Thread one through
 //! [`MinCutSolver::solve_with`](crate::MinCutSolver::solve_with) (or let
@@ -37,11 +38,6 @@ use pmc_baseline::SwScratch;
 use pmc_graph::{CertScratch, Graph};
 use pmc_minpath::TreeBatchScratch;
 use pmc_packing::{PackScratch, RootScratch};
-use pmc_par::ParScratch;
-
-// (The `pmc-par` scratch is not a separate field: the batch engine inside
-// `minpath` is the layer that actually runs the parallel primitives, so
-// their buffers live embedded there — see [`SolverWorkspace::par_scratch`].)
 
 /// Cooperative cancellation for an in-flight solve: an atomic flag plus an
 /// optional wall-clock deadline, polled at the solve loop's checkpoints
@@ -103,14 +99,13 @@ pub struct TreeArena {
     /// Rooted-tree rebuild arena (`pmc-packing`): endpoint staging,
     /// adjacency/BFS scratch, and the reusable [`pmc_graph::RootedTree`].
     pub root: RootScratch,
-    /// Batched Minimum Path buffers (`pmc-minpath`), which embed the
-    /// `pmc-par` primitive scratch.
+    /// Batched Minimum Path buffers (`pmc-minpath`).
     pub batch: TreeBatchScratch,
 }
 
 impl TreeArena {
     /// Bytes of heap memory in active use by this worker arena
-    /// (`len`-based, excluding the `pmc-par` scratch internals).
+    /// (`len`-based).
     pub fn heap_bytes(&self) -> usize {
         self.root.heap_bytes() + self.batch.heap_bytes()
     }
@@ -191,14 +186,6 @@ impl SolverWorkspace {
             self.trees.resize_with(want, TreeArena::default);
         }
         &mut self.trees[..want]
-    }
-
-    /// The `pmc-par` primitive scratch (scan partials and friends),
-    /// embedded where the primitives run — inside the batch engine's
-    /// per-list scratch of the first tree arena. Exposed for callers
-    /// composing custom kernels on top of the workspace.
-    pub fn par_scratch(&mut self) -> &mut ParScratch {
-        self.tree_arenas(1)[0].batch.par_scratch()
     }
 
     /// Bytes of heap memory in active use across every layer's arena
@@ -538,7 +525,7 @@ mod tests {
     fn pooled_workspace_derefs() {
         let pool = WorkspacePool::new();
         let mut ws = pool.checkout();
-        let _ = ws.par_scratch(); // DerefMut into the workspace
+        assert_eq!(ws.tree_arenas(1).len(), 1); // DerefMut into the workspace
         assert!(ws.cert_graph.is_none()); // Deref
     }
 }

@@ -133,17 +133,13 @@ pub fn ni_certificate_with(g: &Graph, k: u64, ws: &mut CertScratch, out: &mut Gr
 /// graph meaningfully (kept weight ≥ ¾ of the original), in which case
 /// callers should use the input as-is.
 pub fn mincut_certificate(g: &Graph) -> Option<Certificate> {
-    let dmin = g.min_weighted_degree();
-    if dmin == 0 {
-        return None; // isolated vertex: min cut is 0 anyway
-    }
-    let k = dmin + 1;
-    // Cheap pre-check: the certificate keeps at most k(n-1) weight.
-    if (k as u128) * (g.n() as u128 - 1) * 4 >= 3 * g.total_weight() as u128 {
-        return None;
-    }
-    let cert = ni_certificate(g, k);
-    (cert.kept_fraction < 0.75).then_some(cert)
+    let mut graph = Graph::from_edges(1, &[]).expect("placeholder graph");
+    let (k, kept_fraction) = mincut_certificate_with(g, &mut CertScratch::default(), &mut graph)?;
+    Some(Certificate {
+        graph,
+        k,
+        kept_fraction,
+    })
 }
 
 /// [`mincut_certificate`] into a reusable scratch + output graph. Returns

@@ -218,7 +218,6 @@ pub struct ListBatchScratch {
     mins: Vec<i64>,
     level_a: LevelArena,
     level_b: LevelArena,
-    par: ParScratch,
 }
 
 /// The counting pass of a leaf bucketing ([`ListBatchScratch::bucket`]).
@@ -273,14 +272,8 @@ impl SlotPlacer<'_> {
 }
 
 impl ListBatchScratch {
-    /// The embedded `pmc-par` scratch (the batch engine is the layer that
-    /// actually runs the parallel primitives, so their buffers live here).
-    pub fn par_scratch(&mut self) -> &mut ParScratch {
-        &mut self.par
-    }
-
     /// Bytes of heap memory in active use by the scratch buffers
-    /// (`len`-based, excluding the `pmc-par` scratch internals).
+    /// (`len`-based).
     pub fn heap_bytes(&self) -> usize {
         self.leaves.heap_bytes()
             + self.mins.len() * std::mem::size_of::<i64>()
@@ -322,7 +315,6 @@ impl ListBatchScratch {
             mins,
             level_a,
             level_b,
-            par: _,
         } = self;
         let len = weights.len();
         if leaves.qry_off[first] == leaves.qry_off[first + len] {

@@ -171,12 +171,6 @@ pub struct TreeBatchScratch {
 }
 
 impl TreeBatchScratch {
-    /// The `pmc-par` primitive scratch embedded in the per-list batch
-    /// scratch (see [`ListBatchScratch::par_scratch`]).
-    pub fn par_scratch(&mut self) -> &mut pmc_par::ParScratch {
-        self.list.par_scratch()
-    }
-
     /// Bytes of heap memory in active use by the scratch buffers
     /// (`len`-based), including the embedded list scratch.
     pub fn heap_bytes(&self) -> usize {
@@ -204,9 +198,6 @@ impl TreeBatchScratch {
 /// [`run_list_batch_with`](crate::run_list_batch_with)) if times do not
 /// strictly increase at a list position or a position lies outside its
 /// list.
-///
-/// # Panics
-/// Panics if `init` does not hold one weight per tree vertex.
 pub fn run_tree_batch_with(
     tree: &RootedTree,
     decomp: &Decomposition,

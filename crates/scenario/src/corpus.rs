@@ -329,10 +329,10 @@ fn splitmix(state: &mut u64) -> u64 {
 /// [`TraceKind::ReweightOnly`] never deletes at all — which keeps the
 /// corpus-wide connectivity invariant intact.
 fn dynamic_instance(mut g: Graph, seed: u64, ops: usize, kind: TraceKind) -> Instance {
-    use pmc_core::{apply_delta, MutationOp, SolveState, SolverWorkspace, DEFAULT_STALENESS};
+    use pmc_core::{apply_delta, MutationOp, SolveState, SolverWorkspace};
     let mut ws = SolverWorkspace::new();
-    let mut state = SolveState::fresh(&g, seed, DEFAULT_STALENESS, &mut ws, Some(1))
-        .expect("corpus base graphs are solvable");
+    let mut state =
+        SolveState::fresh(&g, seed, &mut ws, Some(1)).expect("corpus base graphs are solvable");
     let mut rng = seed ^ 0xD1B5_4A32_D192_ED03;
     let n = g.n() as u64;
     // Vertex pairs added by this trace; removals draw from here first so

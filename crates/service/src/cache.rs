@@ -437,7 +437,7 @@ impl GraphCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmc_core::{SolverWorkspace, DEFAULT_STALENESS};
+    use pmc_core::SolverWorkspace;
 
     fn path_graph(n: usize, w: u64) -> Graph {
         let edges: Vec<(u32, u32, u64)> = (0..n - 1).map(|i| (i as u32, i as u32 + 1, w)).collect();
@@ -446,7 +446,7 @@ mod tests {
 
     fn snapshot(g: &Graph) -> SolveState {
         let mut ws = SolverWorkspace::new();
-        SolveState::fresh(g, 7, DEFAULT_STALENESS, &mut ws, Some(1)).unwrap()
+        SolveState::fresh(g, 7, &mut ws, Some(1)).unwrap()
     }
 
     /// A single-shard cache: global LRU order, exact count/byte caps —

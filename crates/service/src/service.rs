@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 
 use pmc_core::{
     apply_delta, solver_by_name, CancelToken, MutationOp, PmcError, ResolveMode, SolveState,
-    SolverConfig, WorkspacePool, DEFAULT_STALENESS,
+    SolverConfig, WorkspacePool,
 };
 use pmc_graph::io::{read_dimacs, read_edge_list, read_path, IoError};
 use pmc_graph::Graph;
@@ -99,10 +99,6 @@ pub struct ServiceConfig {
     /// 0 = CPU-scaled default (`4 x` the effective thread width, at
     /// least 8).
     pub max_inflight: usize,
-    /// Staleness budget for incremental re-solves: accumulated delta
-    /// weight as a fraction of packed total weight beyond which an
-    /// `update` re-packs instead of re-sweeping (`--staleness`).
-    pub staleness: f64,
     /// When `false`, all timing fields (`micros`, `uptime_micros`) are
     /// reported as 0, making full sessions byte-identical across runs —
     /// the mode the determinism tests and golden files use.
@@ -132,7 +128,6 @@ impl Default for ServiceConfig {
             cache_bytes: 0,
             cache_shards: 0,
             max_inflight: 0,
-            staleness: DEFAULT_STALENESS,
             timing: true,
             request_timeout_ms: 0,
             idle_timeout_ms: 0,
@@ -252,7 +247,6 @@ impl VerbTimer {
 pub struct Service {
     threads: usize,
     timing: bool,
-    staleness: f64,
     cache: GraphCache,
     admission: Admission,
     pool: WorkspacePool,
@@ -311,7 +305,6 @@ impl Service {
         let mut service = Service {
             threads,
             timing: cfg.timing,
-            staleness: cfg.staleness,
             cache: GraphCache::with_shards(cfg.cache_graphs, cfg.cache_bytes, shards),
             admission: Admission::new(max_inflight),
             pool: WorkspacePool::new(),
@@ -807,7 +800,6 @@ impl Service {
             ws.install_cancel(Arc::clone(token));
         }
         let threads = Some(self.threads);
-        let staleness = self.staleness;
         let injector = if quiet { None } else { self.injector.as_ref() };
         // The whole mutate→re-solve runs under `catch_unwind` for the
         // same reason the solve fan-out does: a panic costs one
@@ -846,8 +838,8 @@ impl Service {
                         for op in ops {
                             apply_update_op(&mut g, None, op)?;
                         }
-                        let state = SolveState::fresh(&g, seed, staleness, &mut ws, threads)
-                            .map_err(solve_err)?;
+                        let state =
+                            SolveState::fresh(&g, seed, &mut ws, threads).map_err(solve_err)?;
                         Ok((state, UpdateMode::Fresh, 0))
                     }
                 }

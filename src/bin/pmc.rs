@@ -5,7 +5,7 @@
 //! pmc gen <family> <args..> [--out FILE]               generate a workload
 //! pmc suite [--filter F] [--threads T] [--seeds K] [--quick] [--json]   differential corpus run
 //! pmc serve [--threads P] [--cache-graphs N] [--cache-bytes B] [--cache-shards S]
-//!           [--max-inflight W] [--staleness F] [--listen ADDR] [--no-timing]
+//!           [--max-inflight W] [--listen ADDR] [--no-timing]
 //!           [--request-timeout-ms MS] [--idle-timeout-ms MS] [--journal FILE]
 //!           [--fsync always|never] [--inject-faults SEED:SPEC]
 //!                                                        persistent service
@@ -101,7 +101,7 @@ const USAGE: &str = "usage:
   pmc gen community_ring <communities> <size> [inner_w] [seed] [--out FILE]
   pmc suite [--filter F] [--threads T] [--seeds K] [--quick] [--json]
   pmc serve [--threads P] [--cache-graphs N] [--cache-bytes B] [--cache-shards S]
-            [--max-inflight W] [--staleness F] [--listen ADDR] [--no-timing]
+            [--max-inflight W] [--listen ADDR] [--no-timing]
             [--request-timeout-ms MS] [--idle-timeout-ms MS] [--journal FILE]
             [--fsync always|never] [--inject-faults SEED:SPEC]
   pmc loadgen [--connections N] [--requests R] [--graphs G] [--seed S]
@@ -427,7 +427,6 @@ const SERVE_FLAGS: &[(&str, bool)] = &[
     ("--cache-bytes", true),
     ("--cache-shards", true),
     ("--max-inflight", true),
-    ("--staleness", true),
     ("--listen", true),
     ("--no-timing", false),
     ("--request-timeout-ms", true),
@@ -470,12 +469,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         // Work beyond it is answered with a structured `overloaded`
         // error instead of queueing.
         cfg.max_inflight = m.parse().map_err(|_| "bad --max-inflight")?;
-    }
-    if let Some(f) = flag_value(args, "--staleness") {
-        cfg.staleness = f.parse().map_err(|_| "bad --staleness")?;
-        if cfg.staleness.is_nan() || cfg.staleness < 0.0 {
-            return Err("serve: --staleness must be >= 0".into());
-        }
     }
     cfg.timing = !args.iter().any(|a| a == "--no-timing");
     if let Some(ms) = flag_value(args, "--request-timeout-ms") {

@@ -7,7 +7,8 @@
 
 use parallel_mincut::baseline::stoer_wagner;
 use parallel_mincut::core_alg::{
-    apply_delta, MutationOp, ResolveMode, SolveState, SolverWorkspace, DEFAULT_STALENESS,
+    apply_delta, minimum_cut_with, MinCutConfig, MutationOp, ResolveMode, SolveState,
+    SolverWorkspace,
 };
 use parallel_mincut::graph::{gen, Graph};
 
@@ -88,8 +89,7 @@ fn assert_trace_matches_from_scratch(base: &Graph, seed: u64, ops: &[MutationOp]
     for threads in THREADS {
         let mut g = base.clone();
         let mut ws = SolverWorkspace::new();
-        let mut state = SolveState::fresh(&g, seed, DEFAULT_STALENESS, &mut ws, Some(threads))
-            .expect("base solves");
+        let mut state = SolveState::fresh(&g, seed, &mut ws, Some(threads)).expect("base solves");
         let mut answers = Vec::with_capacity(ops.len());
         for (k, op) in ops.iter().enumerate() {
             apply_delta(&mut g, &mut state, op).expect("trace op applies");
@@ -170,8 +170,7 @@ fn remove_then_readd_round_trips() {
     // permuted), so the value must equal the base's.
     let mut g = base.clone();
     let mut ws = SolverWorkspace::new();
-    let mut state =
-        SolveState::fresh(&g, 0xD4, DEFAULT_STALENESS, &mut ws, Some(1)).expect("base solves");
+    let mut state = SolveState::fresh(&g, 0xD4, &mut ws, Some(1)).expect("base solves");
     let want = state.best().value;
     for op in &ops {
         apply_delta(&mut g, &mut state, op).expect("applies");
@@ -199,8 +198,7 @@ fn disconnecting_deletions_hit_zero_and_recover() {
     for threads in THREADS {
         let mut g = base.clone();
         let mut ws = SolverWorkspace::new();
-        let mut state = SolveState::fresh(&g, 0xE5, DEFAULT_STALENESS, &mut ws, Some(threads))
-            .expect("base solves");
+        let mut state = SolveState::fresh(&g, 0xE5, &mut ws, Some(threads)).expect("base solves");
         assert_eq!(state.best().value, 9, "bridge is the min cut");
         apply_delta(&mut g, &mut state, &MutationOp::Remove { eid: 12 }).expect("bridge removes");
         let mode = state.resolve(&g, &mut ws, Some(threads)).expect("resolves");
@@ -225,8 +223,7 @@ fn resolve_is_idempotent_between_mutations() {
     let base = gen::cycle_with_chords(18, 5, 3);
     let mut g = base.clone();
     let mut ws = SolverWorkspace::new();
-    let mut state =
-        SolveState::fresh(&g, 1, DEFAULT_STALENESS, &mut ws, Some(2)).expect("base solves");
+    let mut state = SolveState::fresh(&g, 1, &mut ws, Some(2)).expect("base solves");
     let before = (state.best().value, state.best().side.clone());
     let mode = state.resolve(&g, &mut ws, Some(2)).expect("no-op resolve");
     assert_eq!(mode, ResolveMode::Incremental { reswept: 0 });
@@ -237,4 +234,37 @@ fn resolve_is_idempotent_between_mutations() {
     let mode = state.resolve(&g, &mut ws, Some(2)).expect("no-op resolve");
     assert_eq!(mode, ResolveMode::Incremental { reswept: 0 });
     assert_eq!((state.best().value, state.best().side.clone()), after);
+}
+
+#[test]
+fn fresh_snapshot_holds_the_solver_answer() {
+    // A snapshot is the solver's pipeline with the certificate off, so its
+    // answer equals `minimum_cut_with` under the same seed and width, bit
+    // for bit. Every graph has enough edges for the tree loop to fan out.
+    let graphs = [
+        gen::gnm_connected(64, 320, 8, 21),
+        gen::community_ring(8, 20, 4, 22).0,
+        gen::cycle_with_chords(200, 60, 23),
+    ];
+    let mut ws = SolverWorkspace::new();
+    for (gi, g) in graphs.iter().enumerate() {
+        for seed in [1u64, 2, 3] {
+            for threads in THREADS {
+                let cfg = MinCutConfig {
+                    seed,
+                    threads: Some(threads),
+                    use_certificate: false,
+                    ..MinCutConfig::default()
+                };
+                let want = minimum_cut_with(g, &cfg, &mut ws).expect("solves");
+                let state = SolveState::fresh(g, seed, &mut ws, Some(threads)).expect("solves");
+                let got = state.best();
+                let case = format!("graph {gi}, seed {seed}, threads {threads}");
+                assert_eq!(got.value, want.value, "{case}");
+                assert_eq!(got.side, want.side, "{case}");
+                assert_eq!(got.kind, want.kind, "{case}");
+                assert_eq!(got.tree_index, want.tree_index, "{case}");
+            }
+        }
+    }
 }
