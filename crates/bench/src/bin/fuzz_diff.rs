@@ -2,7 +2,7 @@
 //! exact oracle on randomized workloads until a time budget expires.
 //!
 //! ```sh
-//! cargo run --release -p pmc-bench --bin fuzz_diff [seconds] [max_n]
+//! cargo run --release -p pmc-bench --bin fuzz_diff [seconds] [max_n] [--seed S] [--trials N]
 //! ```
 //!
 //! Every trial draws a random family, size, weights and seed; computes
@@ -11,6 +11,11 @@
 //! through the `MinCutSolver` seam; and compares values plus witness
 //! validity. Any mismatch prints a replayable description and exits
 //! non-zero.
+//!
+//! The run draws from `--seed S` (default: the clock, printed first so a
+//! failure can be replayed). `--trials N` runs exactly `N` trials instead
+//! of stopping at the time budget, so a fixed seed and trial count make
+//! the same run on any machine.
 
 use pmc_bench::{solver, SolverConfig};
 use pmc_graph::{gen, Graph};
@@ -76,21 +81,57 @@ fn random_graph(rng: &mut SmallRng, max_n: usize) -> (String, Graph) {
     }
 }
 
+/// The value following flag `name`, parsed; exits with a usage error when
+/// it is missing or malformed.
+fn flag_value(args: &mut impl Iterator<Item = String>, name: &str) -> u64 {
+    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("fuzz_diff: {name} needs a non-negative integer");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let budget = Duration::from_secs(args.first().and_then(|a| a.parse().ok()).unwrap_or(30));
-    let max_n = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(70);
-    let mut rng = SmallRng::seed_from_u64(
+    let mut seconds = 30;
+    let mut max_n = 70;
+    let mut seed = None;
+    let mut max_trials = None;
+    let mut positional = 0;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seed" => seed = Some(flag_value(&mut args, "--seed")),
+            "--trials" => max_trials = Some(flag_value(&mut args, "--trials")),
+            _ => {
+                let v = arg.parse().unwrap_or_else(|_| {
+                    eprintln!("fuzz_diff: unexpected argument {arg:?}");
+                    std::process::exit(2);
+                });
+                match positional {
+                    0 => seconds = v,
+                    1 => max_n = v as usize,
+                    _ => {
+                        eprintln!("fuzz_diff: too many arguments");
+                        std::process::exit(2);
+                    }
+                }
+                positional += 1;
+            }
+        }
+    }
+    let budget = Duration::from_secs(seconds);
+    let seed = seed.unwrap_or_else(|| {
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .unwrap()
-            .as_nanos() as u64,
-    );
+            .as_nanos() as u64
+    });
+    println!("fuzz_diff: seed {seed}");
+    let mut rng = SmallRng::seed_from_u64(seed);
     let oracle = solver("sw");
     let candidates = [solver("paper"), solver("contract"), solver("quadratic")];
     let start = Instant::now();
     let mut trials = 0u64;
-    while start.elapsed() < budget {
+    while max_trials.map_or(start.elapsed() < budget, |n| trials < n) {
         trials += 1;
         let (desc, g) = random_graph(&mut rng, max_n);
         let want = oracle.solve(&g, &SolverConfig::default()).unwrap().value;
@@ -98,7 +139,7 @@ fn main() {
         for cand in &candidates {
             let got = cand.solve(&g, &cfg).unwrap();
             if got.value != want || g.cut_value(&got.side) != got.value {
-                eprintln!("MISMATCH after {trials} trials");
+                eprintln!("MISMATCH at trial {trials} of run seed {seed}");
                 eprintln!("  instance: {desc}");
                 eprintln!("  algorithm: {}", cand.name());
                 eprintln!("  config seed: {}", cfg.seed);

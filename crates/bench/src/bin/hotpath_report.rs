@@ -26,6 +26,9 @@
 //! * solve — the certificate → packing → per-tree 2-respect pipeline
 //!   recomposed from the allocating engines above (same seed wiring as
 //!   the paper solver), fresh buffers per request, one worker each side.
+//!   Like the solver, it sweeps the trees in order and stops at the first
+//!   cut that meets the packing's `cut_lower_bound`, so both sides sweep
+//!   the same trees and the ratio measures only the arena layout.
 //!
 //! Every pair is asserted bit-identical before it is timed. The JSON
 //! records `hardware_threads`; every timed side runs on one thread.
@@ -226,11 +229,12 @@ fn main() {
     //
     // `solve_with` runs the entire flat-arena pipeline. The "before" side
     // recomposes the identical pipeline (certificate → packing → per-tree
-    // 2-respect, same seed wiring as `paper_config`) from the retained
-    // allocating reference engines, so the ratio measures the arena pass
-    // end to end. Both sides are pinned to one worker: the reference loop
-    // is sequential, and an OS-worker fan-out on the flat side would
-    // conflate scheduling with layout.
+    // 2-respect up to the first cut that meets the packing's lower bound,
+    // same seed wiring as `paper_config`) from the retained allocating
+    // reference engines, so the ratio measures the arena pass end to end.
+    // Both sides are pinned to one worker: the reference loop is
+    // sequential, and an OS-worker fan-out on the flat side would conflate
+    // scheduling with layout.
     let cfg = SolverConfig {
         threads: Some(1),
         ..SolverConfig::default()
@@ -246,15 +250,17 @@ fn main() {
             let mut pcfg = PackingConfig::default();
             pcfg.seed = pcfg.seed.wrapping_add(cfg.seed);
             let packing = pack_trees(wg, &pcfg);
-            packing
-                .trees
-                .iter()
-                .map(|te| {
-                    let t = rooted_tree_from_edges(wg, te, 0);
-                    two_respect_mincut(wg, &t).value
-                })
-                .min()
-                .expect("packing returned no trees") as u64
+            let bound = packing.cut_lower_bound as i64;
+            let mut best = i64::MAX;
+            for te in &packing.trees {
+                let t = rooted_tree_from_edges(wg, te, 0);
+                best = best.min(two_respect_mincut(wg, &t).value);
+                if best <= bound {
+                    break;
+                }
+            }
+            assert!(best < i64::MAX, "packing returned no trees");
+            best as u64
         };
         let want = reference_solve(&g);
         let got = s.solve_with(&g, &cfg, &mut ws).expect("solve_with failed");

@@ -6,7 +6,9 @@
 //! `(value, tree index)` — and keeps what it built: the packed trees, each
 //! tree's sweep winner, and the answer. The certificate is skipped so that
 //! pinned trees reference edge ids of the *served* graph, against which
-//! mutations are classified. On such graphs the packing costs about three
+//! mutations are classified. The sweep does not stop at the packing's
+//! lower bound, as one-shot solves do: every tree's winner is cached, and
+//! after a mutation the bound no longer holds. On such graphs the packing costs about three
 //! to five per-tree sweeps (EXPERIMENTS.md E6), so the state answers edge
 //! mutations by re-sweeping, through the pipeline's own per-tree loop,
 //! only the trees whose cached winner a mutation can have changed, and
@@ -175,7 +177,8 @@ impl SolveState {
             use_certificate: false,
             ..MinCutConfig::default()
         };
-        let solved = solve_pipeline(g, &cfg, ws)?;
+        // Every tree's cut is pinned (see the module docs): no early stop.
+        let solved = solve_pipeline(g, &cfg, ws, false)?;
         Ok(SolveState {
             seed,
             trees: solved.trees,
@@ -327,7 +330,7 @@ impl SolveState {
             .collect();
         if !stale.is_empty() {
             let cancel = ws.cancel.as_deref();
-            let cuts = sweep_trees(g, &self.trees, &stale, &mut ws.trees, threads, cancel)?;
+            let cuts = sweep_trees(g, &self.trees, &stale, &mut ws.trees, threads, cancel, None)?;
             for (&i, cut) in stale.iter().zip(cuts) {
                 self.per_tree[i] = cut.into();
                 self.invalid[i] = false;

@@ -11,18 +11,26 @@
 //!    certificate replaces the graph by an exact sparse subgraph;
 //! 3. [`pmc_packing::pack_trees_with`] packs `O(log n)` spanning trees such
 //!    that w.h.p. one of them crosses a minimum cut at most twice
-//!    (Lemma 1);
-//! 4. on every tree, [`two_respect::two_respect_mincut_reusing`] finds the
-//!    smallest cut crossing at most two of its edges (Lemma 13), using the
-//!    Minimum Path batch engine of `pmc-minpath` (§3); the trees fan out
-//!    across OS workers, and a cancellation token is polled before each;
-//! 5. the smallest `(value, tree index)` wins, and its witness is checked
-//!    against the input graph.
+//!    (Lemma 1). The packing also proves `λ ≥ ⌈P⌉` for its value `P`
+//!    ([`TreePacking::cut_lower_bound`](pmc_packing::TreePacking::cut_lower_bound));
+//!    on the certificate graph that bounds the input's `λ` too, since the
+//!    certificate keeps it;
+//! 4. tree by tree in index order, [`two_respect::two_respect_mincut_reusing`]
+//!    finds the smallest cut crossing at most two of the tree's edges
+//!    (Lemma 13), using the Minimum Path batch engine of `pmc-minpath`
+//!    (§3). The trees fan out across OS workers, and a cancellation token
+//!    is polled before each. The sweep stops at the first tree whose cut
+//!    meets the lower bound: no cut is below `λ`, so no later tree can beat
+//!    it, and no later tree starts once it is found;
+//! 5. the smallest `(value, tree index)` over the swept trees wins, and its
+//!    witness is checked against the input graph. It is the same winner a
+//!    sweep of every tree picks, at every worker count.
 //!
 //! [`minimum_cut_with`] runs it on a reused [`SolverWorkspace`];
 //! [`minimum_cut`] and [`minimum_cut_report`] run it on a fresh one; a
-//! [`SolveState`] runs it without the certificate and keeps the trees and
-//! per-tree cuts, so an edge update re-sweeps only the trees it touched.
+//! [`SolveState`] runs it without the certificate and without the early
+//! stop, and keeps the trees and every tree's cut, so an edge update
+//! re-sweeps only the trees it touched.
 //!
 //! ```
 //! use pmc_core::{minimum_cut, MinCutConfig};
@@ -92,6 +100,11 @@ fn tree_loop_workers(ntrees: usize, m: usize, threads: Option<usize>) -> usize {
 /// its arena's history, so results are bit-identical at every width.
 /// `cancel` is polled before each tree: once it trips, the remaining trees
 /// are skipped and the loop answers [`PmcError::Cancelled`].
+///
+/// With a `bound` no cut can fall below (a lower bound on `g`'s minimum
+/// cut), the loop stops at the first tree whose cut meets it and returns
+/// the cuts up to that tree: a prefix that is the same at every width
+/// ([`pmc_par::fanout_units_until`]).
 fn sweep_trees(
     g: &Graph,
     trees: &PackedTreeList,
@@ -99,19 +112,37 @@ fn sweep_trees(
     arenas: &mut Vec<TreeArena>,
     threads: Option<usize>,
     cancel: Option<&CancelToken>,
+    bound: Option<u64>,
 ) -> Result<Vec<TwoRespectCut>, PmcError> {
     let workers = tree_loop_workers(indices.len(), g.m(), threads);
     if arenas.len() < workers {
         arenas.resize_with(workers, TreeArena::default);
     }
-    pmc_par::fanout_units(&mut arenas[..workers], indices.len(), |arena, k| {
-        if cancel.is_some_and(|c| c.expired()) {
-            return None;
-        }
-        let TreeArena { root, batch } = arena;
-        root.rebuild(g, &trees[indices[k]], 0);
-        Some(two_respect_mincut_reusing(g, root.tree(), batch))
-    })
+    let bound = bound.map(|b| i64::try_from(b).unwrap_or(i64::MAX));
+    let meets_bound = |cut: &Option<TwoRespectCut>| {
+        cut.as_ref()
+            .zip(bound)
+            .is_some_and(|(cut, b)| cut.value <= b)
+    };
+    pmc_par::fanout_units_until(
+        &mut arenas[..workers],
+        indices.len(),
+        |arena, k| {
+            if cancel.is_some_and(|c| c.expired()) {
+                return None;
+            }
+            let TreeArena { root, batch } = arena;
+            root.rebuild(g, &trees[indices[k]], 0);
+            let cut = two_respect_mincut_reusing(g, root.tree(), batch);
+            debug_assert!(
+                bound.is_none_or(|b| cut.value >= b),
+                "tree cut {} is below the packing's lower bound {bound:?}",
+                cut.value
+            );
+            Some(cut)
+        },
+        meets_bound,
+    )
     .into_iter()
     .collect::<Option<Vec<_>>>()
     .ok_or(PmcError::Cancelled)
@@ -253,15 +284,25 @@ pub struct MinCutReport {
     pub certificate_kept: f64,
     /// Sampling rate of the accepted skeleton.
     pub skeleton_p: f64,
-    /// Estimated packing value of the skeleton (Θ(log n) by design).
+    /// Estimated packing value `P` of the skeleton. It is `Θ(log n)` by
+    /// design only on a sampled skeleton (`p < 1`); at `p = 1` it is the
+    /// packed graph's own packing value, between `λ / 2` and `λ`.
     pub packing_value: f64,
+    /// `⌈P⌉`, computed exactly: a proven lower bound on the minimum cut
+    /// (0 when the pipeline shortcut around the packing).
+    pub lower_bound: u64,
     /// Distinct trees in the full greedy packing.
     pub distinct_trees: usize,
-    /// Trees actually examined by the 2-respect search.
+    /// Trees the packing selected for the 2-respect search.
+    pub trees_selected: usize,
+    /// Trees the 2-respect search swept: the selected trees up to and
+    /// including the first whose cut met [`MinCutReport::lower_bound`], or
+    /// every selected tree. The same at every worker count.
     pub trees_examined: usize,
     /// Bough phases of the winning tree's cascade.
     pub phases: u32,
-    /// Total Minimum Path operations generated across all trees/phases.
+    /// Total Minimum Path operations generated across the swept trees and
+    /// their phases.
     pub batch_ops_total: u64,
     /// Time spent in certificate preprocessing.
     pub t_certificate: std::time::Duration,
@@ -271,9 +312,9 @@ pub struct MinCutReport {
     pub t_two_respect: std::time::Duration,
 }
 
-/// What one run of the pipeline built: the answer, the stage report, and
-/// the packed trees with each tree's cut in tree order (both empty for the
-/// shortcut answers).
+/// What one run of the pipeline built: the answer, the stage report, the
+/// packed trees, and the cuts of the swept trees in tree order (all of
+/// them without the early stop). Both are empty for the shortcut answers.
 struct Solved {
     result: MinCutResult,
     report: MinCutReport,
@@ -285,11 +326,14 @@ struct Solved {
 /// docs, on the arenas of `ws`: the certificate is built into
 /// `ws.cert_graph`, the packing runs on `ws.packing`, the per-tree loop on
 /// `ws.trees`. The token installed on `ws` is polled before the
-/// certificate, before the packing, and before each tree's sweep.
+/// certificate, before the packing, and before each tree's sweep. With
+/// `stop_at_bound` the per-tree loop stops at the first tree whose cut
+/// meets the packing's lower bound; without it every tree is swept.
 fn solve_pipeline(
     g: &Graph,
     cfg: &MinCutConfig,
     ws: &mut SolverWorkspace,
+    stop_at_bound: bool,
 ) -> Result<Solved, PmcError> {
     let n = g.n();
     if n < 2 {
@@ -373,10 +417,12 @@ fn solve_pipeline(
     report.t_packing = t0.elapsed();
     report.skeleton_p = packing.skeleton_p;
     report.packing_value = packing.packing_value;
+    report.lower_bound = packing.cut_lower_bound;
     report.distinct_trees = packing.distinct_trees;
-    report.trees_examined = packing.trees.len();
+    report.trees_selected = packing.trees.len();
 
-    // Lemma 13 on every tree; the smallest (value, tree index) wins.
+    // Lemma 13 tree by tree, up to the first cut that meets the lower
+    // bound; the smallest (value, tree index) wins.
     let t0 = Instant::now();
     let every_tree: Vec<usize> = (0..packing.trees.len()).collect();
     let cuts = sweep_trees(
@@ -386,8 +432,10 @@ fn solve_pipeline(
         arenas,
         cfg.threads,
         cancel,
+        stop_at_bound.then_some(packing.cut_lower_bound),
     )?;
     report.t_two_respect = t0.elapsed();
+    report.trees_examined = cuts.len();
     report.batch_ops_total = cuts.iter().map(|c| c.batch_ops).sum();
     let per_tree = cuts.iter().map(|c| (c.value, &c.side[..], c.kind));
     let result = best_tree_cut(g, per_tree, cfg.verify);
@@ -417,11 +465,15 @@ pub fn minimum_cut(g: &Graph, cfg: &MinCutConfig) -> Result<MinCutResult, PmcErr
 ///
 /// The stages run in the order of the crate docs: shortcuts, the
 /// Nagamochi–Ibaraki certificate (when `cfg.use_certificate` and it
-/// shrinks the graph), the Lemma 1 packing, the Lemma 13 search on every
-/// packed tree, then the smallest `(value, tree index)` wins. The per-tree
-/// searches fan out across OS workers — one [`TreeArena`] per worker — up
-/// to `cfg.threads` or the ambient rayon thread budget; small inputs run
-/// the same loop on `trees[0]`. Results are bit-identical at every width.
+/// shrinks the graph), the Lemma 1 packing and its lower bound `⌈P⌉`, the
+/// Lemma 13 search tree by tree in index order, then the smallest
+/// `(value, tree index)` wins. The search stops at the first tree whose
+/// cut equals the bound: that cut is proven minimum, and no later tree
+/// can beat its index, so the answer (value, witness, kind and tree
+/// index) is the one a sweep of every tree gives. The per-tree searches
+/// fan out across OS workers — one [`TreeArena`] per worker — up to
+/// `cfg.threads` or the ambient rayon thread budget; small inputs run the
+/// same loop on one worker. Results are bit-identical at every width.
 /// A [`CancelToken`] installed on `ws` is polled before the certificate,
 /// before the packing and before each tree, and answers
 /// [`PmcError::Cancelled`] once it trips.
@@ -430,7 +482,7 @@ pub fn minimum_cut_with(
     cfg: &MinCutConfig,
     ws: &mut SolverWorkspace,
 ) -> Result<MinCutResult, PmcError> {
-    solve_pipeline(g, cfg, ws).map(|s| s.result)
+    solve_pipeline(g, cfg, ws, true).map(|s| s.result)
 }
 
 /// [`minimum_cut`] plus a stage-by-stage [`MinCutReport`] with timings and
@@ -439,7 +491,7 @@ pub fn minimum_cut_report(
     g: &Graph,
     cfg: &MinCutConfig,
 ) -> Result<(MinCutResult, MinCutReport), PmcError> {
-    solve_pipeline(g, cfg, &mut SolverWorkspace::new()).map(|s| (s.result, s.report))
+    solve_pipeline(g, cfg, &mut SolverWorkspace::new(), true).map(|s| (s.result, s.report))
 }
 
 #[cfg(test)]
@@ -540,6 +592,8 @@ mod tests {
         assert!(g.is_proper_cut(&cut.side));
         assert!(report.trees_examined >= 1);
         assert!(report.distinct_trees >= report.trees_examined);
+        assert!(report.trees_selected >= report.trees_examined);
+        assert!(report.lower_bound >= 1 && report.lower_bound <= cut.value);
         assert!(report.phases >= 1);
         assert!(report.batch_ops_total > 0);
         assert!(report.packing_value > 0.0);

@@ -20,6 +20,20 @@
 //! packing at that rate, and weighted sampling of `O(log n)` distinct
 //! trees. Karger's theorem guarantees that w.h.p. at least one selected
 //! tree crosses a minimum cut of the *original* graph at most twice.
+//!
+//! The final run also proves a lower bound on the minimum cut `λ` of the
+//! graph it packed. Scaled by `1 / max_ratio`, its `R` trees form a
+//! fractional packing of spanning trees of value `P = R / max_ratio` in
+//! which no edge carries more than its multiplicity. A multiplicity never
+//! exceeds its edge's weight: [`full_skeleton`] caps it at `u32::MAX`, and
+//! a sampled one is `⌊wp⌋ + Bernoulli(frac(wp)) ≤ w` for `p ≤ 1`. So the
+//! packing fits inside the graph's own weights. Every spanning tree
+//! crosses every cut, so every cut weighs at least `P` (the easy half of
+//! Nash-Williams–Tutte duality), and with integer weights `λ ≥ ⌈P⌉`.
+//! [`TreePacking::cut_lower_bound`] is that `⌈P⌉`, computed in integers
+//! from the final run's counters, never from the f64
+//! [`TreePacking::packing_value`]. A capped or sampled multiplicity only
+//! weakens it; in practice it can meet `λ` only at `p = 1`.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -192,6 +206,9 @@ pub struct TreePacking {
     pub skeleton_p: f64,
     /// Estimated packing value of the accepted skeleton.
     pub packing_value: f64,
+    /// `⌈P⌉` for the final packing's value `P`, computed exactly: a lower
+    /// bound on the packed graph's minimum cut (see the module docs).
+    pub cut_lower_bound: u64,
     /// Number of greedy rounds in the final packing.
     pub rounds: usize,
     /// Number of distinct trees the full packing contained.
@@ -458,6 +475,7 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
     let (mut distinct, value) = pack_greedy_with(g, &skeleton, final_rounds, ws)
         .expect("accepted skeleton must span the graph");
     let distinct_trees = distinct.len();
+    let cut_lower_bound = cut_lower_bound(final_rounds as u64, &ws.left_out, &ws.mult);
 
     // --- Weighted selection without replacement -----------------------------
     // Draw trees proportionally to multiplicity until we have the requested
@@ -492,9 +510,33 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
         tree_weights,
         skeleton_p: skeleton.p,
         packing_value: value,
+        cut_lower_bound,
         rounds: final_rounds,
         distinct_trees,
     }
+}
+
+/// `⌈P⌉` for a greedy run of `rounds` rounds with the given per-edge
+/// left-out counters and multiplicities: `P = rounds / max(load / mult)`,
+/// so `⌈P⌉ = ⌈rounds · mult / load⌉` at the edge of largest load ratio.
+/// Ratios are compared by `u128` cross-multiplication, so the result is
+/// exact. Every round loads `n - 1 ≥ 1` edges, so some load is positive.
+fn cut_lower_bound(rounds: u64, left_out: &[u32], mult: &[u32]) -> u64 {
+    // `(load, mult)` of the largest ratio so far; `(0, 1)` is ratio 0.
+    let (load, cap) = left_out
+        .iter()
+        .zip(mult)
+        .fold((0u64, 1u64), |(l, c), (&lo, &m)| {
+            let (l2, c2) = (rounds - u64::from(lo), u64::from(m));
+            if u128::from(l2) * u128::from(c) > u128::from(l) * u128::from(c2) {
+                (l2, c2)
+            } else {
+                (l, c)
+            }
+        });
+    assert!(load > 0, "a greedy run loads at least one edge");
+    let bound = (u128::from(rounds) * u128::from(cap)).div_ceil(u128::from(load));
+    u64::try_from(bound).unwrap_or(u64::MAX)
 }
 
 /// Roots a spanning tree given by graph edge ids at `root`.
@@ -793,6 +835,68 @@ mod tests {
             &full_skeleton(&small),
             4100
         ));
+    }
+
+    /// The default packing on the full skeleton.
+    fn full_packing(g: &Graph) -> TreePacking {
+        let cfg = PackingConfig {
+            force_full_skeleton: true,
+            ..PackingConfig::default()
+        };
+        pack_trees(g, &cfg)
+    }
+
+    #[test]
+    fn lower_bound_on_weighted_bridges_is_the_lightest_bridge() {
+        // Two heavy triangles joined by a bridge of weight 3, plus a
+        // pendant bridge of weight 4: every tree carries both bridges, so
+        // P = 3 = λ.
+        let g = Graph::from_edges(
+            7,
+            &[
+                (0, 1, 10),
+                (1, 2, 10),
+                (2, 0, 10),
+                (3, 4, 10),
+                (4, 5, 10),
+                (5, 3, 10),
+                (2, 3, 3),
+                (5, 6, 4),
+            ],
+        )
+        .unwrap();
+        let packing = full_packing(&g);
+        assert_eq!(packing.cut_lower_bound, 3);
+        assert_eq!(packing.packing_value, 3.0);
+    }
+
+    #[test]
+    fn lower_bound_on_a_cycle_is_its_cut() {
+        // Every tree of a unit cycle drops one edge, and the greedy run
+        // drops the most loaded one. After R ≥ n rounds every edge was
+        // dropped at least once, so each load is below R: P > 1, and
+        // ⌈P⌉ = 2 = λ.
+        let g = gen::cycle_with_chords(40, 0, 0);
+        let packing = full_packing(&g);
+        assert!(packing.packing_value > 1.0, "{}", packing.packing_value);
+        assert_eq!(packing.cut_lower_bound, 2);
+    }
+
+    #[test]
+    fn capped_multiplicities_only_weaken_the_lower_bound() {
+        let heavy = 1u64 << 38;
+        // A bridge heavier than u32::MAX beside a light one: the light
+        // bridge still sets the bound.
+        let g = Graph::from_edges(3, &[(0, 1, heavy), (1, 2, 3)]).unwrap();
+        assert_eq!(full_packing(&g).cut_lower_bound, 3);
+        // A triangle of such edges has λ = 2^39, but each multiplicity is
+        // capped at u32::MAX, so the packing is worth at most
+        // 1.5 · u32::MAX: a sound bound, far below λ.
+        let tri = Graph::from_edges(3, &[(0, 1, heavy), (1, 2, heavy), (2, 0, heavy)]).unwrap();
+        let cap = u64::from(u32::MAX);
+        let bound = full_packing(&tri).cut_lower_bound;
+        assert!(bound >= cap && bound <= cap + cap / 2 + 1, "{bound}");
+        assert!(bound < 2 * heavy);
     }
 
     #[test]

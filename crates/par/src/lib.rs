@@ -16,7 +16,8 @@
 //! * [`random_mate`] — independent sets on chains for the Las Vegas bough
 //!   contraction (Lemma 8).
 //! * [`fanout`](mod@fanout) — deterministic OS-thread fan-out of independent
-//!   work units over per-worker scratch states; the coarse-grained
+//!   work units over per-worker scratch states, optionally stopping at the
+//!   first unit whose result meets a predicate; the coarse-grained
 //!   parallelism layer (per-tree solver loop, suite cells, pooled batches).
 //!
 //! Everything is deterministic given fixed inputs (and a fixed seed where
@@ -37,7 +38,7 @@ pub mod sort;
 pub mod util;
 
 pub use coloring::{chain_independent_set_by_coloring, color3_chains};
-pub use fanout::fanout_units;
+pub use fanout::{fanout_units, fanout_units_until};
 pub use list_rank::{list_rank, list_rank_blocked, list_rank_in, ListRankScratch};
 pub use merge::{merge_by_key, merge_by_key_into, par_merge};
 pub use random_mate::{chain_independent_set, chain_independent_set_in, MateScratch};

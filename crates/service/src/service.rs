@@ -1118,8 +1118,27 @@ impl Service {
             });
         }
         std::thread::scope(|scope| -> io::Result<()> {
+            let mut backoff = ACCEPT_BACKOFF_MIN;
             loop {
-                let (mut socket, _) = listener.accept()?;
+                let (mut socket, _) = match listener.accept() {
+                    Ok(accepted) => {
+                        backoff = ACCEPT_BACKOFF_MIN;
+                        accepted
+                    }
+                    // A transient failure must not end the listener; the
+                    // stop flag is checked first, since a listener out of
+                    // descriptors cannot accept the wake connection.
+                    Err(e) => match accept_retry(&e) {
+                        AcceptRetry::Fatal => return Err(e),
+                        _ if stop.load(Ordering::SeqCst) => break,
+                        AcceptRetry::Now => continue,
+                        AcceptRetry::Backoff => {
+                            std::thread::sleep(backoff);
+                            backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                            continue;
+                        }
+                    },
+                };
                 if stop.load(Ordering::SeqCst) {
                     // The wake connection, or a raced late client. The
                     // latter deserves an answer, not a silent close:
@@ -1166,6 +1185,47 @@ impl Service {
             self.wait_for_drain();
             Ok(())
         })
+    }
+}
+
+/// First wait before the accept loop retries after running out of
+/// descriptors or memory; the wait doubles per consecutive failure.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
+/// Largest wait between such retries.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// What the accept loop does after `accept()` fails.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AcceptRetry {
+    /// The failure belonged to one connection (aborted or reset before it
+    /// was accepted) or to the call (interrupted, would block): accept the
+    /// next connection right away.
+    Now,
+    /// The process or the system ran out of descriptors or buffer memory
+    /// (`EMFILE`, `ENFILE`, `ENOBUFS`, `ENOMEM`): retry after a capped
+    /// backoff, once connections have closed.
+    Backoff,
+    /// Anything else ends the listener with the error.
+    Fatal,
+}
+
+/// Classifies an `accept()` error for the accept loop.
+fn accept_retry(e: &io::Error) -> AcceptRetry {
+    // Linux errno values of EMFILE, ENFILE, ENOBUFS and ENOMEM.
+    const RESOURCE_EXHAUSTED: [i32; 4] = [24, 23, 105, 12];
+    match e.kind() {
+        io::ErrorKind::ConnectionAborted
+        | io::ErrorKind::ConnectionReset
+        | io::ErrorKind::Interrupted
+        | io::ErrorKind::WouldBlock => AcceptRetry::Now,
+        io::ErrorKind::OutOfMemory => AcceptRetry::Backoff,
+        _ if e
+            .raw_os_error()
+            .is_some_and(|code| RESOURCE_EXHAUSTED.contains(&code)) =>
+        {
+            AcceptRetry::Backoff
+        }
+        _ => AcceptRetry::Fatal,
     }
 }
 
@@ -1251,6 +1311,37 @@ mod tests {
     use super::*;
     use crate::protocol::graph_id;
     use std::io::Read as _;
+
+    #[test]
+    fn accept_errors_are_classified_transient_or_fatal() {
+        use io::ErrorKind as K;
+        for kind in [
+            K::ConnectionAborted,
+            K::ConnectionReset,
+            K::Interrupted,
+            K::WouldBlock,
+        ] {
+            assert_eq!(accept_retry(&io::Error::from(kind)), AcceptRetry::Now);
+        }
+        // EMFILE, ENFILE, ENOBUFS, ENOMEM.
+        for errno in [24, 23, 105, 12] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert_eq!(accept_retry(&e), AcceptRetry::Backoff, "errno {errno}");
+        }
+        assert_eq!(
+            accept_retry(&io::Error::from(K::OutOfMemory)),
+            AcceptRetry::Backoff
+        );
+        // EBADF, EINVAL, and kinds that say the listener itself is broken.
+        for e in [
+            io::Error::from_raw_os_error(9),
+            io::Error::from_raw_os_error(22),
+            io::Error::from(K::PermissionDenied),
+            io::Error::from(K::InvalidInput),
+        ] {
+            assert_eq!(accept_retry(&e), AcceptRetry::Fatal, "{e}");
+        }
+    }
 
     /// One shard: these tests pin global LRU ordering and exact counter
     /// values, which per-shard budgets would redistribute.

@@ -1,13 +1,23 @@
 //! Stage-by-stage introspection with `minimum_cut_report`: where does the
 //! time go, how sparse did the certificate and skeleton make the problem,
-//! and how many Minimum Path operations did the 2-respect search generate?
+//! what lower bound did the packing prove, how many packed trees did the
+//! 2-respect search sweep before a cut met that bound, and how many
+//! Minimum Path operations did it generate?
 //!
 //! ```sh
 //! cargo run --release --example pipeline_report
 //! ```
+//!
+//! The last table runs every scenario of the corpus at seeds 0–2 and
+//! counts, per family, the instances whose answer met the bound (the sweep
+//! stopped early with a proven minimum) and the trees swept of the trees
+//! packed.
+
+use std::collections::BTreeMap;
 
 use parallel_mincut::core_alg::{minimum_cut_report, MinCutConfig};
 use parallel_mincut::graph::gen;
+use parallel_mincut::scenario::corpus;
 
 fn main() {
     let workloads: Vec<(&str, parallel_mincut::Graph)> = vec![
@@ -18,6 +28,10 @@ fn main() {
         (
             "planted bisection (n=2048)",
             gen::planted_bisection(1024, 1024, 40, 5, 2048, 2).0,
+        ),
+        (
+            "community ring (32 x 64)",
+            gen::community_ring(32, 64, 4, 1).0,
         ),
         ("dense + weak vertex", {
             let dense = gen::complete(300, 3, 3);
@@ -47,19 +61,58 @@ fn main() {
             println!("   certificate: skipped (input already sparse)");
         }
         println!(
-            "   packing: skeleton p = {:.3}, value = {:.1}, {} distinct trees, {} examined ({:.1} ms)",
+            "   packing: skeleton p = {:.3}, value = {:.3}, lower bound = {}, {} distinct trees ({:.1} ms)",
             r.skeleton_p,
             r.packing_value,
+            r.lower_bound,
             r.distinct_trees,
-            r.trees_examined,
             r.t_packing.as_secs_f64() * 1e3
         );
         println!(
-            "   2-respect: {} phases, {} MinPath ops total ({:.1} ms)",
+            "   2-respect: swept {} of {} packed trees{}, {} phases, {} MinPath ops total ({:.1} ms)",
+            r.trees_examined,
+            r.trees_selected,
+            if cut.value == r.lower_bound {
+                " (answer meets the bound)"
+            } else {
+                ""
+            },
             r.phases,
             r.batch_ops_total,
             r.t_two_respect.as_secs_f64() * 1e3
         );
         println!();
     }
+
+    // Per family: instances, instances whose answer met the bound, trees
+    // swept, trees packed.
+    let mut families: BTreeMap<&str, [usize; 4]> = BTreeMap::new();
+    for scenario in corpus() {
+        for seed in 0..3 {
+            let g = scenario.instantiate(seed).graph;
+            let (cut, r) = minimum_cut_report(&g, &MinCutConfig::default()).unwrap();
+            let row = families.entry(scenario.family()).or_default();
+            row[0] += 1;
+            row[1] += usize::from(cut.value == r.lower_bound);
+            row[2] += r.trees_examined;
+            row[3] += r.trees_selected;
+        }
+    }
+    println!("== corpus, seeds 0-2: answers meeting the bound, trees swept of packed");
+    println!("| family | instances | bound met | trees swept | trees packed |");
+    println!("|---|---|---|---|---|");
+    let mut total = [0usize; 4];
+    for (family, row) in &families {
+        println!(
+            "| {family} | {} | {} | {} | {} |",
+            row[0], row[1], row[2], row[3]
+        );
+        for (t, r) in total.iter_mut().zip(row) {
+            *t += r;
+        }
+    }
+    println!(
+        "| **total** | {} | {} | {} | {} |",
+        total[0], total[1], total[2], total[3]
+    );
 }

@@ -2,10 +2,18 @@
 //! against exact oracles on randomly generated graphs.
 
 use parallel_mincut::baseline::{quadratic_two_respect, stoer_wagner};
-use parallel_mincut::core_alg::{minimum_cut, two_respect_mincut, MinCutConfig};
-use parallel_mincut::graph::Graph;
-use parallel_mincut::packing::{kruskal_mst, rooted_tree_from_edges, set_bits, RepeatedMst};
+use parallel_mincut::core_alg::{
+    minimum_cut, minimum_cut_report, minimum_cut_with, two_respect_mincut, MinCutConfig,
+    SolveState, SolverWorkspace,
+};
+use parallel_mincut::graph::{gen, Graph};
+use parallel_mincut::packing::{
+    kruskal_mst, pack_trees, rooted_tree_from_edges, sample_skeleton, set_bits, PackingConfig,
+    RepeatedMst,
+};
+use parallel_mincut::scenario::{corpus_filtered, Oracle};
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 /// Arbitrary connected weighted graph: spanning-tree backbone + extras.
 fn arb_connected_graph(max_n: usize, extra: usize) -> impl Strategy<Value = Graph> {
@@ -202,5 +210,154 @@ proptest! {
                 prop_assert!(g.cut_value(&side) >= cut.value);
             }
         }
+    }
+}
+
+/// The corpus scenarios matching `filter` (all of them for `None`) at
+/// seeds 0–2, named `scenario#seed`, with their exact minimum cuts.
+fn corpus_instances(filter: Option<&str>) -> Vec<(String, Graph, u64)> {
+    corpus_filtered(filter)
+        .iter()
+        .flat_map(|s| {
+            (0..3).map(move |seed| {
+                let inst = s.instantiate(seed);
+                let lambda = match inst.oracle {
+                    Oracle::Known(v) => v,
+                    Oracle::Baseline => stoer_wagner(&inst.graph).unwrap().value,
+                };
+                (format!("{}#{seed}", s.name()), inst.graph, lambda)
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn packing_lower_bound_is_sound_on_the_corpus() {
+    // With the default (certificate-on) config: instances whose answer
+    // meets the bound, trees swept, trees packed.
+    let mut counts = (0, 0, 0);
+    for (name, g, lambda) in corpus_instances(None) {
+        for use_certificate in [true, false] {
+            let cfg = MinCutConfig {
+                use_certificate,
+                ..MinCutConfig::default()
+            };
+            let (cut, r) = minimum_cut_report(&g, &cfg).unwrap();
+            let at = format!("{name}, certificate {use_certificate}");
+            assert_eq!(cut.value, lambda, "{at}");
+            assert!(r.lower_bound <= lambda, "{at}: bound {}", r.lower_bound);
+            // On the full skeleton the bound is ⌈P⌉ of the reported P,
+            // wherever f64 rounding cannot blur the ceiling.
+            let p = r.packing_value;
+            if r.skeleton_p == 1.0 && (p - p.round()).abs() > 1e-9 {
+                assert_eq!(r.lower_bound, p.ceil() as u64, "{at}: P = {p}");
+            }
+            if use_certificate {
+                counts.0 += usize::from(cut.value == r.lower_bound);
+                counts.1 += r.trees_examined;
+                counts.2 += r.trees_selected;
+            }
+        }
+    }
+    // The corpus counts EXPERIMENTS.md § E20 reports; they move only when
+    // the packing or the early exit does.
+    assert_eq!(counts, (58, 719, 1610));
+}
+
+#[test]
+fn packing_lower_bound_is_sound_on_sampled_skeletons() {
+    for seed in 0..3u64 {
+        let heavy = [
+            gen::gnm_connected(60, 240, 5000, seed),
+            gen::planted_bisection(30, 30, 2000, 3, 30, seed).0,
+        ];
+        for g in &heavy {
+            let lambda = stoer_wagner(g).unwrap().value;
+            let cfg = PackingConfig {
+                seed,
+                ..PackingConfig::default()
+            };
+            let packing = pack_trees(g, &cfg);
+            assert!(packing.skeleton_p < 1.0, "seed {seed}: not sampled");
+            assert!(
+                packing.cut_lower_bound <= lambda,
+                "seed {seed}: bound {} above λ = {lambda}",
+                packing.cut_lower_bound
+            );
+        }
+        // A sampled multiplicity never exceeds its edge's weight, also
+        // when it is capped at u32::MAX.
+        let capped =
+            Graph::from_edges(3, &[(0, 1, 1 << 36), (1, 2, (1 << 32) + 7), (0, 2, 5)]).unwrap();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        for g in heavy.iter().chain([&capped]) {
+            for p in [1.0, 0.999, 0.5, 0.1, 0.01] {
+                let sk = sample_skeleton(g, p, &mut rng);
+                for (e, &mult) in g.edges().iter().zip(&sk.multiplicity) {
+                    assert!(u64::from(mult) <= e.w, "p {p}: {mult} > {}", e.w);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn early_exit_matches_a_full_sweep_at_every_width() {
+    // The corpus, plus community rings large enough (m >= 256) for the
+    // per-tree loop to fan out.
+    let mut graphs: Vec<(String, Graph)> = corpus_instances(None)
+        .into_iter()
+        .map(|(name, g, _)| (name, g))
+        .collect();
+    for s in 0..3 {
+        graphs.push((format!("ring8x32#{s}"), gen::community_ring(8, 32, 4, s).0));
+    }
+    for (name, g) in &graphs {
+        let mut counters = None;
+        for threads in [1, 2, 8] {
+            let cfg = MinCutConfig {
+                threads: Some(threads),
+                use_certificate: false,
+                ..MinCutConfig::default()
+            };
+            let mut ws = SolverWorkspace::new();
+            let got = minimum_cut_with(g, &cfg, &mut ws).unwrap();
+            // `SolveState::fresh` sweeps every packed tree.
+            let full = SolveState::fresh(g, cfg.seed, &mut ws, cfg.threads).unwrap();
+            let want = full.best();
+            let at = format!("{name}, {threads} threads");
+            assert_eq!(got.value, want.value, "{at}");
+            assert_eq!(got.side, want.side, "{at}");
+            assert_eq!(got.kind, want.kind, "{at}");
+            assert_eq!(got.tree_index, want.tree_index, "{at}");
+            let (_, r) = minimum_cut_report(g, &cfg).unwrap();
+            let now = (r.trees_examined, r.batch_ops_total, r.phases);
+            assert_eq!(*counters.get_or_insert(now), now, "{at}");
+        }
+    }
+}
+
+#[test]
+fn early_exit_stops_on_rings_and_sweeps_dense_families() {
+    // The solve-community ring: the bound (⌈1.03⌉ = 2) is met by tree 0.
+    let (ring, _) = gen::community_ring(32, 64, 4, 1);
+    for threads in [1, 2] {
+        let cfg = MinCutConfig {
+            threads: Some(threads),
+            ..MinCutConfig::default()
+        };
+        let (cut, r) = minimum_cut_report(&ring, &cfg).unwrap();
+        assert_eq!((cut.value, r.lower_bound), (2, 2), "{threads} threads");
+        assert_eq!((r.trees_examined, r.trees_selected), (1, 36));
+    }
+    // Complete graphs and tori pack at about λ / 2: the bound never
+    // closes, and every packed tree is swept.
+    let dense = corpus_instances(Some("complete, torus"));
+    assert_eq!(dense.len(), 12, "two complete and two torus scenarios");
+    for (name, g, lambda) in dense {
+        let (cut, r) = minimum_cut_report(&g, &MinCutConfig::default()).unwrap();
+        assert_eq!(cut.value, lambda, "{name}");
+        assert!(r.lower_bound < lambda, "{name}");
+        assert_eq!(r.trees_examined, r.trees_selected, "{name}");
     }
 }
