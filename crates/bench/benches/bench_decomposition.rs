@@ -17,7 +17,6 @@ fn bench(c: &mut Criterion) {
     for (name, tree) in &shapes {
         for strat in [
             Strategy::BoughWalk,
-            Strategy::BoughListRank,
             Strategy::BoughRandomMate,
             Strategy::HeavyLight,
         ] {

@@ -2,7 +2,8 @@
 //!
 //! Checks the structural guarantee (every root-to-leaf path crosses at most
 //! `log₂ n` decomposition paths) on adversarial shapes and times the three
-//! strategies (bough walk, bough via list ranking, heavy-light).
+//! strategies: the bough walk the solver runs, Lemma 8's random-mate bough
+//! contraction (the low-depth reference) and heavy-light (the ablation).
 
 use pmc_bench::*;
 use pmc_graph::{gen, RootedTree};
@@ -45,9 +46,7 @@ fn main() {
         let log2n = (usize::BITS - n.leading_zeros()) as usize;
         for strat in [
             Strategy::BoughWalk,
-            Strategy::BoughListRank,
             Strategy::BoughRandomMate,
-            Strategy::BoughDeterministic,
             Strategy::HeavyLight,
         ] {
             let t = time_best(3, || {

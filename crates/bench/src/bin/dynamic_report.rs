@@ -16,8 +16,8 @@
 //!
 //! Deltas are weight *increases*, the service's steady-state churn shape
 //! and the case the exact invalidation rule classifies per tree (a
-//! decrease conservatively re-sweeps every pinned tree — still far
-//! cheaper than the re-pack it avoids). Each trial starts from a warm,
+//! decrease re-sweeps every pinned tree, and re-packs unless it lowers
+//! the answer by as much as it removed). Each trial starts from a warm,
 //! non-stale snapshot, which is exactly the cache's steady state.
 
 use std::io::Write as _;

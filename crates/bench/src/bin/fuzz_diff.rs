@@ -23,8 +23,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
+/// One random instance, with a replayable description, from twelve
+/// families: seven structured ones and the scenario corpus's five
+/// adversarial generators (random regular, power-law, heavy-tailed
+/// weights, bridge, contracted multigraph).
 fn random_graph(rng: &mut SmallRng, max_n: usize) -> (String, Graph) {
-    let family = rng.gen_range(0..7);
+    let family = rng.gen_range(0..12);
     let seed = rng.gen::<u64>();
     match family {
         0 => {
@@ -72,11 +76,56 @@ fn random_graph(rng: &mut SmallRng, max_n: usize) -> (String, Graph) {
             let d = rng.gen_range(2..6);
             (format!("hypercube d={d}"), gen::hypercube(d))
         }
-        _ => {
+        6 => {
             let c = rng.gen_range(2..5);
             let s = rng.gen_range(3..10);
             let (g, _) = gen::community_ring(c, s, rng.gen_range(2..9), seed);
             (format!("communities c={c} s={s} seed={seed}"), g)
+        }
+        7 => {
+            // A pairing exists only when n·d is even.
+            let d = rng.gen_range(3..7);
+            let n = rng.gen_range(4..max_n);
+            let n = n + (n * d) % 2;
+            (
+                format!("regular n={n} d={d} seed={seed}"),
+                gen::random_regular(n, d, seed),
+            )
+        }
+        8 => {
+            let attach = rng.gen_range(1..4);
+            let n = rng.gen_range(attach + 2..max_n.max(attach + 3));
+            (
+                format!("power-law n={n} attach={attach} seed={seed}"),
+                gen::preferential_attachment(n, attach, seed),
+            )
+        }
+        9 => {
+            let n = rng.gen_range(3..max_n);
+            let m = rng.gen_range(n - 1..4 * n);
+            (
+                format!("heavy-gnm n={n} m={m} seed={seed}"),
+                gen::gnm_heavy_tailed(n, m, seed),
+            )
+        }
+        10 => {
+            let side = rng.gen_range(3..max_n / 2 + 3);
+            let chords = rng.gen_range(0..2 * side);
+            let w = rng.gen_range(1..20);
+            let (g, _) = gen::bridge_graph(side, chords, w, seed);
+            (
+                format!("bridge side={side} chords={chords} w={w} seed={seed}"),
+                g,
+            )
+        }
+        _ => {
+            let k = rng.gen_range(2..max_n / 2 + 3);
+            let n = rng.gen_range(k..2 * max_n);
+            let m = rng.gen_range(n - 1..3 * n);
+            (
+                format!("contracted n={n} m={m} k={k} seed={seed}"),
+                gen::contracted_multigraph(n, m, k, seed),
+            )
         }
     }
 }

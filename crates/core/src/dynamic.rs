@@ -8,11 +8,11 @@
 //! pinned trees reference edge ids of the *served* graph, against which
 //! mutations are classified. The sweep does not stop at the packing's
 //! lower bound, as one-shot solves do: every tree's winner is cached, and
-//! after a mutation the bound no longer holds. On such graphs the packing costs about three
-//! to five per-tree sweeps (EXPERIMENTS.md E6), so the state answers edge
-//! mutations by re-sweeping, through the pipeline's own per-tree loop,
-//! only the trees whose cached winner a mutation can have changed, and
-//! reducing the per-tree cache again.
+//! after a mutation the bound no longer holds. The packing costs about
+//! three to five per-tree sweeps (EXPERIMENTS.md E6), so the state answers
+//! edge mutations by re-sweeping, through the pipeline's own per-tree
+//! loop, only the trees whose cached winner a mutation can have changed,
+//! and reducing the per-tree cache again.
 //!
 //! The invalidation rule is exact with respect to the pinned trees. The
 //! per-tree sweep minimizes over the fixed candidate set of
@@ -29,15 +29,24 @@
 //!
 //! A weight *decrease* (reweight down, edge removal) can promote any
 //! candidate that crosses the edge, in every tree, so all trees re-sweep —
-//! that still skips the dominant packing stage. Structural invalidation is
-//! separate: removing an edge a pinned tree *uses* breaks that tree's
-//! spanning property, and there is no cheap local repair, so the state
-//! re-runs the pipeline. So does a state whose accumulated delta weight
-//! exceeds a quarter of the total weight at the last pack: Karger's
-//! analysis only guarantees that cuts within `3/2` of the minimum are
-//! 2-respected w.h.p., so unbounded drift would erode the packing's
-//! coverage guarantee. "Exact" therefore means equal to re-sweeping every
-//! pinned tree, not equal to a fresh packing of the mutated graph.
+//! that still skips the dominant packing stage. Removing an edge a pinned
+//! tree *uses* breaks that tree's spanning property, and there is no cheap
+//! local repair, so the state re-runs the pipeline.
+//!
+//! Re-sweeping answers for the pinned trees; whether they still cover the
+//! minimum cut is a second question, settled by one integer rule. Let
+//! `packed` be the answer at the last pack and `decrease` the weight
+//! removed since then (reweight-down deltas plus removed edges' weights).
+//! A minimum cut of the mutated graph has value at most `best` now, so
+//! its value at pack time was at most `best + decrease`. When that is at
+//! most `packed`, the cut was already a minimum cut when the trees were
+//! packed, and the pinned trees 2-respect it with a fresh solve's
+//! probability (Karger, JACM 2000); the re-swept answer stands. Otherwise
+//! the state re-runs the pipeline. The rule has no constant to tune: a
+//! weight increase off the winner keeps the answer incremental, so does a
+//! decrease on a minimum cut (it lowers `best` by what it adds to
+//! `decrease`), and a decrease that crosses no minimum cut, or an
+//! increase that raises `best`, re-packs.
 //!
 //! Determinism: re-sweeps run through the same
 //! [`fanout_units`](pmc_par::fanout_units) loop as the one-shot solver, in
@@ -51,10 +60,6 @@ use pmc_packing::PackedTreeList;
 use crate::two_respect::{RespectKind, TwoRespectCut};
 use crate::workspace::SolverWorkspace;
 use crate::{best_tree_cut, solve_pipeline, sweep_trees, MinCutConfig, MinCutResult, PmcError};
-
-/// Staleness budget: re-pack once the accumulated absolute delta weight
-/// exceeds this fraction of the total weight at the last pack.
-const STALENESS: f64 = 0.25;
 
 /// Cached outcome of one pinned tree's two-respect sweep. Only the fields
 /// a fresh sweep reproduces verbatim under the invalidation rule — the
@@ -126,7 +131,8 @@ pub enum ResolveMode {
         reswept: usize,
     },
     /// Fell back to a full re-pack: a tree edge was deleted, the packing
-    /// was a shortcut placeholder, or the staleness budget was exceeded.
+    /// was a shortcut placeholder, or the re-swept answer plus the weight
+    /// decrease since the last pack exceeded the answer at that pack.
     Repack,
 }
 
@@ -138,9 +144,9 @@ pub enum ResolveMode {
 /// packed; after each `Graph` mutation the owner reports the delta via
 /// [`SolveState::note_mutation`]; [`SolveState::resolve`] then re-sweeps
 /// what the deltas invalidated (or re-runs the pipeline when a pinned tree
-/// lost an edge or the deltas exceed the staleness budget) and updates
-/// [`SolveState::best`]. The graph passed to `resolve` must be the same
-/// instance the deltas were applied to.
+/// lost an edge or the pinned trees may no longer cover the minimum cut)
+/// and updates [`SolveState::best`]. The graph passed to `resolve` must be
+/// the same instance the deltas were applied to.
 #[derive(Clone, Debug)]
 pub struct SolveState {
     seed: u64,
@@ -149,10 +155,11 @@ pub struct SolveState {
     per_tree: Vec<TreeCut>,
     invalid: Vec<bool>,
     best: MinCutResult,
-    /// Total graph weight at the last pack — the staleness reference.
-    packed_weight: u64,
-    /// Accumulated absolute delta weight since the last pack.
-    stale_weight: u64,
+    /// The answer at the last pack.
+    packed_value: u64,
+    /// Weight removed since the last pack: reweight-down deltas plus
+    /// removed edges' weights.
+    decrease: u64,
     force_repack: bool,
 }
 
@@ -184,9 +191,9 @@ impl SolveState {
             trees: solved.trees,
             invalid: vec![false; solved.cuts.len()],
             per_tree: solved.cuts.into_iter().map(TreeCut::from).collect(),
+            packed_value: solved.result.value,
             best: solved.result,
-            packed_weight: g.total_weight(),
-            stale_weight: 0,
+            decrease: 0,
             force_repack: false,
         })
     }
@@ -209,11 +216,6 @@ impl SolveState {
         self.seed
     }
 
-    /// Accumulated absolute delta weight since the last pack.
-    pub fn stale_weight(&self) -> u64 {
-        self.stale_weight
-    }
-
     /// Bytes of heap memory in active use by the snapshot (`len`-based,
     /// matching the workspace `heap_bytes` chain): the pinned tree arena,
     /// every cached per-tree side, the invalid flags, and the best side.
@@ -233,11 +235,12 @@ impl SolveState {
     /// once per mutation, in application order, *after* mutating the
     /// graph; then [`SolveState::resolve`] to re-establish the answer.
     pub fn note_mutation(&mut self, delta: &GraphDelta) {
-        let dw = match *delta {
-            GraphDelta::Reweight { old_w, new_w, .. } => old_w.abs_diff(new_w),
-            GraphDelta::Add { w, .. } | GraphDelta::Remove { w, .. } => w,
+        let removed = match *delta {
+            GraphDelta::Reweight { old_w, new_w, .. } => old_w.saturating_sub(new_w),
+            GraphDelta::Remove { w, .. } => w,
+            GraphDelta::Add { .. } => 0,
         };
-        self.stale_weight = self.stale_weight.saturating_add(dw);
+        self.decrease = self.decrease.saturating_add(removed);
         if self.force_repack {
             return; // a re-pack rebuilds everything anyway
         }
@@ -301,16 +304,13 @@ impl SolveState {
         }
     }
 
-    /// Whether the accumulated deltas exceed the staleness budget.
-    fn over_budget(&self) -> bool {
-        (self.stale_weight as f64) > STALENESS * (self.packed_weight.max(1) as f64)
-    }
-
     /// Re-establishes the solved minimum after the mutations reported
-    /// since the last resolve: re-sweeps the invalidated pinned trees (or
-    /// re-runs the pipeline when forced or past the staleness budget) and
-    /// returns what it did. `g` must be the mutated graph the deltas
-    /// described. Deterministic at every `threads` width.
+    /// since the last resolve: re-sweeps the invalidated pinned trees, and
+    /// re-runs the pipeline instead when forced or when the re-swept
+    /// answer plus the weight decrease since the last pack exceeds the
+    /// answer at that pack (see the module docs). Returns what it did.
+    /// `g` must be the mutated graph the deltas described. Deterministic
+    /// at every `threads` width.
     ///
     /// All or nothing: on an error (a tripped [`CancelToken`](crate::CancelToken)
     /// answers [`PmcError::Cancelled`]) the state is left as it was, so a
@@ -321,26 +321,44 @@ impl SolveState {
         ws: &mut SolverWorkspace,
         threads: Option<usize>,
     ) -> Result<ResolveMode, PmcError> {
-        if self.force_repack || self.over_budget() {
-            *self = Self::fresh(g, self.seed, ws, threads)?;
-            return Ok(ResolveMode::Repack);
-        }
-        let stale: Vec<usize> = (0..self.invalid.len())
-            .filter(|&i| self.invalid[i])
-            .collect();
-        if !stale.is_empty() {
-            let cancel = ws.cancel.as_deref();
-            let cuts = sweep_trees(g, &self.trees, &stale, &mut ws.trees, threads, cancel, None)?;
-            for (&i, cut) in stale.iter().zip(cuts) {
-                self.per_tree[i] = cut.into();
-                self.invalid[i] = false;
+        if !self.force_repack {
+            let stale: Vec<usize> = (0..self.invalid.len())
+                .filter(|&i| self.invalid[i])
+                .collect();
+            // Nothing is committed until the rule below keeps the re-swept
+            // cuts; until then they stand in for the stale ones.
+            let (cuts, best) = if stale.is_empty() {
+                (Vec::new(), None)
+            } else {
+                let cancel = ws.cancel.as_deref();
+                let cuts: Vec<TreeCut> =
+                    sweep_trees(g, &self.trees, &stale, &mut ws.trees, threads, cancel, None)?
+                        .into_iter()
+                        .map(TreeCut::from)
+                        .collect();
+                let per_tree = self.per_tree.iter().enumerate().map(|(i, c)| {
+                    let c = stale.binary_search(&i).map_or(c, |k| &cuts[k]);
+                    (c.value, &c.side[..], c.kind)
+                });
+                let best = best_tree_cut(g, per_tree, true);
+                (cuts, Some(best))
+            };
+            let value = best.as_ref().map_or(self.best.value, |b| b.value);
+            if value.saturating_add(self.decrease) <= self.packed_value {
+                for (&i, cut) in stale.iter().zip(cuts) {
+                    self.per_tree[i] = cut;
+                    self.invalid[i] = false;
+                }
+                if let Some(best) = best {
+                    self.best = best;
+                }
+                return Ok(ResolveMode::Incremental {
+                    reswept: stale.len(),
+                });
             }
-            let per_tree = self.per_tree.iter().map(|c| (c.value, &c.side[..], c.kind));
-            self.best = best_tree_cut(g, per_tree, true);
         }
-        Ok(ResolveMode::Incremental {
-            reswept: stale.len(),
-        })
+        *self = Self::fresh(g, self.seed, ws, threads)?;
+        Ok(ResolveMode::Repack)
     }
 }
 
@@ -428,6 +446,36 @@ mod tests {
         assert_eq!(g.cut_value(&state.best().side), want);
     }
 
+    /// The edges of `g` that cross (`crossing`) or do not cross the
+    /// state's current winning cut.
+    fn edges_by_winner(g: &Graph, state: &SolveState, crossing: bool) -> Vec<u32> {
+        let side = &state.best().side;
+        (0..g.m() as u32)
+            .filter(|&e| {
+                let e = g.edges()[e as usize];
+                (side[e.u as usize] != side[e.v as usize]) == crossing
+            })
+            .collect()
+    }
+
+    /// The two-triangle graph whose unique minimum cut is the bridge
+    /// (edge 6, weight 7); isolating a vertex costs 10.
+    fn bridged_triangles() -> Graph {
+        Graph::from_edges(
+            6,
+            &[
+                (0, 1, 5),
+                (1, 2, 5),
+                (2, 0, 5),
+                (3, 4, 5),
+                (4, 5, 5),
+                (5, 3, 5),
+                (2, 3, 7),
+            ],
+        )
+        .unwrap()
+    }
+
     #[test]
     fn fresh_matches_stoer_wagner() {
         let mut ws = SolverWorkspace::new();
@@ -442,14 +490,16 @@ mod tests {
 
     #[test]
     fn reweight_up_incremental_matches_mark_all_bitwise() {
+        // An increase off the winner leaves the answer where it was, so
+        // the rule keeps it incremental.
         let mut ws = SolverWorkspace::new();
         let mut g = gen::gnm_connected(28, 84, 6, 7);
         let mut inc = SolveState::fresh(&g, 1, &mut ws, None).unwrap();
         let mut all = inc.clone();
-        for (step, eid) in [0usize, 11, 23, 40].into_iter().enumerate() {
-            let w = g.edges()[eid].w + 3;
-            let op = MutationOp::Reweight { eid: eid as u32, w };
-            apply_delta(&mut g, &mut inc, &op).unwrap();
+        let off = edges_by_winner(&g, &inc, false);
+        for (step, &eid) in off.iter().step_by(11).take(4).enumerate() {
+            let w = g.edges()[eid as usize].w + 3;
+            apply_delta(&mut g, &mut inc, &MutationOp::Reweight { eid, w }).unwrap();
             let mode = inc.resolve(&g, &mut ws, Some(1)).unwrap();
             assert!(
                 matches!(mode, ResolveMode::Incremental { .. }),
@@ -467,27 +517,33 @@ mod tests {
 
     #[test]
     fn decrease_and_removal_resweep_everything_and_stay_exact() {
+        // A decrease on the minimum cut lowers the answer by exactly what
+        // it adds to the decrease, so the rule keeps it incremental; every
+        // pinned tree re-sweeps.
         let mut ws = SolverWorkspace::new();
         let mut g = gen::gnm_connected(26, 90, 9, 17);
         let mut state = SolveState::fresh(&g, 2, &mut ws, None).unwrap();
-        // Every step stays far inside the staleness budget, so each one is
-        // answered by re-sweeping the pinned trees.
         let mut resolve = |g: &Graph, state: &mut SolveState| {
             let mode = state.resolve(g, &mut ws, None).unwrap();
-            assert!(matches!(mode, ResolveMode::Incremental { .. }), "{mode:?}");
+            let reswept = state.tree_count();
+            assert_eq!(mode, ResolveMode::Incremental { reswept });
             assert_matches_sw(g, state);
         };
-        // Reweight down: exact again afterwards.
-        apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid: 5, w: 1 }).unwrap();
+        let before = state.best().value;
+        let eid = edges_by_winner(&g, &state, true)
+            .into_iter()
+            .find(|&e| g.edges()[e as usize].w > 1)
+            .expect("a cut edge heavier than 1");
+        let w = g.edges()[eid as usize].w - 1;
+        apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid, w }).unwrap();
         resolve(&g, &mut state);
-        // Remove a non-tree edge if one exists.
-        if let Some(eid) = (0..g.m() as u32).find(|&e| !state.trees.any_tree_contains(e)) {
+        assert_eq!(state.best().value, before - 1);
+        // Remove a non-tree edge of the cut if one exists.
+        let cut = edges_by_winner(&g, &state, true);
+        if let Some(eid) = cut.into_iter().find(|&e| !state.trees.any_tree_contains(e)) {
             apply_delta(&mut g, &mut state, &MutationOp::Remove { eid }).unwrap();
             resolve(&g, &mut state);
         }
-        // Add an edge.
-        apply_delta(&mut g, &mut state, &MutationOp::Add { u: 0, v: 13, w: 4 }).unwrap();
-        resolve(&g, &mut state);
     }
 
     #[test]
@@ -507,18 +563,32 @@ mod tests {
     }
 
     #[test]
-    fn staleness_budget_triggers_repack() {
+    fn decrease_off_the_minimum_cut_repacks() {
         let mut ws = SolverWorkspace::new();
-        let mut g = gen::gnm_connected(24, 60, 5, 31);
+        let mut g = bridged_triangles();
         let mut state = SolveState::fresh(&g, 0, &mut ws, None).unwrap();
-        // A weight increase alone never forces a re-pack; one larger than
-        // a quarter of the total weight crosses the budget.
-        let w = g.edges()[0].w + g.total_weight() / 4 + 1;
-        apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid: 0, w }).unwrap();
-        assert!(state.stale_weight() > 0);
+        assert_eq!(state.best().value, 7);
+        // A triangle edge crosses no minimum cut: the answer stays 7, so 7
+        // plus the decrease passes the packed 7.
+        apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid: 0, w: 4 }).unwrap();
+        assert_eq!(state.decrease, 1);
         let mode = state.resolve(&g, &mut ws, None).unwrap();
         assert_eq!(mode, ResolveMode::Repack);
-        assert_eq!(state.stale_weight(), 0, "repack resets the budget");
+        assert_eq!(state.decrease, 0, "a re-pack resets the decrease");
+        assert_eq!(state.packed_value, 7);
+        assert_matches_sw(&g, &state);
+        // The bridge going down by 2 moves the answer by as much: incremental.
+        apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid: 6, w: 5 }).unwrap();
+        let mode = state.resolve(&g, &mut ws, None).unwrap();
+        assert!(matches!(mode, ResolveMode::Incremental { .. }), "{mode:?}");
+        assert_eq!(state.best().value, 5);
+        assert_matches_sw(&g, &state);
+        // An increase on the winner raises the answer past the packed 7
+        // minus the decrease: re-pack.
+        apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid: 6, w: 8 }).unwrap();
+        let mode = state.resolve(&g, &mut ws, None).unwrap();
+        assert_eq!(mode, ResolveMode::Repack);
+        assert_eq!(state.best().value, 8);
         assert_matches_sw(&g, &state);
     }
 
@@ -527,19 +597,7 @@ mod tests {
         // A bridge is in every spanning tree, so deleting it forces a
         // repack, which reports the 0-cut; re-adding reconnects.
         let mut ws = SolverWorkspace::new();
-        let mut g = Graph::from_edges(
-            6,
-            &[
-                (0, 1, 5),
-                (1, 2, 5),
-                (2, 0, 5),
-                (3, 4, 5),
-                (4, 5, 5),
-                (5, 3, 5),
-                (2, 3, 7), // the bridge (vertex isolation costs 10)
-            ],
-        )
-        .unwrap();
+        let mut g = bridged_triangles();
         let mut state = SolveState::fresh(&g, 3, &mut ws, None).unwrap();
         assert_eq!(state.best().value, 7);
         apply_delta(&mut g, &mut state, &MutationOp::Remove { eid: 6 }).unwrap();
@@ -628,7 +686,9 @@ mod tests {
         assert_eq!(a.best().value, b.best().value);
         assert_eq!(a.best().side, b.best().side);
         assert_eq!(a.best().tree_index, b.best().tree_index);
-        assert_eq!(a.stale_weight(), b.stale_weight());
+        assert_eq!(a.packed_value, b.packed_value);
+        assert_eq!(a.decrease, b.decrease);
+        assert_eq!(a.force_repack, b.force_repack);
     }
 
     #[test]
@@ -637,28 +697,37 @@ mod tests {
             let mut ws = SolverWorkspace::new();
             let mut g = gen::gnm_connected(24, 60, 5, 23 + s);
             let mut state = SolveState::fresh(&g, s, &mut ws, None).unwrap();
-            // Lighten vertex 0, then cross the staleness budget with one
-            // weight increase elsewhere: the next resolve must re-pack.
-            for eid in 0..g.m() {
-                let e = g.edges()[eid];
-                if e.u == 0 || e.v == 0 {
-                    let op = MutationOp::Reweight {
-                        eid: eid as u32,
-                        w: 1,
-                    };
-                    apply_delta(&mut g, &mut state, &op).unwrap();
+            if s % 2 == 0 {
+                // Lighten edges until the decrease alone passes the packed
+                // answer: the next resolve must re-pack.
+                for eid in 0..g.m() as u32 {
+                    if state.decrease > state.packed_value {
+                        break;
+                    }
+                    if g.edges()[eid as usize].w > 1 {
+                        let op = MutationOp::Reweight { eid, w: 1 };
+                        apply_delta(&mut g, &mut state, &op).unwrap();
+                    }
                 }
+                assert!(state.decrease > state.packed_value, "seed {s}");
+            } else {
+                // Remove a pinned tree edge that keeps the graph connected:
+                // the cancel then trips inside the pipeline itself.
+                let eid = (0..g.m() as u32)
+                    .find(|&e| {
+                        let mut h = g.clone();
+                        h.remove_edge(e as usize).unwrap();
+                        state.trees.any_tree_contains(e) && pmc_graph::is_connected(&h)
+                    })
+                    .expect("a non-bridge tree edge");
+                apply_delta(&mut g, &mut state, &MutationOp::Remove { eid }).unwrap();
             }
-            let eid = (0..g.m()).find(|&e| g.edges()[e].u != 0 && g.edges()[e].v != 0);
-            let eid = eid.expect("an edge away from vertex 0");
-            let w = g.edges()[eid].w + g.total_weight() / 4 + 1;
-            let op = MutationOp::Reweight { eid: eid as u32, w };
-            apply_delta(&mut g, &mut state, &op).unwrap();
             let mut twin = state.clone();
 
             ws.install_cancel(expired_token());
             let cancelled = state.resolve(&g, &mut ws, None);
             assert_eq!(cancelled, Err(PmcError::Cancelled), "seed {s}");
+            assert_same_state(&state, &twin);
             ws.clear_cancel();
             let retry = state.resolve(&g, &mut ws, None).unwrap();
             assert_eq!(retry, ResolveMode::Repack, "seed {s}");
@@ -680,11 +749,15 @@ mod tests {
         ws.clear_cancel();
 
         let mut state = SolveState::fresh(&g, 4, &mut ws, None).unwrap();
-        // A weight decrease invalidates every pinned tree.
-        let eid = (0..g.m()).find(|&e| g.edges()[e].w > 1).unwrap();
+        // A weight decrease invalidates every pinned tree; on the minimum
+        // cut it keeps the answer incremental.
+        let eid = edges_by_winner(&g, &state, true)
+            .into_iter()
+            .find(|&e| g.edges()[e as usize].w > 1)
+            .unwrap();
         let op = MutationOp::Reweight {
-            eid: eid as u32,
-            w: g.edges()[eid].w - 1,
+            eid,
+            w: g.edges()[eid as usize].w - 1,
         };
         apply_delta(&mut g, &mut state, &op).unwrap();
         let mut twin = state.clone();

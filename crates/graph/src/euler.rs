@@ -8,9 +8,9 @@
 //!   a prefix sum over the tour (`O(n)` work, `O(log n)` depth), and
 //! * ancestor tests are two comparisons (`enter[a] <= enter[v] < exit[a]`).
 //!
-//! The tour is built by an iterative DFS. The PRAM-faithful alternative
-//! (successor arrays + list ranking) exists in `pmc-par::list_rank`; the DFS
-//! is `O(n)` and is not on the measured critical path of any experiment.
+//! The tour is built by an iterative DFS, `O(n)` work. The PRAM-faithful
+//! route (successor arrays plus list ranking) is not implemented: the DFS
+//! is not on the measured critical path of any experiment.
 
 use crate::tree::RootedTree;
 use pmc_par::scan::inclusive_scan_in_place;

@@ -48,7 +48,6 @@
 use pmc_par::merge::merge_by_key;
 use pmc_par::scan::{inclusive_scan_in_place, inclusive_scan_in_place_with};
 use pmc_par::seg::segmented_broadcast;
-use pmc_par::ParScratch;
 use rayon::prelude::*;
 
 use crate::PAD;
@@ -426,7 +425,7 @@ impl<F: FnMut(u32, i64)> Sink for RootSink<F> {
 /// Panics if times are not strictly increasing, a position is out of range,
 /// or the list is empty.
 pub fn run_list_batch(init: &[i64], ops: &[PrefixOp]) -> Vec<(u32, i64)> {
-    run_list_batch_impl(init, ops, NODE_PAR_THRESHOLD, None)
+    run_list_batch_impl(init, ops, None)
 }
 
 /// [`run_list_batch`] drawing all working state from a reusable
@@ -473,18 +472,10 @@ pub fn run_list_batch_with(
     out
 }
 
-/// [`run_list_batch`] with all internal parallelism disabled: one strictly
-/// sequential, memory-monotone bottom-up sweep — the execution model of the
-/// cache-oblivious predecessor algorithm (paper §2.3/§5), useful as the
-/// single-thread baseline in the cache experiments.
-pub fn run_list_batch_seq(init: &[i64], ops: &[PrefixOp]) -> Vec<(u32, i64)> {
-    run_list_batch_impl(init, ops, usize::MAX, None)
-}
-
 /// [`run_list_batch`] that also reports [`BatchStats`].
 pub fn run_list_batch_stats(init: &[i64], ops: &[PrefixOp]) -> (Vec<(u32, i64)>, BatchStats) {
     let mut stats = BatchStats::default();
-    let out = run_list_batch_impl(init, ops, NODE_PAR_THRESHOLD, Some(&mut stats));
+    let out = run_list_batch_impl(init, ops, Some(&mut stats));
     (out, stats)
 }
 
@@ -497,7 +488,6 @@ pub fn run_list_batch_stats(init: &[i64], ops: &[PrefixOp]) -> (Vec<(u32, i64)>,
 fn run_list_batch_impl(
     init: &[i64],
     ops: &[PrefixOp],
-    par_threshold: usize,
     mut stats: Option<&mut BatchStats>,
 ) -> Vec<(u32, i64)> {
     let n = init.len();
@@ -513,8 +503,8 @@ fn run_list_batch_impl(
     let mut leaves: Vec<NodeState> = Vec::new();
     let mut ping: Vec<NodeState> = Vec::new();
     let mut pong: Vec<NodeState> = Vec::new();
-    let mut par = ParScratch::default();
-    let (leaves, ping, pong, par) = (&mut leaves, &mut ping, &mut pong, &mut par);
+    let (mut run_min, mut partials) = (Vec::new(), Vec::new());
+    let (leaves, ping, pong) = (&mut leaves, &mut ping, &mut pong);
 
     // Initial subtree minima and Δ⁰ per inner node (heap layout, root = 1).
     mins.resize(2 * cap, PAD);
@@ -548,10 +538,9 @@ fn run_list_batch_impl(
         stats.work_items += ops.len() as u64;
     }
 
-    // Bottom-up level sweep. The leaf level lives in the scratch; the inner
-    // levels ping-pong between two scratch buffers, so the per-node
-    // update/query vectors keep their capacities across levels *and* across
-    // batches instead of being reallocated per level.
+    // Bottom-up level sweep. The inner levels ping-pong between two
+    // buffers, so the per-node update/query vectors keep their capacities
+    // across levels instead of being reallocated per level.
     let mut at_leaves = true; // current child level is the leaf buckets
     let mut cur_len = cap;
     let mut child_level_shift = 0u32; // leaves sit at shift 0
@@ -568,30 +557,15 @@ fn run_list_batch_impl(
                 pong.resize_with(parents, NodeState::default);
             }
             let out = &mut pong[..parents];
-            if par_threshold == usize::MAX {
-                // Strictly sequential, monotone sweep over the level.
-                for (p, slot) in out.iter_mut().enumerate() {
-                    combine_into(
-                        &level[2 * p],
-                        &level[2 * p + 1],
-                        delta0(heap_base + p),
-                        child_level_shift,
-                        par_threshold,
-                        slot,
-                    );
-                }
-            } else {
-                out.par_iter_mut().enumerate().for_each(|(p, slot)| {
-                    combine_into(
-                        &level[2 * p],
-                        &level[2 * p + 1],
-                        delta0(heap_base + p),
-                        child_level_shift,
-                        par_threshold,
-                        slot,
-                    )
-                });
-            }
+            out.par_iter_mut().enumerate().for_each(|(p, slot)| {
+                combine_into(
+                    &level[2 * p],
+                    &level[2 * p + 1],
+                    delta0(heap_base + p),
+                    child_level_shift,
+                    slot,
+                )
+            });
         }
         std::mem::swap(ping, pong);
         at_leaves = false;
@@ -612,7 +586,7 @@ fn run_list_batch_impl(
     }
 
     let root: &NodeState = if at_leaves { &leaves[0] } else { &ping[0] };
-    finish_root(root, min0_root, par_threshold, par)
+    finish_root(root, min0_root, &mut run_min, &mut partials)
 }
 
 /// Combines one level of the flat sweep into `out`: parent `p` (heap id
@@ -778,14 +752,7 @@ struct MergedUpd {
 /// above-threshold branches build fresh vectors (they are rare and large,
 /// and the parallel map cannot target a shared buffer without unsafe
 /// slicing).
-fn combine_into(
-    l: &NodeState,
-    r: &NodeState,
-    delta0: i64,
-    child_shift: u32,
-    thr: usize,
-    out: &mut NodeState,
-) {
+fn combine_into(l: &NodeState, r: &NodeState, delta0: i64, child_shift: u32, out: &mut NodeState) {
     out.upds.clear();
     out.qrys.clear();
     let nu = l.upds.len() + r.upds.len();
@@ -795,11 +762,11 @@ fn combine_into(
     }
 
     // --- Updates: H(b), φ_l/φ_r, Δ(b), Φ(b) ---------------------------------
-    let merged: Vec<MergedUpd> = merge_upds(&l.upds, &r.upds, thr);
+    let merged: Vec<MergedUpd> = merge_upds(&l.upds, &r.upds);
     // Prefix sums of φ_l and φ_r give Δ via Observation 3.
     let mut sum_l: Vec<i64> = merged.iter().map(|u| u.phi_l).collect();
     let mut sum_r: Vec<i64> = merged.iter().map(|u| u.phi_r).collect();
-    if nu >= thr {
+    if nu >= NODE_PAR_THRESHOLD {
         inclusive_scan_in_place(&mut sum_l);
         inclusive_scan_in_place(&mut sum_r);
     } else {
@@ -828,7 +795,7 @@ fn combine_into(
             phi,
         }
     };
-    if nu >= thr {
+    if nu >= NODE_PAR_THRESHOLD {
         out.upds = merged
             .par_iter()
             .enumerate()
@@ -841,12 +808,12 @@ fn combine_into(
 
     // --- Queries -------------------------------------------------------------
     if nq > 0 {
-        let merged_q: Vec<Qry> = merge_qrys(&l.qrys, &r.qrys, thr);
+        let merged_q: Vec<Qry> = merge_qrys(&l.qrys, &r.qrys);
         // Δ value current at each query's time (last update strictly before;
         // times are unique so "≤ previous update" ≡ "< query time").
         let upd_times: Vec<u32> = merged.iter().map(|u| u.time).collect();
         let deltas_after: Vec<i64> = (0..nu).map(|i| delta0 + sum_r[i] - sum_l[i]).collect();
-        let delta_cur = attach_latest(&merged_q, &upd_times, &deltas_after, delta0, thr);
+        let delta_cur = attach_latest(&merged_q, &upd_times, &deltas_after, delta0);
         let apply = |(q, dcur): (&Qry, i64)| -> Qry {
             // Child side of the query leaf at this node (paper §3.2 rule).
             let from_right = (q.pos >> child_shift) & 1 == 1;
@@ -865,7 +832,7 @@ fn combine_into(
             };
             Qry { d, ..*q }
         };
-        if nq >= thr {
+        if nq >= NODE_PAR_THRESHOLD {
             out.qrys = merged_q
                 .par_iter()
                 .zip(delta_cur.par_iter().copied())
@@ -878,15 +845,17 @@ fn combine_into(
     }
 }
 
-fn finish_root(root: &NodeState, min0: i64, thr: usize, par: &mut ParScratch) -> Vec<(u32, i64)> {
-    // Running overall minima after each update (§3.1.3), staged in the
-    // pmc-par scratch: both the run-minima buffer and the scan's block
-    // partials are recycled across batches.
-    let run_min = &mut par.scan_i64_out;
+fn finish_root(
+    root: &NodeState,
+    min0: i64,
+    run_min: &mut Vec<i64>,
+    partials: &mut Vec<i64>,
+) -> Vec<(u32, i64)> {
+    // Running overall minima after each update (§3.1.3).
     run_min.clear();
     run_min.extend(root.upds.iter().map(|u| u.phi));
-    if run_min.len() >= thr {
-        inclusive_scan_in_place_with(run_min, &mut par.scan_i64);
+    if run_min.len() >= NODE_PAR_THRESHOLD {
+        inclusive_scan_in_place_with(run_min, partials);
     } else {
         seq_scan(run_min);
     }
@@ -894,7 +863,7 @@ fn finish_root(root: &NodeState, min0: i64, thr: usize, par: &mut ParScratch) ->
         *m += min0;
     }
     let times: Vec<u32> = root.upds.iter().map(|u| u.time).collect();
-    let min_cur = attach_latest(&root.qrys, &times, run_min, min0, thr);
+    let min_cur = attach_latest(&root.qrys, &times, run_min, min0);
     root.qrys
         .iter()
         .zip(min_cur)
@@ -912,9 +881,9 @@ fn seq_scan(xs: &mut [i64]) {
 
 /// Merges the children's update arrays by time, filling in the trivial φ
 /// contribution of the non-owning child (Observation 4).
-fn merge_upds(l: &[Upd], r: &[Upd], thr: usize) -> Vec<MergedUpd> {
+fn merge_upds(l: &[Upd], r: &[Upd]) -> Vec<MergedUpd> {
     let total = l.len() + r.len();
-    if total < thr {
+    if total < NODE_PAR_THRESHOLD {
         let mut out = Vec::with_capacity(total);
         let (mut i, mut j) = (0, 0);
         while i < l.len() || j < r.len() {
@@ -966,9 +935,9 @@ fn merge_upds(l: &[Upd], r: &[Upd], thr: usize) -> Vec<MergedUpd> {
     }
 }
 
-fn merge_qrys(l: &[Qry], r: &[Qry], thr: usize) -> Vec<Qry> {
+fn merge_qrys(l: &[Qry], r: &[Qry]) -> Vec<Qry> {
     let total = l.len() + r.len();
-    if total < thr {
+    if total < NODE_PAR_THRESHOLD {
         let mut out = Vec::with_capacity(total);
         let (mut i, mut j) = (0, 0);
         while i < l.len() || j < r.len() {
@@ -990,16 +959,10 @@ fn merge_qrys(l: &[Qry], r: &[Qry], thr: usize) -> Vec<Qry> {
 /// For each query (sorted by time), the value associated with the last
 /// event time `< query time`, or `default` if none: the merge + segmented
 /// broadcast of §3.2.
-fn attach_latest(
-    qrys: &[Qry],
-    times: &[u32],
-    values: &[i64],
-    default: i64,
-    thr: usize,
-) -> Vec<i64> {
+fn attach_latest(qrys: &[Qry], times: &[u32], values: &[i64], default: i64) -> Vec<i64> {
     debug_assert_eq!(times.len(), values.len());
     let total = qrys.len() + times.len();
-    if total < thr {
+    if total < NODE_PAR_THRESHOLD {
         let mut out = Vec::with_capacity(qrys.len());
         let mut j = 0usize;
         let mut cur = default;
@@ -1338,40 +1301,6 @@ mod tests {
             assert_eq!(
                 sorted(run_list_batch_with(&init, &ops, &mut ws)),
                 sorted(run_list_batch(&init, &ops)),
-                "trial {trial}"
-            );
-        }
-    }
-
-    #[test]
-    fn seq_sweep_matches_parallel() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        for trial in 0..50 {
-            let n = rng.gen_range(1..200);
-            let init: Vec<i64> = (0..n).map(|_| rng.gen_range(-500..500)).collect();
-            let mut qid = 0;
-            let ops: Vec<PrefixOp> = (0..rng.gen_range(0..400u32))
-                .map(|t| {
-                    let pos = rng.gen_range(0..n) as u32;
-                    if rng.gen_bool(0.5) {
-                        PrefixOp::Add {
-                            time: t,
-                            pos,
-                            x: rng.gen_range(-100..100),
-                        }
-                    } else {
-                        qid += 1;
-                        PrefixOp::Min {
-                            time: t,
-                            pos,
-                            qid: qid - 1,
-                        }
-                    }
-                })
-                .collect();
-            assert_eq!(
-                sorted(run_list_batch(&init, &ops)),
-                sorted(run_list_batch_seq(&init, &ops)),
                 "trial {trial}"
             );
         }

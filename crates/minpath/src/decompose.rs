@@ -13,43 +13,29 @@
 //!
 //! Strategies:
 //! * [`Strategy::BoughWalk`] — mark bough vertices, then walk each bough
-//!   from its top (parallel over boughs). The default.
-//! * [`Strategy::BoughListRank`] — identical output; positions within
-//!   boughs are assigned with Wyllie pointer-jumping list ranking (the
-//!   PRAM-faithful route of Lemma 8, `O(log n)` depth per phase even for a
-//!   single long bough).
+//!   from its top. The route the solver runs.
 //! * [`Strategy::BoughRandomMate`] — identical output; chains are
 //!   assembled by the paper's Lemma 8 contraction of random-mate
-//!   independent edge sets (Las Vegas).
-//! * [`Strategy::BoughDeterministic`] — identical output; the §3.3.1
-//!   deterministic route, contracting independent sets obtained from a
-//!   Cole–Vishkin 3-colouring of the chains.
+//!   independent edge sets (Las Vegas, `O(log n)` depth per phase w.h.p.
+//!   even for a single long bough). The low-depth reference.
 //! * [`Strategy::HeavyLight`] — classic heavy-path decomposition. Also
 //!   guarantees `≤ log₂ n` paths per root-to-leaf path; usable by the
 //!   Minimum Path structures but **not** by the two-respect search (which
 //!   needs bough semantics). Provided as an ablation point.
 
 use pmc_graph::tree::{RootedTree, NO_PARENT};
-use pmc_par::list_rank::{list_rank, NIL};
 use rayon::prelude::*;
 
 /// Which decomposition algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Strategy {
-    /// Mark boughs via subtree statistics, walk each bough sequentially
-    /// (boughs in parallel).
+    /// Mark boughs via subtree statistics, walk each bough sequentially.
     BoughWalk,
-    /// Same boughs; within-bough positions via parallel list ranking.
-    BoughListRank,
     /// Same boughs; chains assembled by the paper's Lemma 8 Las Vegas
     /// procedure — repeated contraction of random-mate independent edge
     /// sets, with merged vertices keeping their original labels as linked
     /// lists. `O(n)` work and `O(log n)` depth per phase w.h.p.
     BoughRandomMate,
-    /// Same boughs; the deterministic variant of §3.3.1 — independent
-    /// edge sets come from a Cole–Vishkin 3-colouring of the chains
-    /// instead of coin flips. `O(n log* n)` work per contraction round.
-    BoughDeterministic,
     /// Heavy-light decomposition (single phase).
     HeavyLight,
 }
@@ -86,10 +72,8 @@ impl Decomposition {
     /// Decomposes `tree` with the given strategy.
     pub fn new(tree: &RootedTree, strategy: Strategy) -> Self {
         match strategy {
-            Strategy::BoughWalk => bough_decomposition(tree, ChainOrdering::Walk),
-            Strategy::BoughListRank => bough_decomposition(tree, ChainOrdering::ListRank),
-            Strategy::BoughRandomMate => bough_decomposition(tree, ChainOrdering::RandomMate),
-            Strategy::BoughDeterministic => bough_decomposition(tree, ChainOrdering::Coloring),
+            Strategy::BoughWalk => bough_decomposition(tree, false),
+            Strategy::BoughRandomMate => bough_decomposition(tree, true),
             Strategy::HeavyLight => heavy_light(tree),
         }
     }
@@ -235,16 +219,10 @@ fn mark_bough_vertices(
     path_below
 }
 
-/// How bough chains are linearized after marking.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ChainOrdering {
-    Walk,
-    ListRank,
-    RandomMate,
-    Coloring,
-}
-
-fn bough_decomposition(tree: &RootedTree, ordering: ChainOrdering) -> Decomposition {
+/// Peels boughs phase by phase; `random_mate` picks how each phase's
+/// marked chains are linearized (Lemma 8's contraction, or a walk down
+/// from each top).
+fn bough_decomposition(tree: &RootedTree, random_mate: bool) -> Decomposition {
     let n = tree.n();
     let parent = tree.parents();
     let order = tree.bfs_order();
@@ -278,56 +256,38 @@ fn bough_decomposition(tree: &RootedTree, ordering: ChainOrdering) -> Decomposit
         debug_assert!(!tops.is_empty(), "no boughs found in a non-empty tree");
 
         let phase_first_pid = path_offsets.len() - 1;
-        match ordering {
-            ChainOrdering::ListRank => boughs_by_list_rank(
+        if random_mate {
+            boughs_by_contraction(
                 tree,
                 &alive,
                 &marked,
                 &tops,
+                phase as u64,
                 &mut path_data,
                 &mut path_offsets,
-            ),
-            ChainOrdering::RandomMate => boughs_by_contraction(
-                tree,
-                &alive,
-                &marked,
-                &tops,
-                EdgeSelector::RandomMate(phase as u64),
-                &mut path_data,
-                &mut path_offsets,
-            ),
-            ChainOrdering::Coloring => boughs_by_contraction(
-                tree,
-                &alive,
-                &marked,
-                &tops,
-                EdgeSelector::Coloring,
-                &mut path_data,
-                &mut path_offsets,
-            ),
-            ChainOrdering::Walk => {
-                for &top in &tops {
-                    // Walk down the chain: every bough vertex has at most one
-                    // alive child, and that child is marked too.
-                    path_data.push(top);
-                    let mut cur = top;
-                    loop {
-                        let next = tree
-                            .children(cur)
-                            .iter()
-                            .copied()
-                            .find(|&c| alive[c as usize]);
-                        match next {
-                            Some(c) => {
-                                debug_assert!(marked[c as usize]);
-                                path_data.push(c);
-                                cur = c;
-                            }
-                            None => break,
+            );
+        } else {
+            for &top in &tops {
+                // Walk down the chain: every bough vertex has at most one
+                // alive child, and that child is marked too.
+                path_data.push(top);
+                let mut cur = top;
+                loop {
+                    let next = tree
+                        .children(cur)
+                        .iter()
+                        .copied()
+                        .find(|&c| alive[c as usize]);
+                    match next {
+                        Some(c) => {
+                            debug_assert!(marked[c as usize]);
+                            path_data.push(c);
+                            cur = c;
                         }
+                        None => break,
                     }
-                    path_offsets.push(path_data.len() as u32);
                 }
+                path_offsets.push(path_data.len() as u32);
             }
         }
 
@@ -371,74 +331,18 @@ fn bough_decomposition(tree: &RootedTree, ordering: ChainOrdering) -> Decomposit
     }
 }
 
-/// PRAM-faithful bough ordering: build the successor array of the marked
-/// chains (top → child) and list-rank it; a vertex's position within its
-/// bough is `bough_len - 1 - rank`. Heads are propagated by walking only
-/// `O(log n)` pointer-jumping rounds inside `list_rank`. Appends the
-/// boughs (tops order) to the flat path arrays.
-fn boughs_by_list_rank(
-    tree: &RootedTree,
-    alive: &[bool],
-    marked: &[bool],
-    tops: &[u32],
-    path_data: &mut Vec<u32>,
-    path_offsets: &mut Vec<u32>,
-) {
-    let n = tree.n();
-    // next[v] = the only alive (marked) child of v, for marked v.
-    let next: Vec<usize> = (0..n)
-        .into_par_iter()
-        .map(|v| {
-            if !alive[v] || !marked[v] {
-                return NIL;
-            }
-            tree.children(v as u32)
-                .iter()
-                .copied()
-                .find(|&c| alive[c as usize])
-                .map_or(NIL, |c| c as usize)
-        })
-        .collect();
-    let rank = list_rank(&next); // rank = #nodes strictly after v in its chain
-    for &top in tops {
-        let len = rank[top as usize] + 1;
-        let start = path_data.len();
-        path_data.resize(start + len, 0);
-        // Scatter every chain vertex to its position. We walk the chain
-        // here only to enumerate its members; positions come from ranks.
-        let mut cur = top as usize;
-        loop {
-            path_data[start + len - 1 - rank[cur]] = cur as u32;
-            match next[cur] {
-                NIL => break,
-                c => cur = c,
-            }
-        }
-        path_offsets.push(path_data.len() as u32);
-    }
-}
-
-/// How the contraction-based bough assembly picks independent edge sets:
-/// the paper's Las Vegas random-mate coins, or the deterministic
-/// Cole–Vishkin 3-colouring route (§3.3.1).
-#[derive(Clone, Copy, Debug)]
-enum EdgeSelector {
-    RandomMate(u64),
-    Coloring,
-}
-
-/// Lemma 8's bough assembly: repeatedly contract an independent set of
-/// chain edges, with each merged supernode keeping the original labels as
-/// a linked list with head and tail pointers (the paper's §3.3.1
-/// procedure). Random-mate: expected `O(n)` work, `O(log n)` rounds
-/// w.h.p. Colouring: deterministic, `O(n log* n)` work per round, at most
-/// `log_{3/2} n` rounds (each removes ≥ a third of the chain edges).
+/// Lemma 8's bough assembly: repeatedly contract a random-mate
+/// independent set of chain edges, with each merged supernode keeping the
+/// original labels as a linked list with head and tail pointers (the
+/// paper's §3.3.1 procedure). Expected `O(n)` work, `O(log n)` rounds
+/// w.h.p.; `seed` fixes the coins, so the output is deterministic (and the
+/// boughs are the walk's whatever the coins).
 fn boughs_by_contraction(
     tree: &RootedTree,
     alive: &[bool],
     marked: &[bool],
     tops: &[u32],
-    selector: EdgeSelector,
+    seed: u64,
     path_data: &mut Vec<u32>,
     path_offsets: &mut Vec<u32>,
 ) {
@@ -466,51 +370,25 @@ fn boughs_by_contraction(
         .filter(|&v| next[v as usize] != u32::MAX)
         .collect();
     let mut absorbed = vec![false; n];
-    let mut rng = match selector {
-        EdgeSelector::RandomMate(seed) => Some(SmallRng::seed_from_u64(0xB0063 ^ seed)),
-        EdgeSelector::Coloring => None,
-    };
+    let mut rng = SmallRng::seed_from_u64(0xB0063 ^ seed);
     let mut rounds = 0usize;
     while !active.is_empty() {
         rounds += 1;
-        // Guard: for random-mate, non-convergence is astronomically
-        // unlikely; for colouring, ≥ 1/3 of edges contract per round.
+        // Guard: non-convergence is astronomically unlikely.
         assert!(
             rounds < 64 * usize::BITS as usize,
             "contraction failed to converge"
         );
-        let selected: Vec<u32> = match &mut rng {
-            Some(rng) => {
-                // HEADS absorbs its TAILS successor. This is an independent
-                // set: a selected source is HEADS while a selected target is
-                // TAILS, so no supernode participates in two contractions,
-                // and a chain's unique-predecessor property rules out
-                // duplicate targets.
-                let coins: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
-                active
-                    .iter()
-                    .copied()
-                    .filter(|&u| coins[u as usize] && !coins[next[u as usize] as usize])
-                    .collect()
-            }
-            None => {
-                // Deterministic: 3-colour the current supernode chains and
-                // contract the edges rooted at the biggest colour class.
-                let next_sub: Vec<usize> = (0..n)
-                    .map(|v| {
-                        if absorbed[v] || next[v] == u32::MAX || (!alive[v] || !marked[v]) {
-                            pmc_par::list_rank::NIL
-                        } else {
-                            next[v] as usize
-                        }
-                    })
-                    .collect();
-                pmc_par::coloring::chain_independent_set_by_coloring(&next_sub)
-                    .into_iter()
-                    .map(|v| v as u32)
-                    .collect()
-            }
-        };
+        // HEADS absorbs its TAILS successor. This is an independent set: a
+        // selected source is HEADS while a selected target is TAILS, so no
+        // supernode participates in two contractions, and a chain's
+        // unique-predecessor property rules out duplicate targets.
+        let coins: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+        let selected: Vec<u32> = active
+            .iter()
+            .copied()
+            .filter(|&u| coins[u as usize] && !coins[next[u as usize] as usize])
+            .collect();
         for &u in &selected {
             let v = next[u as usize];
             absorbed[v as usize] = true;
@@ -596,9 +474,7 @@ mod tests {
         let log2n = (usize::BITS - n.leading_zeros()) as usize;
         for strat in [
             Strategy::BoughWalk,
-            Strategy::BoughListRank,
             Strategy::BoughRandomMate,
-            Strategy::BoughDeterministic,
             Strategy::HeavyLight,
         ] {
             let d = Decomposition::new(tree, strat);
@@ -685,16 +561,10 @@ mod tests {
             let a = Decomposition::new(&t, Strategy::BoughWalk);
             let mut pa: Vec<Vec<u32>> = a.paths_iter().map(|p| p.to_vec()).collect();
             pa.sort();
-            for other in [
-                Strategy::BoughListRank,
-                Strategy::BoughRandomMate,
-                Strategy::BoughDeterministic,
-            ] {
-                let b = Decomposition::new(&t, other);
-                let mut pb: Vec<Vec<u32>> = b.paths_iter().map(|p| p.to_vec()).collect();
-                pb.sort();
-                assert_eq!(pa, pb, "seed {seed} strategy {other:?}");
-            }
+            let b = Decomposition::new(&t, Strategy::BoughRandomMate);
+            let mut pb: Vec<Vec<u32>> = b.paths_iter().map(|p| p.to_vec()).collect();
+            pb.sort();
+            assert_eq!(pa, pb, "seed {seed}");
         }
     }
 

@@ -36,8 +36,8 @@ pub mod ops;
 pub mod seq;
 
 pub use batch::{
-    run_list_batch, run_list_batch_seq, run_list_batch_stats, run_list_batch_with, BatchStats,
-    ListBatchScratch, PrefixOp,
+    run_list_batch, run_list_batch_stats, run_list_batch_with, BatchStats, ListBatchScratch,
+    PrefixOp,
 };
 pub use decompose::{Decomposition, Strategy};
 pub use naive::{naive_bough_paths, NaiveMinPath};

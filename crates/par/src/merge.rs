@@ -22,43 +22,18 @@ where
     K: Ord,
     F: Fn(&T) -> K + Sync,
 {
-    let mut out = Vec::new();
-    merge_by_key_into(a, b, key, &mut out);
-    out
-}
-
-/// [`merge_by_key`] into a reusable output buffer: `out` is cleared and
-/// refilled, so repeated merges reuse its allocation once it has grown to
-/// the high-water result length.
-pub fn merge_by_key_into<T, K, F>(a: &[T], b: &[T], key: F, out: &mut Vec<T>)
-where
-    T: Clone + Send + Sync,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    out.clear();
-    let n = a.len() + b.len();
-    if n == 0 {
-        return;
-    }
     // Pre-fill with clones of an arbitrary element so the divide-and-conquer
     // merge can write every slot through disjoint `&mut [T]` splits; the
     // fill is overwritten entirely.
-    let filler = if !a.is_empty() {
-        a[0].clone()
-    } else {
-        b[0].clone()
+    let Some(filler) = a.first().or(b.first()) else {
+        return Vec::new();
     };
-    out.resize(n, filler);
-    merge_into(a, b, out, &key);
+    let mut out = vec![filler.clone(); a.len() + b.len()];
+    merge_into(a, b, &mut out, &key);
+    out
 }
 
-/// Merges two sorted `Copy` slices (ascending) into a new vector.
-pub fn par_merge<T: Copy + Ord + Send + Sync>(a: &[T], b: &[T]) -> Vec<T> {
-    merge_by_key(a, b, |x| *x)
-}
-
-pub(crate) fn merge_into<T, K, F>(a: &[T], b: &[T], out: &mut [T], key: &F)
+fn merge_into<T, K, F>(a: &[T], b: &[T], out: &mut [T], key: &F)
 where
     T: Clone + Send + Sync,
     K: Ord,
@@ -129,16 +104,20 @@ where
 mod tests {
     use super::*;
 
+    fn merge_sorted<T: Copy + Ord + Send + Sync>(a: &[T], b: &[T]) -> Vec<T> {
+        merge_by_key(a, b, |x| *x)
+    }
+
     #[test]
     fn empty_inputs() {
-        assert_eq!(par_merge::<i64>(&[], &[]), Vec::<i64>::new());
-        assert_eq!(par_merge(&[1, 2], &[]), vec![1, 2]);
-        assert_eq!(par_merge(&[], &[3, 4]), vec![3, 4]);
+        assert_eq!(merge_sorted::<i64>(&[], &[]), Vec::<i64>::new());
+        assert_eq!(merge_sorted(&[1, 2], &[]), vec![1, 2]);
+        assert_eq!(merge_sorted(&[], &[3, 4]), vec![3, 4]);
     }
 
     #[test]
     fn interleaved() {
-        assert_eq!(par_merge(&[1, 3, 5], &[2, 4, 6]), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(merge_sorted(&[1, 3, 5], &[2, 4, 6]), vec![1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -157,7 +136,7 @@ mod tests {
         let mut b: Vec<u64> = (0..n / 3).map(|i| (i as u64 * 40503) % 100_000).collect();
         a.sort_unstable();
         b.sort_unstable();
-        let got = par_merge(&a, &b);
+        let got = merge_sorted(&a, &b);
         let mut want = [a.clone(), b.clone()].concat();
         want.sort_unstable();
         assert_eq!(got, want);
@@ -167,31 +146,17 @@ mod tests {
     fn asymmetric_sizes() {
         let a: Vec<i64> = (0..50_000).map(|i| i * 2).collect();
         let b: Vec<i64> = vec![-5, 0, 1, 99_999, 1_000_000];
-        let got = par_merge(&a, &b);
+        let got = merge_sorted(&a, &b);
         let mut want = [a.clone(), b.clone()].concat();
         want.sort_unstable();
         assert_eq!(got, want);
     }
 
     #[test]
-    fn merge_into_reuses_buffer() {
-        let mut out: Vec<i64> = Vec::new();
-        merge_by_key_into(&[1i64, 3, 5], &[2, 4], |x| *x, &mut out);
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
-        let cap = out.capacity();
-        // A second, smaller merge must reuse the allocation.
-        merge_by_key_into(&[7i64], &[6], |x| *x, &mut out);
-        assert_eq!(out, vec![6, 7]);
-        assert_eq!(out.capacity(), cap);
-        merge_by_key_into::<i64, i64, _>(&[], &[], |x| *x, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn all_equal_keys() {
         let a = vec![7i64; 10_000];
         let b = vec![7i64; 9_999];
-        let got = par_merge(&a, &b);
+        let got = merge_sorted(&a, &b);
         assert_eq!(got.len(), 19_999);
         assert!(got.iter().all(|&x| x == 7));
     }

@@ -4,69 +4,22 @@
 
 #![cfg(test)]
 
-use crate::coloring::color3_chains;
-use crate::list_rank::{list_rank, list_rank_blocked, NIL};
-use crate::merge::{merge_by_key, par_merge};
-use crate::scan::{exclusive_scan, inclusive_scan, MinI64};
+use crate::merge::merge_by_key;
+use crate::scan::inclusive_scan_in_place;
 use crate::seg::segmented_broadcast;
-use crate::sort::{par_merge_sort, par_merge_sort_by_key};
 use proptest::prelude::*;
-
-/// Arbitrary successor arrays encoding disjoint chains: shuffle 0..n, cut
-/// into random segments.
-fn arb_chains(max_n: usize) -> impl Strategy<Value = Vec<usize>> {
-    (1..max_n, any::<u64>()).prop_map(|(n, seed)| {
-        use rand::rngs::SmallRng;
-        use rand::seq::SliceRandom;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut ids: Vec<usize> = (0..n).collect();
-        ids.shuffle(&mut rng);
-        let mut next = vec![NIL; n];
-        let mut i = 0;
-        while i < n {
-            let len = rng.gen_range(1..=(n - i));
-            for w in ids[i..i + len].windows(2) {
-                next[w[0]] = w[1];
-            }
-            i += len;
-        }
-        next
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn inclusive_scan_matches_fold(xs in prop::collection::vec(-1000i64..1000, 0..3000)) {
-        let got = inclusive_scan(&xs);
+        let mut got = xs.clone();
+        inclusive_scan_in_place(&mut got);
         let mut acc = 0i64;
         for (i, &x) in xs.iter().enumerate() {
             acc += x;
             prop_assert_eq!(got[i], acc);
-        }
-    }
-
-    #[test]
-    fn exclusive_scan_shifts_inclusive(xs in prop::collection::vec(-1000i64..1000, 1..2000)) {
-        let inc = inclusive_scan(&xs);
-        let (exc, total) = exclusive_scan(&xs);
-        prop_assert_eq!(total, *inc.last().unwrap());
-        prop_assert_eq!(exc[0], 0);
-        for i in 1..xs.len() {
-            prop_assert_eq!(exc[i], inc[i - 1]);
-        }
-    }
-
-    #[test]
-    fn min_scan_is_running_min(xs in prop::collection::vec(-1000i64..1000, 1..2000)) {
-        let wrapped: Vec<MinI64> = xs.iter().map(|&x| MinI64(x)).collect();
-        let got = inclusive_scan(&wrapped);
-        let mut run = i64::MAX;
-        for (i, &x) in xs.iter().enumerate() {
-            run = run.min(x);
-            prop_assert_eq!(got[i].0, run);
         }
     }
 
@@ -77,7 +30,7 @@ proptest! {
     ) {
         a.sort_unstable();
         b.sort_unstable();
-        let got = par_merge(&a, &b);
+        let got = merge_by_key(&a, &b, |x| *x);
         let mut want = [a, b].concat();
         want.sort_unstable();
         prop_assert_eq!(got, want);
@@ -104,23 +57,6 @@ proptest! {
     }
 
     #[test]
-    fn sort_matches_std(xs in prop::collection::vec(any::<u32>(), 0..4000)) {
-        let got = par_merge_sort(&xs);
-        let mut want = xs.clone();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn sort_by_key_is_stable(xs in prop::collection::vec((0u8..6, any::<u32>()), 0..3000)) {
-        let indexed: Vec<(u8, usize)> = xs.iter().enumerate().map(|(i, &(k, _))| (k, i)).collect();
-        let got = par_merge_sort_by_key(&indexed, |p| p.0);
-        for w in got.windows(2) {
-            prop_assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
-        }
-    }
-
-    #[test]
     fn broadcast_matches_sweep(xs in prop::collection::vec(prop::option::of(-100i64..100), 0..3000)) {
         let got = segmented_broadcast(&xs);
         let mut last = None;
@@ -129,34 +65,6 @@ proptest! {
                 last = x;
             }
             prop_assert_eq!(got[i], last);
-        }
-    }
-
-    #[test]
-    fn list_rank_variants_agree(next in arb_chains(800)) {
-        let a = list_rank(&next);
-        let b = list_rank_blocked(&next);
-        prop_assert_eq!(&a, &b);
-        // Spec: rank = number of successors until the tail.
-        for v in 0..next.len() {
-            let mut cur = v;
-            let mut cnt = 0;
-            while next[cur] != NIL {
-                cur = next[cur];
-                cnt += 1;
-            }
-            prop_assert_eq!(a[v], cnt);
-        }
-    }
-
-    #[test]
-    fn coloring_is_proper_on_arbitrary_chains(next in arb_chains(800)) {
-        let color = color3_chains(&next);
-        for (v, &s) in next.iter().enumerate() {
-            prop_assert!(color[v] < 3);
-            if s != NIL {
-                prop_assert_ne!(color[v], color[s]);
-            }
         }
     }
 }

@@ -31,75 +31,6 @@ impl Monoid for i64 {
     }
 }
 
-impl Monoid for u64 {
-    fn identity() -> Self {
-        0
-    }
-    fn combine(self, other: Self) -> Self {
-        self + other
-    }
-}
-
-impl Monoid for usize {
-    fn identity() -> Self {
-        0
-    }
-    fn combine(self, other: Self) -> Self {
-        self + other
-    }
-}
-
-/// Minimum-monoid wrapper: `combine` takes the smaller value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MinI64(pub i64);
-
-impl Monoid for MinI64 {
-    fn identity() -> Self {
-        MinI64(i64::MAX)
-    }
-    fn combine(self, other: Self) -> Self {
-        MinI64(self.0.min(other.0))
-    }
-}
-
-/// Inclusive scan: `out[i] = xs[0] ⊕ … ⊕ xs[i]`.
-pub fn inclusive_scan<T: Monoid>(xs: &[T]) -> Vec<T> {
-    let mut out = xs.to_vec();
-    inclusive_scan_in_place(&mut out);
-    out
-}
-
-/// Exclusive scan: `out[i] = xs[0] ⊕ … ⊕ xs[i-1]`, `out[0] = identity`.
-/// Returns the scanned vector and the total `xs[0] ⊕ … ⊕ xs[n-1]`.
-pub fn exclusive_scan<T: Monoid>(xs: &[T]) -> (Vec<T>, T) {
-    let n = xs.len();
-    if n == 0 {
-        return (Vec::new(), T::identity());
-    }
-    let inc = inclusive_scan(xs);
-    let total = inc[n - 1];
-    let mut out = Vec::with_capacity(n);
-    out.push(T::identity());
-    out.extend_from_slice(&inc[..n - 1]);
-    (out, total)
-}
-
-/// [`exclusive_scan`] into a reusable output buffer (cleared and refilled),
-/// with `partials` reused for the block totals. Returns the total
-/// `xs[0] ⊕ … ⊕ xs[n-1]`.
-pub fn exclusive_scan_with<T: Monoid>(xs: &[T], out: &mut Vec<T>, partials: &mut Vec<T>) -> T {
-    out.clear();
-    if xs.is_empty() {
-        return T::identity();
-    }
-    out.extend_from_slice(xs);
-    inclusive_scan_in_place_with(out, partials);
-    let total = out[xs.len() - 1];
-    out.rotate_right(1);
-    out[0] = T::identity();
-    total
-}
-
 /// In-place inclusive scan. Two-pass blocked algorithm:
 /// (1) scan each block independently in parallel,
 /// (2) exclusive-scan the block totals sequentially (`O(#blocks)`),
@@ -161,45 +92,30 @@ fn seq_inclusive_scan<T: Monoid>(xs: &mut [T]) {
 mod tests {
     use super::*;
 
+    fn scanned(xs: &[i64]) -> Vec<i64> {
+        let mut out = xs.to_vec();
+        inclusive_scan_in_place(&mut out);
+        out
+    }
+
     #[test]
     fn empty_scan() {
-        let xs: Vec<i64> = vec![];
-        assert!(inclusive_scan(&xs).is_empty());
-        let (e, total) = exclusive_scan(&xs);
-        assert!(e.is_empty());
-        assert_eq!(total, 0);
+        assert!(scanned(&[]).is_empty());
     }
 
     #[test]
     fn single_element() {
-        assert_eq!(inclusive_scan(&[7i64]), vec![7]);
-        let (e, total) = exclusive_scan(&[7i64]);
-        assert_eq!(e, vec![0]);
-        assert_eq!(total, 7);
+        assert_eq!(scanned(&[7]), vec![7]);
     }
 
     #[test]
     fn small_inclusive() {
-        assert_eq!(inclusive_scan(&[1i64, 2, 3, 4]), vec![1, 3, 6, 10]);
-    }
-
-    #[test]
-    fn small_exclusive() {
-        let (e, total) = exclusive_scan(&[1i64, 2, 3, 4]);
-        assert_eq!(e, vec![0, 1, 3, 6]);
-        assert_eq!(total, 10);
+        assert_eq!(scanned(&[1, 2, 3, 4]), vec![1, 3, 6, 10]);
     }
 
     #[test]
     fn negative_values() {
-        assert_eq!(inclusive_scan(&[-1i64, 5, -10, 3]), vec![-1, 4, -6, -3]);
-    }
-
-    #[test]
-    fn min_monoid() {
-        let xs: Vec<MinI64> = [5i64, 3, 8, 1, 9].iter().map(|&x| MinI64(x)).collect();
-        let got: Vec<i64> = inclusive_scan(&xs).iter().map(|m| m.0).collect();
-        assert_eq!(got, vec![5, 3, 3, 1, 1]);
+        assert_eq!(scanned(&[-1, 5, -10, 3]), vec![-1, 4, -6, -3]);
     }
 
     #[test]
@@ -208,7 +124,7 @@ mod tests {
         let xs: Vec<i64> = (0..n as u64)
             .map(|i| ((i * 2654435761) % 1000) as i64 - 500)
             .collect();
-        let par = inclusive_scan(&xs);
+        let par = scanned(&xs);
         let mut acc = 0i64;
         for (i, &x) in xs.iter().enumerate() {
             acc += x;
@@ -217,30 +133,15 @@ mod tests {
     }
 
     #[test]
-    fn large_exclusive_total() {
-        let n = 50_000;
-        let xs: Vec<u64> = (0..n).map(|i| (i % 7) as u64).collect();
-        let (e, total) = exclusive_scan(&xs);
-        assert_eq!(total, xs.iter().sum::<u64>());
-        assert_eq!(e[0], 0);
-        assert_eq!(e[n - 1] + xs[n - 1], total);
-    }
-
-    #[test]
     fn scratch_variants_match_allocating_path() {
         let mut partials: Vec<i64> = Vec::new();
-        let mut out: Vec<i64> = Vec::new();
         // Reuse the same scratch across differently-sized inputs, crossing
         // the parallel threshold both ways.
         for n in [0usize, 1, 5, SEQ_THRESHOLD, 3 * SEQ_THRESHOLD + 7, 17] {
             let xs: Vec<i64> = (0..n as i64).map(|i| (i * 37 % 101) - 50).collect();
             let mut in_place = xs.clone();
             inclusive_scan_in_place_with(&mut in_place, &mut partials);
-            assert_eq!(in_place, inclusive_scan(&xs), "inclusive n={n}");
-            let total = exclusive_scan_with(&xs, &mut out, &mut partials);
-            let (want, want_total) = exclusive_scan(&xs);
-            assert_eq!(out, want, "exclusive n={n}");
-            assert_eq!(total, want_total, "total n={n}");
+            assert_eq!(in_place, scanned(&xs), "inclusive n={n}");
         }
     }
 
@@ -248,10 +149,8 @@ mod tests {
     fn exactly_threshold_boundary() {
         for n in [SEQ_THRESHOLD - 1, SEQ_THRESHOLD, SEQ_THRESHOLD + 1] {
             let xs: Vec<i64> = (0..n as i64).collect();
-            let got = inclusive_scan(&xs);
+            let got = scanned(&xs);
             assert_eq!(got[n - 1], (n as i64 - 1) * n as i64 / 2);
         }
     }
-
-    use crate::SEQ_THRESHOLD;
 }

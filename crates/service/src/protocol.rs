@@ -242,8 +242,8 @@ pub enum UpdateMode {
     /// The cached packing was kept; only the invalidated trees were
     /// re-swept.
     Incremental,
-    /// The staleness budget (or a structural mutation) forced a full
-    /// re-pack of the cached snapshot.
+    /// The cached snapshot was re-packed: a pinned tree lost an edge, or
+    /// the pinned trees may no longer cover the minimum cut.
     Repack,
 }
 
@@ -635,7 +635,7 @@ pub struct DynamicCounters {
     /// `update` answers produced from the pinned packing (re-sweep only).
     pub incremental: u64,
     /// `update` answers that ran a full solve (fresh snapshot or
-    /// staleness-budget re-pack).
+    /// re-pack).
     pub full: u64,
 }
 

@@ -268,3 +268,67 @@ fn fresh_snapshot_holds_the_solver_answer() {
         }
     }
 }
+
+/// One graph lineage of perfbench's `serve-mixed` script at seed 7705
+/// (connection 0, the n = 35 cycle with chords): its load and its first
+/// 183 single-op updates, all under the graph's one pinned seed. A
+/// re-pack budget in units of total weight let updates 177, 179, 180, 182
+/// and 183 answer 4 where the minimum cut is 3.
+const SERVE_MIXED_LINEAGE: &str = include_str!("fixtures/serve_mixed_7705_lineage.jsonl");
+
+#[test]
+fn serve_mixed_lineage_updates_match_stoer_wagner() {
+    use parallel_mincut::graph::io::read_dimacs;
+    use parallel_mincut::service::protocol::{graph_id, LoadSource, Request, Response, UpdateOp};
+    use parallel_mincut::service::{Service, ServiceConfig};
+
+    let service = Service::new(&ServiceConfig {
+        threads: 2,
+        ..ServiceConfig::default()
+    });
+    let mut frames = SERVE_MIXED_LINEAGE.lines();
+    let load = frames.next().expect("the load frame");
+    let Ok(Request::Load(LoadSource::Body(body))) = Request::parse_frame(load) else {
+        panic!("the fixture starts with an inline load");
+    };
+    // A replica of the served graph, mutated as the service resolves
+    // wire ops: 1-based vertices, the smallest edge id between a pair.
+    let mut g = read_dimacs(body.as_bytes()).unwrap();
+    let (resp, _) = service.handle_frame(load);
+    assert!(
+        matches!(resp, Response::Loaded { .. }),
+        "{}",
+        resp.to_frame()
+    );
+    let mut updates = 0;
+    for frame in frames {
+        updates += 1;
+        let Ok(Request::Update { ops, .. }) = Request::parse_frame(frame) else {
+            panic!("update {updates} is not an update frame");
+        };
+        for op in ops {
+            let eid = |g: &Graph, u: u64, v: u64| {
+                g.find_edge(u as u32 - 1, v as u32 - 1).unwrap() as usize
+            };
+            match op {
+                UpdateOp::AddEdge { u, v, w } => {
+                    g.add_edge(u as u32 - 1, v as u32 - 1, w).unwrap();
+                }
+                UpdateOp::RemoveEdge { u, v } => {
+                    g.remove_edge(eid(&g, u, v)).unwrap();
+                }
+                UpdateOp::ReweightEdge { u, v, w } => {
+                    g.reweight_edge(eid(&g, u, v), w).unwrap();
+                }
+            }
+        }
+        let (resp, _) = service.handle_frame(frame);
+        let Response::Updated { id, value, .. } = resp else {
+            panic!("update {updates}: {}", resp.to_frame());
+        };
+        assert_eq!(id, graph_id(&g), "update {updates}: replica out of step");
+        let want = stoer_wagner(&g).unwrap().value;
+        assert_eq!(value, want, "update {updates}");
+    }
+    assert_eq!(updates, 183);
+}

@@ -153,8 +153,9 @@ fn serve_stats_response_matches_golden() {
     // A fixed session: load two graphs, solve one, mutate it three times
     // (the first update misses the snapshot cache and solves fresh; the
     // second — addressed to the re-keyed id — hits the snapshot and
-    // re-solves incrementally; the third adds an edge, which forces a
-    // re-pack), ask for stats. With --no-timing and --threads 2 every
+    // re-solves incrementally; the third adds an edge across the only
+    // minimum cut, which raises the answer past the packed one and so
+    // re-packs), ask for stats. With --no-timing and --threads 2 every
     // byte of the stats response is deterministic; the
     // load/solve/update responses are pinned too (ids are
     // content-addressed, so the re-keyed ids are stable).
@@ -163,7 +164,7 @@ fn serve_stats_response_matches_golden() {
                    {\"op\":\"solve\",\"graph\":\"g-030a2ab13a73a411\",\"solver\":\"sw\",\"seed\":5}\n\
                    {\"op\":\"update\",\"graph\":\"g-030a2ab13a73a411\",\"ops\":[{\"kind\":\"reweight_edge\",\"u\":1,\"v\":2,\"w\":3}],\"seed\":5}\n\
                    {\"op\":\"update\",\"graph\":\"g-cc1fc9baedc78a93\",\"ops\":[{\"kind\":\"reweight_edge\",\"u\":2,\"v\":3,\"w\":2}],\"seed\":5}\n\
-                   {\"op\":\"update\",\"graph\":\"g-6ba48fd5366326d0\",\"ops\":[{\"kind\":\"add_edge\",\"u\":1,\"v\":3,\"w\":2}],\"seed\":5}\n\
+                   {\"op\":\"update\",\"graph\":\"g-6ba48fd5366326d0\",\"ops\":[{\"kind\":\"add_edge\",\"u\":2,\"v\":4,\"w\":2}],\"seed\":5}\n\
                    {\"op\":\"stats\"}\n\
                    {\"op\":\"shutdown\"}\n";
     let mut child = pmc()

@@ -116,7 +116,7 @@ proptest! {
     fn decomposition_invariants(tree in arb_tree(200)) {
         let n = tree.n();
         let log2n = (usize::BITS - n.leading_zeros()) as usize;
-        for strat in [DecompStrategy::BoughWalk, DecompStrategy::BoughListRank, DecompStrategy::BoughRandomMate, DecompStrategy::BoughDeterministic, DecompStrategy::HeavyLight] {
+        for strat in [DecompStrategy::BoughWalk, DecompStrategy::BoughRandomMate, DecompStrategy::HeavyLight] {
             let d = Decomposition::new(&tree, strat);
             d.validate(&tree);
             for &leaf in &tree.leaves() {
@@ -128,7 +128,7 @@ proptest! {
     #[test]
     fn bough_strategies_agree(tree in arb_tree(150)) {
         let a = Decomposition::new(&tree, DecompStrategy::BoughWalk);
-        let b = Decomposition::new(&tree, DecompStrategy::BoughListRank);
+        let b = Decomposition::new(&tree, DecompStrategy::BoughRandomMate);
         let mut pa: Vec<Vec<u32>> = a.paths_iter().map(|p| p.to_vec()).collect();
         let mut pb: Vec<Vec<u32>> = b.paths_iter().map(|p| p.to_vec()).collect();
         pa.sort();
