@@ -20,12 +20,13 @@
 //! the answer by as much as it removed). Each trial starts from a warm,
 //! non-stale snapshot, which is exactly the cache's steady state.
 
-use std::io::Write as _;
 use std::time::Instant;
 
+use pmc_bench::report::{fixed, Report};
 use pmc_bench::{header, row, solver, table1_graph, SolverConfig, SolverWorkspace};
 use pmc_core::{apply_delta, MutationOp, ResolveMode, SolveState};
 use pmc_graph::Graph;
+use pmc_service::json::{self, Json};
 
 struct Cell {
     n: usize,
@@ -40,6 +41,19 @@ struct Cell {
 impl Cell {
     fn speedup(&self) -> f64 {
         self.scratch_us as f64 / self.incremental_us.max(1) as f64
+    }
+
+    fn to_json(&self) -> Json {
+        json::obj(vec![
+            ("n", json::n(self.n as u64)),
+            ("delta_edges", json::n(self.delta as u64)),
+            ("trials", json::n(self.trials as u64)),
+            ("incremental_us_median", json::n128(self.incremental_us)),
+            ("scratch_us_median", json::n128(self.scratch_us)),
+            ("speedup", fixed(self.speedup(), 3)),
+            ("reswept_total", json::n(self.reswept_total as u64)),
+            ("repacks", json::n(self.repacks as u64)),
+        ])
     }
 }
 
@@ -76,13 +90,13 @@ fn median(mut xs: Vec<u128>) -> u128 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_dynamic.json".into());
+    let report = Report::from_args(
+        "dynamic_report",
+        "dynamic_incremental_resolve",
+        "median latency of the incremental update path (apply deltas + re-sweep invalidated trees over the pinned packing) vs a from-scratch paper solve of the identical mutated graph; value parity asserted per trial",
+        "BENCH_dynamic.json",
+    );
+    let quick = report.quick;
     let trials = if quick { 3 } else { 7 };
     let sizes: &[usize] = if quick { &[256] } else { &[1024, 2048] };
     let deltas: &[usize] = if quick { &[1, 8] } else { &[1, 8, 64] };
@@ -183,12 +197,17 @@ fn main() {
         println!("single-edge delta speedup at n=2048: {s:.2}x");
     }
 
-    let json = render_json(&cells, trials, quick, headline);
-    let mut f = std::fs::File::create(&out_path)
-        .unwrap_or_else(|e| panic!("cannot create {out_path}: {e}"));
-    f.write_all(json.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("wrote {out_path}");
+    report.write(vec![
+        ("trials", json::n(trials as u64)),
+        (
+            "speedup_n2048_delta1",
+            headline.map_or(Json::Null, |h| fixed(h, 3)),
+        ),
+        (
+            "cells",
+            json::arr(cells.iter().map(Cell::to_json).collect()),
+        ),
+    ]);
 
     if !quick {
         let s = headline.expect("full runs cover n=2048 delta=1");
@@ -197,45 +216,4 @@ fn main() {
             "acceptance: single-edge deltas must beat from-scratch by >= 5x at n=2048, got {s:.2}x"
         );
     }
-}
-
-/// Hand-rolled JSON (the workspace has no serde); every value is a
-/// number, bool, or controlled ASCII string, so escaping is not needed.
-fn render_json(cells: &[Cell], trials: usize, quick: bool, headline: Option<f64>) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"dynamic_incremental_resolve\",\n");
-    s.push_str(
-        "  \"description\": \"median latency of the incremental update path (apply deltas + re-sweep invalidated trees over the pinned packing) vs a from-scratch paper solve of the identical mutated graph; value parity asserted per trial\",\n",
-    );
-    s.push_str("  \"regenerate\": \"cargo run --release -p pmc-bench --bin dynamic_report\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"trials\": {trials},\n"));
-    match headline {
-        Some(h) => s.push_str(&format!("  \"speedup_n2048_delta1\": {h:.3},\n")),
-        None => s.push_str("  \"speedup_n2048_delta1\": null,\n"),
-    }
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"n\": {},\n", c.n));
-        s.push_str(&format!("      \"delta_edges\": {},\n", c.delta));
-        s.push_str(&format!("      \"trials\": {},\n", c.trials));
-        s.push_str(&format!(
-            "      \"incremental_us_median\": {},\n",
-            c.incremental_us
-        ));
-        s.push_str(&format!("      \"scratch_us_median\": {},\n", c.scratch_us));
-        s.push_str(&format!("      \"speedup\": {:.3},\n", c.speedup()));
-        s.push_str(&format!("      \"reswept_total\": {},\n", c.reswept_total));
-        s.push_str(&format!("      \"repacks\": {}\n", c.repacks));
-        s.push_str(if i + 1 == cells.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
 }

@@ -33,10 +33,10 @@
 //! Every pair is asserted bit-identical before it is timed. The JSON
 //! records `hardware_threads`; every timed side runs on one thread.
 
-use std::io::Write as _;
 use std::time::Duration;
 
 use pmc_bench::loadgen::hardware_threads;
+use pmc_bench::report::{fixed, Report};
 use pmc_bench::{
     arbitrary_spanning_tree, header, random_tree_ops, row, solver, table1_graph, time_pair,
     SolverConfig, SolverWorkspace,
@@ -52,6 +52,7 @@ use pmc_minpath::{
 use pmc_packing::{
     pack_trees, pack_trees_with, rooted_tree_from_edges, PackScratch, PackingConfig,
 };
+use pmc_service::json::{self, Json};
 
 struct Measurement {
     phase: &'static str,
@@ -66,6 +67,18 @@ impl Measurement {
     fn ratio(&self) -> f64 {
         self.before_ns as f64 / self.after_ns.max(1) as f64
     }
+
+    fn to_json(&self) -> Json {
+        json::obj(vec![
+            ("phase", json::s(self.phase)),
+            ("name", json::s(self.name.as_str())),
+            ("n", json::n(self.n as u64)),
+            ("before_label", json::s(self.before_label)),
+            ("before_ns_per_op", json::n128(self.before_ns)),
+            ("flat_ns_per_op", json::n128(self.after_ns)),
+            ("ratio", fixed(self.ratio(), 3)),
+        ])
+    }
 }
 
 fn ns(d: Duration) -> u128 {
@@ -73,13 +86,13 @@ fn ns(d: Duration) -> u128 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_hotpath.json".into());
+    let report = Report::from_args(
+        "hotpath_report",
+        "hotpath_flat_arenas",
+        "per-phase ns/op of the flat u32 arena hot path vs its retained reference implementations, plus end-to-end solve",
+        "BENCH_hotpath.json",
+    );
+    let quick = report.quick;
     let rounds = if quick { 2 } else { 7 };
     let phase_sizes: &[usize] = if quick { &[64] } else { &[256, 1024] };
     let solve_sizes: &[usize] = if quick { &[64] } else { &[1024, 2048] };
@@ -303,62 +316,18 @@ fn main() {
     println!("steady-state workspace heap: {solve_heap_bytes} bytes");
     println!("hardware threads: {}", hardware_threads());
 
-    let json = render_json(&ms, rounds, quick, min_solve_ratio, solve_heap_bytes);
-    let mut f = std::fs::File::create(&out_path)
-        .unwrap_or_else(|e| panic!("cannot create {out_path}: {e}"));
-    f.write_all(json.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("wrote {out_path}");
-}
-
-/// Hand-rolled JSON (the workspace has no serde); every value is a number,
-/// bool, or controlled ASCII string, so escaping is not needed.
-fn render_json(
-    ms: &[Measurement],
-    rounds: usize,
-    quick: bool,
-    min_solve_ratio: f64,
-    heap_bytes: usize,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"hotpath_flat_arenas\",\n");
-    s.push_str(
-        "  \"description\": \"per-phase ns/op of the flat u32 arena hot path vs its retained reference implementations, plus end-to-end solve\",\n",
-    );
-    s.push_str("  \"regenerate\": \"cargo run --release -p pmc-bench --bin hotpath_report\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        "  \"hardware_threads\": {},\n",
-        hardware_threads()
-    ));
-    s.push_str(&format!("  \"rounds\": {rounds},\n"));
-    s.push_str(&format!("  \"min_solve_ratio\": {min_solve_ratio:.3},\n"));
-    s.push_str(&format!(
-        "  \"steady_state_workspace_heap_bytes\": {heap_bytes},\n"
-    ));
-    s.push_str("  \"phases\": [\n");
-    for (i, m) in ms.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"phase\": \"{}\",\n", m.phase));
-        s.push_str(&format!("      \"name\": \"{}\",\n", m.name));
-        s.push_str(&format!("      \"n\": {},\n", m.n));
-        s.push_str(&format!(
-            "      \"before_label\": \"{}\",\n",
-            m.before_label
-        ));
-        s.push_str(&format!("      \"before_ns_per_op\": {},\n", m.before_ns));
-        s.push_str(&format!("      \"flat_ns_per_op\": {},\n", m.after_ns));
-        s.push_str(&format!("      \"ratio\": {:.3}\n", m.ratio()));
-        s.push_str(if i + 1 == ms.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+    report.write(vec![
+        ("rounds", json::n(rounds as u64)),
+        ("min_solve_ratio", fixed(min_solve_ratio, 3)),
+        (
+            "steady_state_workspace_heap_bytes",
+            json::n(solve_heap_bytes as u64),
+        ),
+        (
+            "phases",
+            json::arr(ms.iter().map(Measurement::to_json).collect()),
+        ),
+    ]);
 }
 
 /// Every non-empty MinPath batch one paper solve of

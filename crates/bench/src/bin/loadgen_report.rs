@@ -38,7 +38,9 @@ use std::thread;
 use pmc_bench::loadgen::{
     hardware_threads, run, ArrivalMode, LoadgenConfig, LoadgenReport, ServeChild,
 };
+use pmc_bench::report::Report;
 use pmc_bench::workload::{Verb, WorkloadSpec};
+use pmc_service::json;
 use pmc_service::protocol::{Request, Response};
 use pmc_service::{Service, ServiceConfig};
 
@@ -188,13 +190,13 @@ fn assert_slos(report: &LoadgenReport) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_latency.json".into());
+    let report = Report::from_args(
+        "loadgen_report",
+        "loadgen_latency",
+        "per-verb latency quantiles from pmc loadgen: closed loop (fixed concurrency) and open loop (Poisson arrivals, coordinated-omission-corrected), mixed load/solve/update/stats traffic over concurrent TCP connections",
+        "BENCH_latency.json",
+    );
+    let quick = report.quick;
 
     let wl = spec(quick);
     let bin = find_pmc_bin();
@@ -222,30 +224,23 @@ fn main() {
     );
     print!("{}", open.render_table());
 
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"loadgen_latency\",\n");
-    s.push_str(
-        "  \"description\": \"per-verb latency quantiles from pmc loadgen: closed loop (fixed concurrency) and open loop (Poisson arrivals, coordinated-omission-corrected), mixed load/solve/update/stats traffic over concurrent TCP connections\",\n",
-    );
-    s.push_str("  \"regenerate\": \"cargo run --release -p pmc-bench --bin loadgen_report\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"mode\": \"{mode_label}\",\n"));
-    s.push_str(&format!(
-        "  \"hardware_threads\": {},\n",
-        hardware_threads()
-    ));
-    s.push_str(&format!(
-        "  \"slo\": {{\"max_p99_us\": {SLO_P99_US}, \"protocol_errors\": 0, \"mismatches\": 0, \"overloaded\": 0, \"timed_out\": 0}},\n"
-    ));
-    s.push_str("  \"runs\": [\n");
-    s.push_str(&format!("    {},\n", closed.to_json()));
-    s.push_str(&format!("    {}\n", open.to_json()));
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    std::fs::write(&out_path, s).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    // A run embeds as `pmc loadgen --json` prints it, re-parsed.
+    let run_json = |r: &LoadgenReport| json::parse(&r.to_json()).expect("loadgen JSON parses");
     println!();
-    println!("wrote {out_path}");
+    report.write(vec![
+        ("mode", json::s(mode_label)),
+        (
+            "slo",
+            json::obj(vec![
+                ("max_p99_us", json::n(SLO_P99_US)),
+                ("protocol_errors", json::n(0)),
+                ("mismatches", json::n(0)),
+                ("overloaded", json::n(0)),
+                ("timed_out", json::n(0)),
+            ]),
+        ),
+        ("runs", json::arr(vec![run_json(&closed), run_json(&open)])),
+    ]);
 
     // Gate last, after the report file exists, so a violation leaves the
     // numbers on disk for diagnosis while still failing the run.

@@ -23,10 +23,11 @@
 //! degenerates into an overhead measurement (ratios ≈ 1.0), and the
 //! committed JSON is honest about it rather than synthesizing scaling.
 
-use std::io::Write as _;
-
+use pmc_bench::loadgen::hardware_threads;
+use pmc_bench::report::{fixed, Report};
 use pmc_bench::{header, row, solver, time_best, SolverConfig, SolverWorkspace};
 use pmc_graph::gen;
+use pmc_service::json::{self, Json};
 
 struct Row {
     algo: &'static str,
@@ -38,14 +39,28 @@ struct Row {
     value: u64,
 }
 
+impl Row {
+    fn to_json(&self) -> Json {
+        json::obj(vec![
+            ("algo", json::s(self.algo)),
+            ("n", json::n(self.n as u64)),
+            ("m", json::n(self.m as u64)),
+            ("threads", json::n(self.threads as u64)),
+            ("ns_per_solve", json::n128(self.ns_per_solve)),
+            ("speedup_vs_t1", fixed(self.speedup_vs_t1, 3)),
+            ("value", json::n(self.value)),
+        ])
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scaling.json".into());
+    let report = Report::from_args(
+        "scaling_report",
+        "thread_scaling",
+        "end-to-end solve wall time, problem size x thread budget, paper solver (per-tree OS-worker fan-out) vs sequential Stoer-Wagner",
+        "BENCH_scaling.json",
+    );
+    let quick = report.quick;
     let reps = if quick { 2 } else { 3 };
     let sizes: &[usize] = if quick {
         &[64, 256]
@@ -55,10 +70,9 @@ fn main() {
     let threads: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
     // Stoer–Wagner is Θ(n³); cap it so the sweep stays minutes, not hours.
     let sw_max_n = if quick { 256 } else { 1024 };
-    let hardware_threads = std::thread::available_parallelism().map_or(1, usize::from);
 
     println!("# E13 — thread scaling, paper solver vs Stoer-Wagner");
-    println!("# hardware threads: {hardware_threads}");
+    println!("# hardware threads: {}", hardware_threads());
     println!();
     header(&["algo", "n", "m", "threads", "ns/solve", "speedup vs t=1"]);
 
@@ -169,69 +183,24 @@ fn main() {
         headline.1, headline.0
     );
 
-    let json = render_json(
-        &rows,
-        reps,
-        quick,
-        hardware_threads,
-        values_identical,
-        headline,
-        max_threads,
-    );
-    let mut f = std::fs::File::create(&out_path)
-        .unwrap_or_else(|e| panic!("cannot create {out_path}: {e}"));
-    f.write_all(json.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("wrote {out_path}");
+    report.write(vec![
+        ("reps", json::n(reps as u64)),
+        (
+            "identical_values_across_thread_counts",
+            Json::Bool(values_identical),
+        ),
+        (
+            "headline",
+            json::obj(vec![
+                ("threads", json::n(max_threads as u64)),
+                ("n", json::n(headline.0 as u64)),
+                ("self_speedup", fixed(headline.1, 3)),
+            ]),
+        ),
+        ("rows", json::arr(rows.iter().map(Row::to_json).collect())),
+    ]);
     assert!(
         values_identical,
         "cut values diverged across thread counts (see DIVERGENCE lines); report written"
     );
-}
-
-/// Hand-rolled JSON (the workspace has no serde); every value is a number,
-/// bool, or controlled ASCII string, so escaping is not needed.
-fn render_json(
-    rows: &[Row],
-    reps: usize,
-    quick: bool,
-    hardware_threads: usize,
-    values_identical: bool,
-    headline: (usize, f64),
-    max_threads: usize,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"thread_scaling\",\n");
-    s.push_str(
-        "  \"description\": \"end-to-end solve wall time, problem size x thread budget, paper solver (per-tree OS-worker fan-out) vs sequential Stoer-Wagner\",\n",
-    );
-    s.push_str("  \"regenerate\": \"cargo run --release -p pmc-bench --bin scaling_report\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"reps\": {reps},\n"));
-    s.push_str(&format!("  \"hardware_threads\": {hardware_threads},\n"));
-    s.push_str(&format!(
-        "  \"identical_values_across_thread_counts\": {values_identical},\n"
-    ));
-    s.push_str(&format!(
-        "  \"headline\": {{\"threads\": {max_threads}, \"n\": {}, \"self_speedup\": {:.3}}},\n",
-        headline.0, headline.1
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"algo\": \"{}\", \"n\": {}, \"m\": {}, \"threads\": {}, \"ns_per_solve\": {}, \"speedup_vs_t1\": {:.3}, \"value\": {}}}{}\n",
-            r.algo,
-            r.n,
-            r.m,
-            r.threads,
-            r.ns_per_solve,
-            r.speedup_vs_t1,
-            r.value,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
 }

@@ -1,12 +1,12 @@
 //! Shared harness utilities for the paper-reproduction experiments.
 //!
-//! Every experiment in EXPERIMENTS.md has (a) a plain binary in `src/bin`
-//! that prints a paper-style table to stdout, and (b) a Criterion bench in
-//! `benches/` for statistically careful timing. Both use the helpers here
-//! so workloads are identical.
+//! Every experiment in EXPERIMENTS.md is a binary in `src/bin` that prints
+//! a paper-style table to stdout, built from the workload helpers here.
+//! The `*_report` bins also commit a `BENCH_*.json` through [`report`].
 
 pub mod histogram;
 pub mod loadgen;
+pub mod report;
 pub mod workload;
 
 use std::time::{Duration, Instant};
@@ -69,30 +69,6 @@ pub fn time_pair<T, U>(
         best_b = best_b.min(time_once(&mut b).0);
     }
     (best_a, best_b)
-}
-
-/// Times one `solve_batch` call over `graphs` — the amortized counterpart
-/// of [`time_solver`], dispatching through the same seam. Panics on solver
-/// failure so benchmark tables never silently skip rows.
-pub fn time_solver_batch(
-    solver: &dyn MinCutSolver,
-    graphs: &[Graph],
-    cfg: &SolverConfig,
-) -> (Duration, Vec<MinCutResult>) {
-    time_once(|| {
-        solver
-            .solve_batch(graphs, cfg)
-            .unwrap_or_else(|e| panic!("solver {} failed: {e}", solver.name()))
-    })
-}
-
-/// Runs `f` on a dedicated rayon pool with `threads` workers.
-pub fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build thread pool")
-        .install(f)
 }
 
 /// The standard Table-1 workload family: sparse connected multigraphs with
@@ -160,7 +136,5 @@ mod tests {
         assert_eq!(ops.len(), 100);
         let d = time_best(2, || (0..1000u64).sum::<u64>());
         assert!(d.as_nanos() > 0 || d.as_nanos() == 0);
-        let out = with_threads(2, rayon::current_num_threads);
-        assert_eq!(out, 2);
     }
 }

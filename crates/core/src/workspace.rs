@@ -13,8 +13,9 @@
 //! [`MinCutSolver::solve_batch`](crate::MinCutSolver::solve_batch) do it
 //! for you) and the buffers grow to their high-water sizes once, then get
 //! recycled: at steady state the hot path allocates only what it returns.
-//! The machine-readable evidence lives in `BENCH_workspace.json` (generated
-//! by `cargo run --release -p pmc-bench --bin alloc_report`).
+//! `hotpath_report` (`BENCH_hotpath.json`) records the steady-state size
+//! of these arenas, and EXPERIMENTS.md § E11 keeps the last one-shot vs
+//! reused-workspace throughput reading.
 //!
 //! Two multi-worker layers sit on top of the single arena:
 //!

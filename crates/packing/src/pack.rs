@@ -1,12 +1,12 @@
 //! Greedy tree packing with multiplicative loads (Lemma 1's engine).
 //!
-//! `pack_greedy` runs the Plotkin–Shmoys–Tardos-style loop: in each round,
-//! compute an MST with respect to the per-edge load ratio `ℓ_e / c_e`
-//! (load so far over sampled capacity) and increment the loads of the
-//! chosen tree. After `R` rounds the multiset of chosen trees, scaled by
-//! `1 / max_ratio`, is an approximately maximum fractional tree packing;
-//! `R / max_ratio` estimates the packing value, which Nash-Williams ties to
-//! the minimum cut (`c/2 ≤ packing ≤ c`).
+//! `pack_greedy_with` runs the Plotkin–Shmoys–Tardos-style loop: in each
+//! round, compute an MST with respect to the per-edge load ratio
+//! `ℓ_e / c_e` (load so far over sampled capacity) and increment the loads
+//! of the chosen tree. After `R` rounds the multiset of chosen trees,
+//! scaled by `1 / max_ratio`, is an approximately maximum fractional tree
+//! packing; `R / max_ratio` estimates the packing value, which
+//! Nash-Williams ties to the minimum cut (`c/2 ≤ packing ≤ c`).
 //!
 //! The loop stores no loads. [`PackScratch`] counts, per skeleton edge,
 //! the rounds that left it out: the load is the rounds run minus that
@@ -277,15 +277,10 @@ impl PackScratch {
 
 /// One greedy packing run on a skeleton. Returns `(distinct trees with
 /// multiplicities, packing value estimate)` or `None` if the skeleton does
-/// not span the graph (caller should raise the sampling rate).
-pub fn pack_greedy(g: &Graph, sk: &Skeleton, rounds: usize) -> Option<(PackedTrees, f64)> {
-    pack_greedy_with(g, sk, rounds, &mut PackScratch::default())
-}
-
-/// [`pack_greedy`] with all working state drawn from a reusable
-/// [`PackScratch`]. Identical results; at steady state a round allocates
-/// only for a tree it has not seen before, and each distinct tree's edge
-/// list is built once, at the end.
+/// not span the graph (caller should raise the sampling rate). All working
+/// state is drawn from the reusable [`PackScratch`]; at steady state a
+/// round allocates only for a tree it has not seen before, and each
+/// distinct tree's edge list is built once, at the end.
 ///
 /// Every round's tree is the unique minimum spanning tree under
 /// `(load ratio, edge id)`. The skeleton is reduced once per call by
@@ -620,7 +615,7 @@ mod tests {
     fn greedy_pack_produces_spanning_trees() {
         let g = gen::gnm_connected(60, 200, 10, 5);
         let sk = full_skeleton(&g);
-        let (trees, value) = pack_greedy(&g, &sk, 50).unwrap();
+        let (trees, value) = pack_greedy_with(&g, &sk, 50, &mut PackScratch::default()).unwrap();
         assert!(value > 0.0);
         for (t, mult) in &trees {
             assert!(*mult >= 1);
@@ -637,7 +632,7 @@ mod tests {
         // constant factor of 1.
         let g = gen::cycle_with_chords(40, 0, 0);
         let sk = full_skeleton(&g);
-        let (_, value) = pack_greedy(&g, &sk, 200).unwrap();
+        let (_, value) = pack_greedy_with(&g, &sk, 200, &mut PackScratch::default()).unwrap();
         assert!(value <= 1.5 && value > 0.4, "value {value}");
     }
 
@@ -647,8 +642,10 @@ mod tests {
         let g1 = gen::gnm_connected(40, 160, 1, 6);
         let edges2: Vec<(u32, u32, u64)> = g1.edges().iter().map(|e| (e.u, e.v, e.w * 2)).collect();
         let g2 = Graph::from_edges(40, &edges2).unwrap();
-        let (_, v1) = pack_greedy(&g1, &full_skeleton(&g1), 100).unwrap();
-        let (_, v2) = pack_greedy(&g2, &full_skeleton(&g2), 100).unwrap();
+        let (_, v1) =
+            pack_greedy_with(&g1, &full_skeleton(&g1), 100, &mut PackScratch::default()).unwrap();
+        let (_, v2) =
+            pack_greedy_with(&g2, &full_skeleton(&g2), 100, &mut PackScratch::default()).unwrap();
         assert!(v2 > 1.5 * v1, "v1={v1} v2={v2}");
     }
 
@@ -662,7 +659,7 @@ mod tests {
             live_edges: vec![],
             total_units: 0,
         };
-        assert!(pack_greedy(&g, &sk, 10).is_none());
+        assert!(pack_greedy_with(&g, &sk, 10, &mut PackScratch::default()).is_none());
     }
 
     #[test]

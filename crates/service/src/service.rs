@@ -1442,9 +1442,10 @@ mod tests {
 
     #[test]
     fn batch_solve_is_worker_count_invariant() {
-        let bodies: Vec<String> = (0..6)
+        // Distinct cycles with one heavier edge each, then random graphs of
+        // serve traffic's size.
+        let mut bodies: Vec<String> = (0..6)
             .map(|k| {
-                // Distinct cycles with one heavier edge each.
                 let n = 5 + k;
                 let mut s = format!("p cut {n} {n}\n");
                 for i in 1..=n {
@@ -1455,22 +1456,47 @@ mod tests {
                 s
             })
             .collect();
-        let mut reference: Option<Vec<SolveOutcome>> = None;
-        for threads in [1usize, 4] {
-            let service = svc(threads, 16);
-            let ids: Vec<String> = bodies.iter().map(|b| load_id(&service, b)).collect();
-            let (resp, _) = service.handle(&Request::Solve {
-                graphs: ids,
-                solver: "paper".into(),
-                seed: 99,
-                deadline_ms: None,
-            });
-            let Response::Solved { results } = resp else {
-                panic!("{resp:?}")
-            };
-            match &reference {
-                None => reference = Some(results),
-                Some(want) => assert_eq!(&results, want, "threads={threads}"),
+        bodies.extend((0..6).map(|i| {
+            let n = 24 + 8 * i;
+            let g = pmc_graph::gen::gnm_connected(n, 3 * n, 8, 0x5E21 + i as u64);
+            let mut body = Vec::new();
+            pmc_graph::io::write_dimacs(&g, &mut body).unwrap();
+            String::from_utf8(body).unwrap()
+        }));
+        let graphs: Vec<Graph> = bodies
+            .iter()
+            .map(|b| read_dimacs(b.as_bytes()).unwrap())
+            .collect();
+        for name in ["paper", "sw"] {
+            let mut reference: Option<Vec<SolveOutcome>> = None;
+            for threads in [1usize, 4] {
+                let service = svc(threads, 16);
+                let ids: Vec<String> = bodies.iter().map(|b| load_id(&service, b)).collect();
+                let (resp, _) = service.handle(&Request::Solve {
+                    graphs: ids,
+                    solver: name.into(),
+                    seed: 99,
+                    deadline_ms: None,
+                });
+                let Response::Solved { results } = resp else {
+                    panic!("{resp:?}")
+                };
+                match &reference {
+                    None => reference = Some(results),
+                    Some(want) => assert_eq!(&results, want, "{name} threads={threads}"),
+                }
+            }
+            // The service answers what the solver answers when called
+            // directly, witness included.
+            let direct = solver_by_name(name).unwrap();
+            for (g, got) in graphs.iter().zip(reference.unwrap()) {
+                let want = direct.solve(g, &SolverConfig::with_seed(99)).unwrap();
+                assert_eq!(
+                    (got.value, got.digest),
+                    (want.value, partition_digest(&want.side)),
+                    "{name} on {}",
+                    got.graph
+                );
             }
         }
     }
