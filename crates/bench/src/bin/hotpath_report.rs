@@ -18,17 +18,20 @@
 //!   peel retained in `pmc-minpath::naive` (also the property-test oracle).
 //! * sweep — `run_tree_batch`, the allocating per-node reference sweep, on
 //!   two workloads: random mixed ops on a table-1 spanning tree, and a
-//!   replay of every batch the solver generates on a community ring (the
-//!   `solve-community` shape: every packed tree, every bough phase, both
-//!   the incomparable and the ancestor batch; a small ring under
-//!   `--quick`).
+//!   replay of every batch a full 2-respect search of the packed trees
+//!   generates on a community ring (the `solve-community` shape: every
+//!   bough phase, both the incomparable and the ancestor batch; a small
+//!   ring under `--quick`). The packing certifies the ring, so that is one
+//!   tree, which the solver itself answers from its 1-respecting cuts.
 //! * pack — `pack_trees`, which builds a fresh `PackScratch` per call.
 //! * solve — the certificate → packing → per-tree 2-respect pipeline
 //!   recomposed from the allocating engines above (same seed wiring as
 //!   the paper solver), fresh buffers per request, one worker each side.
-//!   Like the solver, it sweeps the trees in order and stops at the first
-//!   cut that meets the packing's `cut_lower_bound`, so both sides sweep
-//!   the same trees and the ratio measures only the arena layout.
+//!   Like the solver, it sweeps the trees in order, stops at the first
+//!   cut that meets the packing's `cut_lower_bound`, and answers a tree
+//!   by its best 1-respecting cut, with no bough cascade, when that cut
+//!   meets the bound, so both sides do the same work and the ratio
+//!   measures only the arena layout.
 //!
 //! Every pair is asserted bit-identical before it is timed. The JSON
 //! records `hardware_threads`; every timed side runs on one thread.
@@ -44,7 +47,7 @@ use pmc_bench::{
 use pmc_core::gen_ops::{gen_ancestor, gen_incomparable, GenBatch};
 use pmc_core::phases::{build_phases, Phase};
 use pmc_core::two_respect_mincut;
-use pmc_graph::mincut_certificate;
+use pmc_graph::{best_one_respect, mincut_certificate, one_respect_cuts};
 use pmc_minpath::{
     decompose::{Decomposition, Strategy},
     naive_bough_paths, run_tree_batch, run_tree_batch_with, TreeBatchScratch,
@@ -267,7 +270,12 @@ fn main() {
             let mut best = i64::MAX;
             for te in &packing.trees {
                 let t = rooted_tree_from_edges(wg, te, 0);
-                best = best.min(two_respect_mincut(wg, &t).value);
+                let one = best_one_respect(&one_respect_cuts(wg, &t), &t).map(|(v, _)| v);
+                let cut = match one {
+                    Some(v) if v <= bound => v,
+                    _ => two_respect_mincut(wg, &t).value,
+                };
+                best = best.min(cut);
                 if best <= bound {
                     break;
                 }
@@ -330,10 +338,11 @@ fn main() {
     ]);
 }
 
-/// Every non-empty MinPath batch one paper solve of
-/// `community_ring(communities, size, 4, 1)` runs, grouped by bough phase:
-/// the certificate graph's packed trees (default packing config), each
-/// tree's phases, and per phase its incomparable and ancestor batches.
+/// Every non-empty MinPath batch a full 2-respect search of the packed
+/// trees of `community_ring(communities, size, 4, 1)` runs, grouped by
+/// bough phase: the certificate graph's packed trees (default packing
+/// config), each tree's phases, and per phase its incomparable and
+/// ancestor batches.
 fn solver_batches(communities: usize, size: usize) -> Vec<(Phase, Vec<GenBatch>)> {
     let (g, _) = pmc_graph::gen::community_ring(communities, size, 4, 1);
     let cert = mincut_certificate(&g);

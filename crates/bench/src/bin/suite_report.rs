@@ -12,20 +12,30 @@
 //!
 //! `--quick` restricts the corpus to the `smoke` slice (used by CI to
 //! keep the emitter honest without paying for the full sweep).
+//!
+//! The file is written through [`Report`], so it opens with the shared
+//! envelope; its other fields are `SuiteReport::to_json`'s (the
+//! `pmc suite --json` document) after its own name, description and
+//! regeneration line.
 
-use std::io::Write as _;
-
+use pmc_bench::report::Report;
 use pmc_scenario::{run_suite, SuiteConfig};
+use pmc_service::json;
 
 fn main() {
+    let report_out = Report::from_args(
+        "suite_report",
+        "scenario_corpus_differential",
+        "every scenario x registered solver x seed cell compared against its min-cut oracle",
+        "BENCH_suite.json",
+    );
+    let quick = report_out.quick;
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
     let flag = |name: &str| {
         args.iter()
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1).cloned())
     };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_suite.json".into());
     let mut cfg = SuiteConfig {
         filter: quick.then(|| "smoke".into()),
         seeds: if quick { 2 } else { 3 },
@@ -58,12 +68,17 @@ fn main() {
         );
     }
 
-    let json = report.to_json();
-    let mut f = std::fs::File::create(&out_path)
-        .unwrap_or_else(|e| panic!("cannot create {out_path}: {e}"));
-    f.write_all(json.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("wrote {out_path}");
+    let Ok(json::Json::Obj(fields)) = json::parse(&report.to_json()) else {
+        panic!("SuiteReport::to_json is not a JSON object");
+    };
+    let envelope = ["suite", "description", "regenerate"];
+    report_out.write(
+        fields
+            .iter()
+            .filter(|(key, _)| !envelope.contains(&key.as_str()))
+            .map(|(key, value)| (key.as_str(), value.clone()))
+            .collect(),
+    );
 
     let bad = report.disagreements();
     assert!(

@@ -48,6 +48,15 @@
 //! `decrease`), and a decrease that crosses no minimum cut, or an
 //! increase that raises `best`, re-packs.
 //!
+//! A certified pack (the packing proved `λ = ⌈P⌉` and kept one tree, see
+//! [`TreePacking::certified`](pmc_packing::TreePacking::certified)) pins
+//! that single tree, so an update re-sweeps at most one tree, and every
+//! answer the rule admits after it is exact, not only correct w.h.p.:
+//! `packed = λ` at the pack; a cut loses at most `decrease` since then, so
+//! the mutated graph's minimum cut is at least `λ − decrease`; the rule
+//! admits `best` only when `best ≤ λ − decrease`; and `best` is the value
+//! of a real cut, so it is the minimum.
+//!
 //! Determinism: re-sweeps run through the same
 //! [`fanout_units`](pmc_par::fanout_units) loop as the one-shot solver, in
 //! stable tree order, so resolved answers are bit-identical at every

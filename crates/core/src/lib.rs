@@ -14,23 +14,32 @@
 //!    (Lemma 1). The packing also proves `λ ≥ ⌈P⌉` for its value `P`
 //!    ([`TreePacking::cut_lower_bound`](pmc_packing::TreePacking::cut_lower_bound));
 //!    on the certificate graph that bounds the input's `λ` too, since the
-//!    certificate keeps it;
-//! 4. tree by tree in index order, [`two_respect::two_respect_mincut_reusing`]
-//!    finds the smallest cut crossing at most two of the tree's edges
-//!    (Lemma 13), using the Minimum Path batch engine of `pmc-minpath`
-//!    (§3). The trees fan out across OS workers, and a cancellation token
-//!    is polled before each. The sweep stops at the first tree whose cut
-//!    meets the lower bound: no cut is below `λ`, so no later tree can beat
-//!    it, and no later tree starts once it is found;
+//!    certificate keeps it. A greedy run on the full skeleton checks, from
+//!    round 32 on, whether `⌈P⌉` equals the lightest 1-respecting cut of
+//!    the round's tree; when it does, `λ = ⌈P⌉` is proven and the packing
+//!    stops with that one tree, marked
+//!    [`certified`](pmc_packing::TreePacking::certified);
+//! 4. tree by tree in index order, the Lemma 13 search
+//!    ([`two_respect::two_respect_mincut_reusing`]) finds the smallest cut
+//!    crossing at most two of the tree's edges, using the Minimum Path
+//!    batch engine of `pmc-minpath` (§3). The trees fan out across OS
+//!    workers, and a cancellation token is polled before each. The sweep
+//!    stops at the first tree whose cut meets the lower bound: no cut is
+//!    below `λ`, so no later tree can beat it, and no later tree starts
+//!    once it is found. Each search takes the bound as well: when the
+//!    tree's best 1-respecting cut meets it, that cut is the search's
+//!    answer and no bough cascade is built. A certified packing's one tree
+//!    always ends there, with no Minimum Path operation;
 //! 5. the smallest `(value, tree index)` over the swept trees wins, and its
 //!    witness is checked against the input graph. It is the same winner a
 //!    sweep of every tree picks, at every worker count.
 //!
 //! [`minimum_cut_with`] runs it on a reused [`SolverWorkspace`];
 //! [`minimum_cut`] and [`minimum_cut_report`] run it on a fresh one; a
-//! [`SolveState`] runs it without the certificate and without the early
-//! stop, and keeps the trees and every tree's cut, so an edge update
-//! re-sweeps only the trees it touched.
+//! [`SolveState`] runs it without the certificate and
+//! without the early stop (every packed tree gets a full search), and
+//! keeps the trees and every tree's cut, so an edge update re-sweeps only
+//! the trees it touched. A certified packing leaves it one tree to pin.
 //!
 //! ```
 //! use pmc_core::{minimum_cut, MinCutConfig};
@@ -44,7 +53,6 @@
 pub mod dynamic;
 pub mod gen_ops;
 pub mod phases;
-pub mod respect1;
 pub mod solver;
 pub mod two_respect;
 pub mod workspace;
@@ -57,6 +65,7 @@ use pmc_graph::{connected_components, Graph};
 use pmc_packing::{pack_trees_with, PackedTreeList, PackingConfig};
 
 pub use dynamic::{apply_delta, GraphDelta, MutationOp, ResolveMode, SolveState};
+pub use pmc_graph::respect1;
 pub use pmc_graph::PmcError;
 pub use respect1::{best_one_respect, one_respect_cuts, SubtreeCuts};
 pub use solver::{
@@ -104,7 +113,9 @@ fn tree_loop_workers(ntrees: usize, m: usize, threads: Option<usize>) -> usize {
 /// With a `bound` no cut can fall below (a lower bound on `g`'s minimum
 /// cut), the loop stops at the first tree whose cut meets it and returns
 /// the cuts up to that tree: a prefix that is the same at every width
-/// ([`pmc_par::fanout_units_until`]).
+/// ([`pmc_par::fanout_units_until`]). Each tree's search takes the bound
+/// too, and skips its bough cascade when its best 1-respecting cut meets
+/// it.
 fn sweep_trees(
     g: &Graph,
     trees: &PackedTreeList,
@@ -133,7 +144,7 @@ fn sweep_trees(
             }
             let TreeArena { root, batch } = arena;
             root.rebuild(g, &trees[indices[k]], 0);
-            let cut = two_respect_mincut_reusing(g, root.tree(), batch);
+            let cut = two_respect::two_respect_mincut_bounded(g, root.tree(), batch, bound);
             debug_assert!(
                 bound.is_none_or(|b| cut.value >= b),
                 "tree cut {} is below the packing's lower bound {bound:?}",
@@ -291,6 +302,12 @@ pub struct MinCutReport {
     /// `⌈P⌉`, computed exactly: a proven lower bound on the minimum cut
     /// (0 when the pipeline shortcut around the packing).
     pub lower_bound: u64,
+    /// Whether the packing certified its answer
+    /// ([`TreePacking::certified`](pmc_packing::TreePacking::certified)):
+    /// it proved `λ = lower_bound` and kept the one tree whose 1-respecting
+    /// cut meets it, so the search sweeps that tree, builds no bough
+    /// cascade and runs no Minimum Path operation.
+    pub certified: bool,
     /// Distinct trees in the full greedy packing.
     pub distinct_trees: usize,
     /// Trees the packing selected for the 2-respect search.
@@ -299,7 +316,8 @@ pub struct MinCutReport {
     /// including the first whose cut met [`MinCutReport::lower_bound`], or
     /// every selected tree. The same at every worker count.
     pub trees_examined: usize,
-    /// Bough phases of the winning tree's cascade.
+    /// Bough phases of the winning tree's cascade (0 when its search
+    /// stopped at a 1-respecting cut that met the lower bound).
     pub phases: u32,
     /// Total Minimum Path operations generated across the swept trees and
     /// their phases.
@@ -418,6 +436,7 @@ fn solve_pipeline(
     report.skeleton_p = packing.skeleton_p;
     report.packing_value = packing.packing_value;
     report.lower_bound = packing.cut_lower_bound;
+    report.certified = packing.certified;
     report.distinct_trees = packing.distinct_trees;
     report.trees_selected = packing.trees.len();
 
@@ -470,7 +489,10 @@ pub fn minimum_cut(g: &Graph, cfg: &MinCutConfig) -> Result<MinCutResult, PmcErr
 /// `(value, tree index)` wins. The search stops at the first tree whose
 /// cut equals the bound: that cut is proven minimum, and no later tree
 /// can beat its index, so the answer (value, witness, kind and tree
-/// index) is the one a sweep of every tree gives. The per-tree searches
+/// index) is the one a sweep of every tree gives. When the packing
+/// certifies `λ = ⌈P⌉` it stops early and keeps one tree, whose lightest
+/// 1-respecting cut is the answer: one tree swept, no bough cascade, no
+/// Minimum Path operation. The per-tree searches
 /// fan out across OS workers — one [`TreeArena`] per worker — up to
 /// `cfg.threads` or the ambient rayon thread budget; small inputs run the
 /// same loop on one worker. Results are bit-identical at every width.
@@ -587,8 +609,24 @@ mod tests {
 
     #[test]
     fn report_is_coherent() {
+        // This graph's packing certifies its answer: one tree, swept by its
+        // 1-respecting cuts alone.
         let g = gen::gnm_connected(80, 240, 9, 55);
         let (cut, report) = minimum_cut_report(&g, &MinCutConfig::default()).unwrap();
+        assert!(g.is_proper_cut(&cut.side));
+        assert!(report.certified);
+        assert_eq!(cut.value, report.lower_bound);
+        assert_eq!(cut.kind, Some(RespectKind::One));
+        let swept = (report.trees_selected, report.trees_examined);
+        assert_eq!(
+            (swept, report.phases, report.batch_ops_total),
+            ((1, 1), 0, 0)
+        );
+        // A torus packs at about λ / 2, so its bound does not close and the
+        // batch engine runs.
+        let g = gen::torus(8, 10);
+        let (cut, report) = minimum_cut_report(&g, &MinCutConfig::default()).unwrap();
+        assert!(!report.certified);
         assert!(g.is_proper_cut(&cut.side));
         assert!(report.trees_examined >= 1);
         assert!(report.distinct_trees >= report.trees_examined);

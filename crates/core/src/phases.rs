@@ -18,7 +18,7 @@ use pmc_graph::tree::{RootedTree, NO_PARENT};
 use pmc_graph::Graph;
 use pmc_minpath::decompose::{Decomposition, Strategy, NONE};
 
-use crate::respect1::{one_respect_cuts, SubtreeCuts};
+use pmc_graph::{one_respect_cuts, SubtreeCuts};
 
 /// The boughs scanned in one phase, stored as a single flat CSR arena:
 /// bough `b` occupies `data[offsets[b] .. offsets[b + 1]]`, listed
@@ -108,11 +108,19 @@ pub struct Phase {
 
 /// Builds the full cascade. `phases[0]` is the uncontracted input.
 pub fn build_phases(g: &Graph, tree: &RootedTree) -> Vec<Phase> {
+    build_phases_from(g, tree, one_respect_cuts(g, tree))
+}
+
+/// [`build_phases`] given phase 0's aggregates, `one_respect_cuts(g, tree)`,
+/// which the 2-respect search computes first for its 1-respecting
+/// candidates.
+pub(crate) fn build_phases_from(g: &Graph, tree: &RootedTree, cuts0: SubtreeCuts) -> Vec<Phase> {
     assert_eq!(g.n(), tree.n());
     let mut phases = Vec::new();
     let mut g_cur = g.clone();
     let mut t_cur = tree.clone();
     let mut comp: Vec<u32> = (0..g.n() as u32).collect();
+    let mut cuts0 = Some(cuts0);
 
     loop {
         let decomp = Decomposition::new(&t_cur, Strategy::BoughWalk);
@@ -128,7 +136,9 @@ pub fn build_phases(g: &Graph, tree: &RootedTree) -> Vec<Phase> {
             boughs.data.extend(path.iter().rev());
             boughs.offsets.push(boughs.data.len() as u32);
         }
-        let cuts = one_respect_cuts(&g_cur, &t_cur);
+        let cuts = cuts0
+            .take()
+            .unwrap_or_else(|| one_respect_cuts(&g_cur, &t_cur));
         let n_cur = t_cur.n();
 
         // Contraction mapping: phase-0 vertices fold into the parent of

@@ -17,15 +17,21 @@
 //! winning phase's batch prefix on the sequential argmin-tracking structure
 //! and mapping the discovered pair `(y, t)` back through the contraction
 //! cascade.
+//!
+//! The solver's tree loop may pass a lower bound on the minimum cut (the
+//! packing's `⌈P⌉`). The search computes phase 0's aggregates first; when
+//! the best 1-respecting cut already meets the bound it is returned without
+//! building the cascade. The full search returns the same cut: it starts
+//! from that candidate and replaces it only with a strictly smaller one,
+//! and no cut is below the bound.
 
 use rayon::prelude::*;
 
-use pmc_graph::{EulerTour, Graph, RootedTree};
+use pmc_graph::{best_one_respect, one_respect_cuts, EulerTour, Graph, RootedTree};
 use pmc_minpath::{run_tree_batch, run_tree_batch_with, SeqMinPath, TreeBatchScratch, TreeOp, INF};
 
 use crate::gen_ops::{gen_ancestor, gen_incomparable, GenBatch};
-use crate::phases::{build_phases, Phase};
-use crate::respect1::best_one_respect;
+use crate::phases::{build_phases_from, Phase};
 
 /// Which structural case produced a cut.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,7 +94,7 @@ pub fn two_respect_mincut(g: &Graph, tree: &RootedTree) -> TwoRespectCut {
 
 /// [`two_respect_mincut`] with an explicit execution mode.
 pub fn two_respect_mincut_with(g: &Graph, tree: &RootedTree, mode: ExecMode) -> TwoRespectCut {
-    two_respect_impl(g, tree, Exec::PerMode(mode))
+    two_respect_impl(g, tree, Exec::PerMode(mode), None)
 }
 
 /// [`two_respect_mincut`] with the batch-engine working state drawn from a
@@ -100,7 +106,20 @@ pub fn two_respect_mincut_reusing(
     tree: &RootedTree,
     ws: &mut TreeBatchScratch,
 ) -> TwoRespectCut {
-    two_respect_impl(g, tree, Exec::Amortized(ws))
+    two_respect_impl(g, tree, Exec::Amortized(ws), None)
+}
+
+/// [`two_respect_mincut_reusing`] given `bound`, a lower bound on `g`'s
+/// minimum cut: when the best 1-respecting cut meets it, that cut is
+/// returned with no cascade built (`phases` and `batch_ops` read 0). Value,
+/// side and kind always equal the unbounded search's.
+pub(crate) fn two_respect_mincut_bounded(
+    g: &Graph,
+    tree: &RootedTree,
+    ws: &mut TreeBatchScratch,
+    bound: Option<i64>,
+) -> TwoRespectCut {
+    two_respect_impl(g, tree, Exec::Amortized(ws), bound)
 }
 
 /// How `two_respect_impl` runs the per-phase batches.
@@ -109,9 +128,27 @@ enum Exec<'a> {
     Amortized(&'a mut TreeBatchScratch),
 }
 
-fn two_respect_impl(g: &Graph, tree: &RootedTree, exec: Exec<'_>) -> TwoRespectCut {
+fn two_respect_impl(
+    g: &Graph,
+    tree: &RootedTree,
+    exec: Exec<'_>,
+    bound: Option<i64>,
+) -> TwoRespectCut {
     assert!(g.n() >= 2, "need at least two vertices");
-    let phases = build_phases(g, tree);
+    // Phase 0's aggregates give every 1-respecting candidate (phase 0
+    // covers every original tree edge).
+    let cuts0 = one_respect_cuts(g, tree);
+    let one = best_one_respect(&cuts0, tree);
+    if let Some((value, v)) = one.filter(|&(value, _)| bound.is_some_and(|b| value <= b)) {
+        return TwoRespectCut {
+            value,
+            side: subtree_side(tree, v),
+            kind: RespectKind::One,
+            phases: 0,
+            batch_ops: 0,
+        };
+    }
+    let phases = build_phases_from(g, tree, cuts0);
 
     // Generate both batches for every phase, in parallel.
     let batches: Vec<(GenBatch, GenBatch)> = phases
@@ -164,8 +201,7 @@ fn two_respect_impl(g: &Graph, tree: &RootedTree, exec: Exec<'_>) -> TwoRespectC
     let mut best_val = i64::MAX;
     let mut winner = Winner::One { v: u32::MAX };
 
-    // 1-respecting (phase 0 covers every original tree edge).
-    if let Some((val, v)) = best_one_respect(&phases[0].cuts, tree) {
+    if let Some((val, v)) = one {
         best_val = val;
         winner = Winner::One { v };
     }
@@ -227,8 +263,7 @@ fn two_respect_impl(g: &Graph, tree: &RootedTree, exec: Exec<'_>) -> TwoRespectC
     let side = match winner {
         Winner::One { v } => {
             assert_ne!(v, u32::MAX, "no candidate found");
-            let euler = EulerTour::new(tree);
-            (0..g.n() as u32).map(|x| euler.is_ancestor(v, x)).collect()
+            subtree_side(tree, v)
         }
         Winner::Two {
             phase: pi,
@@ -272,6 +307,14 @@ fn two_respect_impl(g: &Graph, tree: &RootedTree, exec: Exec<'_>) -> TwoRespectC
     }
 }
 
+/// The side `v↓` of the 1-respecting cut at tree vertex `v`.
+fn subtree_side(tree: &RootedTree, v: u32) -> Vec<bool> {
+    let euler = EulerTour::new(tree);
+    (0..tree.n() as u32)
+        .map(|x| euler.is_ancestor(v, x))
+        .collect()
+}
+
 /// Executes a whole batch one operation at a time on the sequential
 /// structure (the `ExecMode::Sequential` path).
 fn run_batch_sequential(phase: &Phase, batch: &GenBatch) -> Vec<i64> {
@@ -302,6 +345,7 @@ fn replay_argmin(phase: &Phase, batch: &GenBatch, op_index: u32, target: u32) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::build_phases;
     use pmc_baseline::{quadratic_two_respect, stoer_wagner};
     use pmc_graph::gen;
     use pmc_packing::{kruskal_mst, pack_trees, rooted_tree_from_edges, PackingConfig};
@@ -357,6 +401,33 @@ mod tests {
             assert_eq!(a.kind, b.kind, "trial {trial}");
             assert_eq!(a.batch_ops, b.batch_ops, "trial {trial}");
         }
+    }
+
+    #[test]
+    fn bounded_search_returns_the_full_searchs_cut() {
+        // With λ as the bound, a tree whose best 1-respecting cut is a
+        // minimum cut answers without its cascade; every answer equals the
+        // full search's.
+        let mut rng = SmallRng::seed_from_u64(55);
+        let mut ws = TreeBatchScratch::default();
+        let mut early = 0;
+        for trial in 0..40 {
+            let n = rng.gen_range(3..50);
+            let m = rng.gen_range(n - 1..4 * n);
+            let g = gen::gnm_connected(n, m, 9, 900 + trial);
+            let lambda = stoer_wagner(&g).unwrap().value as i64;
+            let t = spanning_tree(&g, trial + 3);
+            let full = two_respect_mincut_reusing(&g, &t, &mut ws);
+            let got = two_respect_mincut_bounded(&g, &t, &mut ws, Some(lambda));
+            assert_eq!(got.value, full.value, "trial {trial}");
+            assert_eq!(got.side, full.side, "trial {trial}");
+            assert_eq!(got.kind, full.kind, "trial {trial}");
+            if got.phases == 0 {
+                early += 1;
+                assert_eq!((got.kind, got.batch_ops), (RespectKind::One, 0));
+            }
+        }
+        assert!(early > 0 && early < 40, "{early} early answers");
     }
 
     #[test]

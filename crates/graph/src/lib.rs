@@ -2,7 +2,8 @@
 //!
 //! Provides the undirected weighted multigraph type ([`Graph`]), rooted
 //! spanning trees ([`RootedTree`]), Euler tours and constant-time LCA
-//! queries ([`lca`]), connected components, graph contraction (the
+//! queries ([`lca`]), the 1-respecting cut values of a spanning tree
+//! ([`respect1`], Lemma 11), connected components, graph contraction (the
 //! bough-phase cascade of §4.1.3 contracts graphs and trees in lock-step),
 //! cut evaluation, and a family of workload generators used by the tests and
 //! the benchmark harness.
@@ -16,6 +17,7 @@ pub mod gen;
 pub mod graph;
 pub mod io;
 pub mod lca;
+pub mod respect1;
 pub mod tree;
 
 pub use certificate::{
@@ -29,4 +31,5 @@ pub use euler::EulerTour;
 pub use graph::{Edge, Graph, GraphError, Weight};
 pub use io::{read_dimacs, read_edge_list, read_path, write_dimacs, IoError};
 pub use lca::LcaIndex;
+pub use respect1::{best_one_respect, one_respect_cuts, SubtreeCuts};
 pub use tree::{RootedTree, TreeScratch};

@@ -14,8 +14,13 @@
 //!
 //! The same pass also yields `ρ↓(v)` — the total weight of edges with both
 //! endpoints in `v↓` — which Appendix A's ancestor case needs.
+//!
+//! The module lives beside [`EulerTour`] and [`LcaIndex`] so that both the
+//! tree packing (which certifies its own answer with the lightest
+//! 1-respecting cut of a packed tree) and the per-tree 2-respect search can
+//! call it.
 
-use pmc_graph::{EulerTour, Graph, LcaIndex, RootedTree};
+use crate::{EulerTour, Graph, LcaIndex, RootedTree};
 
 /// Per-vertex subtree aggregates of a graph against a spanning tree.
 #[derive(Clone, Debug)]
@@ -64,10 +69,22 @@ pub fn best_one_respect(cuts: &SubtreeCuts, tree: &RootedTree) -> Option<(i64, u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmc_graph::gen;
-    use pmc_packing::{kruskal_mst, rooted_tree_from_edges};
+    use crate::{gen, UnionFind};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// The spanning tree Kruskal picks from `g`'s edges at equal costs
+    /// (in edge-id order), rooted at 0.
+    fn spanning_tree(g: &Graph) -> RootedTree {
+        let mut uf = UnionFind::new(g.n());
+        let pairs: Vec<(u32, u32)> = g
+            .edges()
+            .iter()
+            .filter(|e| uf.union(e.u, e.v))
+            .map(|e| (e.u, e.v))
+            .collect();
+        RootedTree::from_undirected_edges(g.n(), &pairs, 0)
+    }
 
     fn naive_cut1(g: &Graph, tree: &RootedTree, v: u32) -> i64 {
         let desc = tree.descendants(v);
@@ -94,8 +111,7 @@ mod tests {
             let n = rng.gen_range(2..60);
             let m = rng.gen_range(n - 1..4 * n);
             let g = gen::gnm_connected(n, m, 9, trial);
-            let mst = kruskal_mst(&g, &vec![1; g.m()]);
-            let tree = rooted_tree_from_edges(&g, &mst, 0);
+            let tree = spanning_tree(&g);
             let cuts = one_respect_cuts(&g, &tree);
             for v in 0..n as u32 {
                 assert_eq!(cuts.cut1[v as usize], naive_cut1(&g, &tree, v), "cut1({v})");
@@ -107,8 +123,7 @@ mod tests {
     #[test]
     fn root_cut_is_zero() {
         let g = gen::gnm_connected(30, 80, 5, 2);
-        let mst = kruskal_mst(&g, &vec![1; g.m()]);
-        let tree = rooted_tree_from_edges(&g, &mst, 0);
+        let tree = spanning_tree(&g);
         let cuts = one_respect_cuts(&g, &tree);
         assert_eq!(cuts.cut1[tree.root() as usize], 0);
         assert_eq!(cuts.rho[tree.root() as usize], g.total_weight() as i64);
@@ -118,12 +133,10 @@ mod tests {
     fn best_one_respect_on_path_graph() {
         // Path graph: 0-1-2-3 with weights 5, 1, 7; tree = the path itself.
         let g = Graph::from_edges(4, &[(0, 1, 5), (1, 2, 1), (2, 3, 7)]).unwrap();
-        let tree = rooted_tree_from_edges(&g, &[0, 1, 2], 0);
+        let tree = spanning_tree(&g);
         let cuts = one_respect_cuts(&g, &tree);
         let (val, v) = best_one_respect(&cuts, &tree).unwrap();
         assert_eq!(val, 1);
         assert_eq!(v, 2); // cutting edge (1,2): v↓ = {2,3}
     }
-
-    use pmc_graph::Graph;
 }

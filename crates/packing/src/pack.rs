@@ -34,17 +34,43 @@
 //! from the final run's counters, never from the f64
 //! [`TreePacking::packing_value`]. A capped or sampled multiplicity only
 //! weakens it; in practice it can meet `λ` only at `p = 1`.
+//!
+//! **The certified stop.** The same argument holds after any prefix of a
+//! run: the first `r` rounds form a packing of value `P_r`, so `λ ≥ ⌈P_r⌉`.
+//! Every tree edge's cut is a cut of the graph, so the lightest
+//! 1-respecting cut `c` of any round's tree is at least `λ`. When
+//! `c = ⌈P_r⌉`, both bounds meet: `λ = ⌈P_r⌉` is proven, and that tree
+//! crosses a minimum cut once. [`pack_trees_with`] checks this on the
+//! checkpoint round's own tree (Lemma 11's subtree sums, one
+//! `O(m + n log n)` pass) at rounds 32, 64, 128, … and at the run's last
+//! round, and when it holds it stops the run and returns that one tree,
+//! marked [`TreePacking::certified`]. A check draws no randomness and
+//! changes no counter, so a run it does not stop, and the whole packing
+//! when none holds, is bit-identical to a run without checks.
+//!
+//! Only runs on the full skeleton (`p = 1`, the estimation run when the
+//! rate search reaches it, or the final run) check. A sampled run's `⌈P⌉`
+//! bounds the sample's cuts, measured in sampled units, not the graph's
+//! `λ`. The first check waits for round 32: the default final run is never
+//! shorter, so every default run on the full skeleton gets at least one,
+//! while checks at doubling rounds add at most `log₂(R / 32) + 2` passes to
+//! an `R`-round run. A run deliberately starved below 32 rounds (E8's
+//! success-rate rows) keeps measuring the raw Monte Carlo engine.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pmc_graph::{Edge, Graph, RootedTree};
+use pmc_graph::{best_one_respect, one_respect_cuts, Edge, Graph, RootedTree};
 
 use crate::mst::{set_bits, RepeatedMst};
 use crate::skeleton::{full_skeleton, sample_skeleton, Skeleton};
 
 /// Fixed-point shift for load-ratio MST keys.
 const RATIO_SHIFT: u32 = 20;
+
+/// The first round at which a run on the full skeleton checks its
+/// certificate (see the module docs).
+const FIRST_CHECK: usize = 32;
 
 /// Configuration for [`pack_trees`]. `Default` picks the paper's
 /// asymptotics with practical constants.
@@ -197,22 +223,32 @@ impl<'a> Iterator for PackedTreeIter<'a> {
 #[derive(Clone, Debug)]
 pub struct TreePacking {
     /// Selected spanning trees (flat arena; each a sorted list of edge ids
-    /// of the original graph).
+    /// of the original graph). A certified packing holds exactly one: the
+    /// tree that certified it.
     pub trees: PackedTreeList,
     /// Packing multiplicity of each selected tree (how many greedy rounds
     /// produced exactly this tree).
     pub tree_weights: Vec<u32>,
-    /// Sampling rate of the accepted skeleton.
+    /// Sampling rate of the accepted skeleton (1 for a certified packing).
     pub skeleton_p: f64,
-    /// Estimated packing value of the accepted skeleton.
+    /// Estimated packing value of the accepted skeleton, after the rounds
+    /// run.
     pub packing_value: f64,
-    /// `⌈P⌉` for the final packing's value `P`, computed exactly: a lower
-    /// bound on the packed graph's minimum cut (see the module docs).
+    /// `⌈P⌉` for the packing's value `P`, computed exactly: a lower bound
+    /// on the packed graph's minimum cut (see the module docs). For a
+    /// certified packing it is the minimum cut `λ` itself.
     pub cut_lower_bound: u64,
-    /// Number of greedy rounds in the final packing.
+    /// Number of greedy rounds the packing ran: the final run's budget, or,
+    /// for a certified packing, the rounds of the run that certified it up
+    /// to its certifying round.
     pub rounds: usize,
-    /// Number of distinct trees the full packing contained.
+    /// Number of distinct trees the packing's run produced (up to the
+    /// certifying round for a certified packing).
     pub distinct_trees: usize,
+    /// Whether the packing proved `λ = cut_lower_bound`: a run on the full
+    /// skeleton found `⌈P⌉` equal to the lightest 1-respecting cut of one of
+    /// its trees, which is then the only tree kept.
+    pub certified: bool,
 }
 
 /// Distinct packed trees (each a sorted skeleton-edge-id list) with their
@@ -295,10 +331,38 @@ pub fn pack_greedy_with(
     ws: &mut PackScratch,
 ) -> Option<(PackedTrees, f64)> {
     assert!(rounds > 0);
-    let n = g.n();
-    if n == 1 {
+    if g.n() == 1 {
         return Some((vec![(Vec::new(), rounds as u32)], f64::INFINITY));
     }
+    greedy_run(g, sk, rounds, false, ws)?;
+    Some(drain_trees(ws, &sk.live_edges, rounds))
+}
+
+/// How a [`greedy_run`] ended.
+enum RunEnd {
+    /// Every round ran.
+    Done,
+    /// Round `rounds` certified its own tree, whose left-out bitset is
+    /// `dropped`: `⌈P⌉` of the rounds so far equals that tree's lightest
+    /// 1-respecting cut (see the module docs).
+    Certified { rounds: usize, dropped: Vec<u64> },
+}
+
+/// The greedy loop of [`pack_greedy_with`] and [`pack_trees_with`]: up to
+/// `rounds` rounds on the skeleton, their counters and distinct trees left
+/// in `ws`. `None` if the skeleton does not span the graph. With `certify`,
+/// the run checks its certificate at rounds 32, 64, 128, … and at its last
+/// round, and stops at the first that holds. A check reads the counters
+/// and the round's tree and draws no randomness, so a run it does not stop
+/// is the same run as without it. `g` has at least two vertices.
+fn greedy_run(
+    g: &Graph,
+    sk: &Skeleton,
+    rounds: usize,
+    certify: bool,
+    ws: &mut PackScratch,
+) -> Option<RunEnd> {
+    let n = g.n();
     // Build the skeleton subgraph once; skeleton edge i maps to original
     // edge live_edges[i].
     let live = &sk.live_edges;
@@ -352,33 +416,96 @@ pub fn pack_greedy_with(
         } else {
             trees.insert(dropped.to_vec(), 1);
         }
+        let run = done as usize + 1;
+        if certify && run >= FIRST_CHECK && (run.is_power_of_two() || run == rounds) {
+            let bound = cut_lower_bound(run as u64, left_out, mult);
+            if certifies(g, live, dropped, bound) {
+                return Some(RunEnd::Certified {
+                    rounds: run,
+                    dropped: dropped.to_vec(),
+                });
+            }
+        }
     }
-    // Loads only grow, so the final counters hold every edge's largest
-    // load ratio.
-    let max_ratio = left_out
+    Some(RunEnd::Done)
+}
+
+/// Whether the tree that leaves out the skeleton edges `dropped` has a
+/// 1-respecting cut of value `bound` in `g`. With `bound` a proven lower
+/// bound on `λ`, that cut is a minimum cut and `λ = bound`.
+fn certifies(g: &Graph, live: &[u32], dropped: &[u64], bound: u64) -> bool {
+    let pairs: Vec<(u32, u32)> = tree_edges(live, dropped)
+        .map(|eid| {
+            let e = g.edges()[eid as usize];
+            (e.u, e.v)
+        })
+        .collect();
+    let tree = RootedTree::from_undirected_edges(g.n(), &pairs, 0);
+    best_one_respect(&one_respect_cuts(g, &tree), &tree)
+        .is_some_and(|(value, _)| u64::try_from(value) == Ok(bound))
+}
+
+/// The original-graph edge ids of the tree that leaves out the skeleton
+/// edges `dropped`: the complement of the bitset, mapped through `live`.
+fn tree_edges<'a>(live: &'a [u32], dropped: &'a [u64]) -> impl Iterator<Item = u32> + 'a {
+    let m = live.len() as u32;
+    set_bits(dropped.iter().map(|w| !w))
+        .take_while(move |&e| e < m)
+        .map(move |e| live[e as usize])
+}
+
+/// `R / max_ratio` for a run of `rounds` rounds: loads only grow, so the
+/// counters hold every edge's largest load ratio.
+fn packing_value(rounds: usize, ws: &PackScratch) -> f64 {
+    let max_ratio = ws
+        .left_out
         .iter()
-        .zip(mult.iter())
+        .zip(ws.mult.iter())
         .map(|(&lo, &cap)| (rounds as u64 - u64::from(lo)) as f64 / f64::from(cap))
         .fold(0.0, f64::max);
-    let value = rounds as f64 / max_ratio.max(f64::MIN_POSITIVE);
-    // Each distinct tree is the complement of its left-out bitset, mapped
-    // to original ids. Deterministic order (HashMap iteration order is
-    // randomized): heaviest trees first, ties broken lexicographically by
-    // edge ids.
-    let m = live.len() as u32;
-    let mut list: PackedTrees = trees
+    rounds as f64 / max_ratio.max(f64::MIN_POSITIVE)
+}
+
+/// The distinct trees of a finished run of `rounds` rounds, drained from
+/// `ws`, with the run's packing value. Deterministic order (HashMap
+/// iteration order is randomized): heaviest trees first, ties broken
+/// lexicographically by edge ids.
+fn drain_trees(ws: &mut PackScratch, live: &[u32], rounds: usize) -> (PackedTrees, f64) {
+    let value = packing_value(rounds, ws);
+    let mut list: PackedTrees = ws
+        .trees
         .drain()
         .map(|(dropped, count)| {
-            let mut tree: Vec<u32> = set_bits(dropped.iter().map(|w| !w))
-                .take_while(|&e| e < m)
-                .map(|e| live[e as usize])
-                .collect();
+            let mut tree: Vec<u32> = tree_edges(live, &dropped).collect();
             tree.sort_unstable();
             (tree, count)
         })
         .collect();
     list.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    Some((list, value))
+    (list, value)
+}
+
+/// The packing a certified run ends with: the one tree it certified, with
+/// its multiplicity, the rounds run, the distinct trees seen, and `λ`.
+fn certified_packing(
+    ws: &PackScratch,
+    live: &[u32],
+    rounds: usize,
+    dropped: &[u64],
+) -> TreePacking {
+    let mut edge_ids: Vec<u32> = tree_edges(live, dropped).collect();
+    edge_ids.sort_unstable();
+    let offsets = vec![0, edge_ids.len() as u32];
+    TreePacking {
+        trees: PackedTreeList { edge_ids, offsets },
+        tree_weights: vec![ws.trees[dropped]],
+        skeleton_p: 1.0,
+        packing_value: packing_value(rounds, ws),
+        cut_lower_bound: cut_lower_bound(rounds as u64, &ws.left_out, &ws.mult),
+        rounds,
+        distinct_trees: ws.trees.len(),
+        certified: true,
+    }
 }
 
 /// The full Lemma 1 pipeline. See module docs.
@@ -403,7 +530,9 @@ pub fn pack_trees(g: &Graph, cfg: &PackingConfig) -> TreePacking {
 }
 
 /// [`pack_trees`] with the greedy-loop working state drawn from a reusable
-/// [`PackScratch`]. Identical results for identical `(g, cfg)`.
+/// [`PackScratch`]. Identical results for identical `(g, cfg)`. A run on
+/// the full skeleton that certifies its answer stops there and returns its
+/// one certifying tree (see the module docs).
 pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> TreePacking {
     let n = g.n();
     assert!(n >= 2, "packing needs at least two vertices");
@@ -443,7 +572,8 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
             } else {
                 sample_skeleton(g, p, &mut rng)
             };
-            match pack_greedy_with(g, &sk, est_rounds, ws) {
+            // Only a run on the full skeleton bounds the graph's own λ.
+            match greedy_run(g, &sk, est_rounds, p >= 1.0, ws) {
                 None => {
                     // Disconnected: not enough sampled edges.
                     if p >= 1.0 {
@@ -451,7 +581,11 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
                     }
                     p = (p * 2.0).min(1.0);
                 }
-                Some((_, value)) => {
+                Some(RunEnd::Certified { rounds, dropped }) => {
+                    return certified_packing(ws, &sk.live_edges, rounds, &dropped);
+                }
+                Some(RunEnd::Done) => {
+                    let value = packing_value(est_rounds, ws);
                     if value < target / 2.0 && p < 1.0 {
                         p = (p * 2.0).min(1.0);
                     } else if value > 4.0 * target && p > 1e-9 {
@@ -467,8 +601,16 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
     }
 
     // --- Final packing ------------------------------------------------------
-    let (mut distinct, value) = pack_greedy_with(g, &skeleton, final_rounds, ws)
-        .expect("accepted skeleton must span the graph");
+    let live = &skeleton.live_edges;
+    match greedy_run(g, &skeleton, final_rounds, skeleton.p >= 1.0, ws)
+        .expect("accepted skeleton must span the graph")
+    {
+        RunEnd::Certified { rounds, dropped } => {
+            return certified_packing(ws, live, rounds, &dropped);
+        }
+        RunEnd::Done => {}
+    }
+    let (mut distinct, value) = drain_trees(ws, live, final_rounds);
     let distinct_trees = distinct.len();
     let cut_lower_bound = cut_lower_bound(final_rounds as u64, &ws.left_out, &ws.mult);
 
@@ -508,6 +650,7 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
         cut_lower_bound,
         rounds: final_rounds,
         distinct_trees,
+        certified: false,
     }
 }
 
@@ -599,6 +742,7 @@ mod tests {
     use crate::mst::kruskal_mst;
     use pmc_graph::gen;
     use pmc_graph::UnionFind;
+    use rand::Rng;
 
     fn is_spanning_tree(g: &Graph, edges: &[u32]) -> bool {
         if edges.len() != g.n() - 1 {
@@ -894,6 +1038,96 @@ mod tests {
         let bound = full_packing(&tri).cut_lower_bound;
         assert!(bound >= cap && bound <= cap + cap / 2 + 1, "{bound}");
         assert!(bound < 2 * heavy);
+    }
+
+    /// A graph of serve-mixed's shape: a cycle on 28–43 vertices plus
+    /// chords up to `m = 1.5 n`, weights 1–6.
+    fn serve_shaped(seed: u64) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(28..=43u32);
+        let mut edges: Vec<(u32, u32, u64)> = (0..n)
+            .map(|i| (i, (i + 1) % n, rng.gen_range(1..=6)))
+            .collect();
+        while edges.len() < (n + n / 2) as usize {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                edges.push((u, v, rng.gen_range(1..=6)));
+            }
+        }
+        Graph::from_edges(n as usize, &edges).unwrap()
+    }
+
+    /// Asserts that `packing` is the run [`pack_greedy_with`] makes of its
+    /// rounds on the full skeleton: the same value bits, bound and distinct
+    /// trees, and each kept tree with its multiplicity among the run's
+    /// trees. Returns the run's trees.
+    fn assert_is_plain_run(ws: &mut PackScratch, g: &Graph, packing: &TreePacking) -> PackedTrees {
+        let (run, value) = pack_greedy_with(g, &full_skeleton(g), packing.rounds, ws).unwrap();
+        assert_eq!(packing.packing_value.to_bits(), value.to_bits());
+        let bound = cut_lower_bound(packing.rounds as u64, &ws.left_out, &ws.mult);
+        assert_eq!(packing.cut_lower_bound, bound);
+        assert_eq!(packing.distinct_trees, run.len());
+        for (tree, &mult) in packing.trees.iter().zip(&packing.tree_weights) {
+            assert!(run.contains(&(tree.to_vec(), mult)));
+        }
+        run
+    }
+
+    /// The default config with every distinct tree selected.
+    fn select_all(seed: u64, force_full_skeleton: bool) -> PackingConfig {
+        PackingConfig {
+            seed,
+            trees_wanted: usize::MAX,
+            force_full_skeleton,
+            ..PackingConfig::default()
+        }
+    }
+
+    #[test]
+    fn certified_packing_is_one_tree_at_its_lightest_one_respecting_cut() {
+        let mut ws = PackScratch::new();
+        let mut certified = 0;
+        for seed in 0..40u64 {
+            let g = serve_shaped(seed);
+            let packing = pack_trees_with(&g, &select_all(seed, false), &mut ws);
+            // Certified or not, the packing is a full-skeleton run stopped
+            // after its rounds.
+            assert_eq!(packing.skeleton_p, 1.0, "seed {seed}");
+            let run = assert_is_plain_run(&mut ws, &g, &packing);
+            if !packing.certified {
+                assert_eq!(packing.trees.len(), run.len(), "seed {seed}");
+                continue;
+            }
+            certified += 1;
+            assert!(packing.rounds >= FIRST_CHECK, "seed {seed}");
+            assert_eq!(packing.trees.len(), 1, "seed {seed}");
+            let tree = &packing.trees[0];
+            assert!(is_spanning_tree(&g, tree), "seed {seed}");
+            let rooted = rooted_tree_from_edges(&g, tree, 0);
+            let (lightest, _) = best_one_respect(&one_respect_cuts(&g, &rooted), &rooted).unwrap();
+            assert_eq!(lightest as u64, packing.cut_lower_bound, "seed {seed}");
+        }
+        assert_eq!(certified, 39);
+    }
+
+    #[test]
+    fn uncertified_full_skeleton_packing_is_a_plain_greedy_run() {
+        // These pack at about λ / 2, so no check holds, and the packing is
+        // the run `pack_greedy_with` makes: trees, multiplicities, value
+        // bits and bound.
+        let mut ws = PackScratch::new();
+        for g in [
+            gen::complete(24, 5, 2),
+            gen::torus(6, 7),
+            gen::hypercube(5),
+            gen::random_regular(40, 4, 3),
+            gen::wheel(30),
+        ] {
+            let packing = pack_trees_with(&g, &select_all(0, true), &mut ws);
+            assert!(!packing.certified);
+            let run = assert_is_plain_run(&mut ws, &g, &packing);
+            assert_eq!(packing.trees.len(), run.len());
+        }
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Stage-by-stage introspection with `minimum_cut_report`: where does the
 //! time go, how sparse did the certificate and skeleton make the problem,
-//! what lower bound did the packing prove, how many packed trees did the
-//! 2-respect search sweep before a cut met that bound, and how many
-//! Minimum Path operations did it generate?
+//! what lower bound did the packing prove (and did it certify the answer
+//! by itself), how many packed trees did the 2-respect search sweep before
+//! a cut met that bound, and how many Minimum Path operations did it
+//! generate?
 //!
 //! ```sh
 //! cargo run --release --example pipeline_report
 //! ```
 //!
 //! The last table runs every scenario of the corpus at seeds 0–2 and
-//! counts, per family, the instances whose answer met the bound (the sweep
-//! stopped early with a proven minimum) and the trees swept of the trees
-//! packed.
+//! counts, per family, the instances whose packing certified its answer,
+//! the instances whose answer met the bound (the sweep stopped early with
+//! a proven minimum) and the trees swept of the trees packed.
 
 use std::collections::BTreeMap;
 
@@ -61,10 +62,11 @@ fn main() {
             println!("   certificate: skipped (input already sparse)");
         }
         println!(
-            "   packing: skeleton p = {:.3}, value = {:.3}, lower bound = {}, {} distinct trees ({:.1} ms)",
+            "   packing: skeleton p = {:.3}, value = {:.3}, lower bound = {}{}, {} distinct trees ({:.1} ms)",
             r.skeleton_p,
             r.packing_value,
             r.lower_bound,
+            if r.certified { " (certified)" } else { "" },
             r.distinct_trees,
             r.t_packing.as_secs_f64() * 1e3
         );
@@ -84,35 +86,36 @@ fn main() {
         println!();
     }
 
-    // Per family: instances, instances whose answer met the bound, trees
-    // swept, trees packed.
-    let mut families: BTreeMap<&str, [usize; 4]> = BTreeMap::new();
+    // Per family: instances, certified instances, instances whose answer
+    // met the bound, trees swept, trees packed.
+    let mut families: BTreeMap<&str, [usize; 5]> = BTreeMap::new();
     for scenario in corpus() {
         for seed in 0..3 {
             let g = scenario.instantiate(seed).graph;
             let (cut, r) = minimum_cut_report(&g, &MinCutConfig::default()).unwrap();
             let row = families.entry(scenario.family()).or_default();
             row[0] += 1;
-            row[1] += usize::from(cut.value == r.lower_bound);
-            row[2] += r.trees_examined;
-            row[3] += r.trees_selected;
+            row[1] += usize::from(r.certified);
+            row[2] += usize::from(cut.value == r.lower_bound);
+            row[3] += r.trees_examined;
+            row[4] += r.trees_selected;
         }
     }
-    println!("== corpus, seeds 0-2: answers meeting the bound, trees swept of packed");
-    println!("| family | instances | bound met | trees swept | trees packed |");
-    println!("|---|---|---|---|---|");
-    let mut total = [0usize; 4];
+    println!("== corpus, seeds 0-2: certified packings, answers meeting the bound, trees swept of packed");
+    println!("| family | instances | certified | bound met | trees swept | trees packed |");
+    println!("|---|---|---|---|---|---|");
+    let mut total = [0usize; 5];
     for (family, row) in &families {
         println!(
-            "| {family} | {} | {} | {} | {} |",
-            row[0], row[1], row[2], row[3]
+            "| {family} | {} | {} | {} | {} | {} |",
+            row[0], row[1], row[2], row[3], row[4]
         );
         for (t, r) in total.iter_mut().zip(row) {
             *t += r;
         }
     }
     println!(
-        "| **total** | {} | {} | {} | {} |",
-        total[0], total[1], total[2], total[3]
+        "| **total** | {} | {} | {} | {} | {} |",
+        total[0], total[1], total[2], total[3], total[4]
     );
 }

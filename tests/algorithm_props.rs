@@ -3,10 +3,10 @@
 
 use parallel_mincut::baseline::{quadratic_two_respect, stoer_wagner};
 use parallel_mincut::core_alg::{
-    minimum_cut, minimum_cut_report, minimum_cut_with, two_respect_mincut, MinCutConfig,
-    SolveState, SolverWorkspace,
+    best_one_respect, minimum_cut, minimum_cut_report, minimum_cut_with, one_respect_cuts,
+    two_respect_mincut, MinCutConfig, RespectKind, SolveState, SolverWorkspace,
 };
-use parallel_mincut::graph::{gen, Graph};
+use parallel_mincut::graph::{gen, mincut_certificate, Graph};
 use parallel_mincut::packing::{
     kruskal_mst, pack_trees, rooted_tree_from_edges, sample_skeleton, set_bits, PackingConfig,
     RepeatedMst,
@@ -261,7 +261,82 @@ fn packing_lower_bound_is_sound_on_the_corpus() {
     }
     // The corpus counts EXPERIMENTS.md § E20 reports; they move only when
     // the packing or the early exit does.
-    assert_eq!(counts, (58, 719, 1610));
+    assert_eq!(counts, (58, 719, 719));
+}
+
+/// `count` graphs of serve-mixed's shape (a cycle on 28–43 vertices plus
+/// chords up to `m = 1.5 n`, weights 1–6), named `serve#seed`, with their
+/// exact minimum cuts.
+fn serve_instances(count: u64) -> Vec<(String, Graph, u64)> {
+    use rand::Rng;
+    (0..count)
+        .map(|seed| {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5E7E + seed);
+            let n = rng.gen_range(28..=43u32);
+            let mut edges: Vec<(u32, u32, u64)> = (0..n)
+                .map(|i| (i, (i + 1) % n, rng.gen_range(1..=6)))
+                .collect();
+            while edges.len() < (n + n / 2) as usize {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    edges.push((u, v, rng.gen_range(1..=6)));
+                }
+            }
+            let g = Graph::from_edges(n as usize, &edges).unwrap();
+            let lambda = stoer_wagner(&g).unwrap().value;
+            (format!("serve#{seed}"), g, lambda)
+        })
+        .collect()
+}
+
+#[test]
+fn certified_packings_prove_lambda_on_the_corpus_and_serve_shapes() {
+    let mut instances = corpus_instances(None);
+    instances.extend(serve_instances(40));
+    // Certified solves: corpus and serve shapes, with the certificate on
+    // and off.
+    let mut certified = [0; 4];
+    for (name, g, lambda) in &instances {
+        for use_certificate in [true, false] {
+            let cfg = MinCutConfig {
+                use_certificate,
+                ..MinCutConfig::default()
+            };
+            let (cut, r) = minimum_cut_report(g, &cfg).unwrap();
+            let at = format!("{name}, certificate {use_certificate}");
+            assert_eq!(cut.value, *lambda, "{at}");
+            // The packing the pipeline ran, on the graph it packed.
+            let work = match mincut_certificate(g) {
+                Some(c) if use_certificate => c.graph,
+                _ => g.clone(),
+            };
+            let mut pcfg = cfg.packing.clone();
+            pcfg.seed = pcfg.seed.wrapping_add(cfg.seed);
+            let packing = pack_trees(&work, &pcfg);
+            assert_eq!(packing.certified, r.certified, "{at}");
+            if !r.certified {
+                continue;
+            }
+            certified
+                [2 * usize::from(name.starts_with("serve#")) + usize::from(!use_certificate)] += 1;
+            // One tree, whose lightest 1-respecting cut is the bound and λ.
+            assert_eq!(packing.trees.len(), 1, "{at}");
+            let tree = rooted_tree_from_edges(&work, &packing.trees[0], 0);
+            let (lightest, _) = best_one_respect(&one_respect_cuts(&work, &tree), &tree).unwrap();
+            assert_eq!(lightest as u64, packing.cut_lower_bound, "{at}");
+            assert_eq!(packing.cut_lower_bound, *lambda, "{at}");
+            assert_eq!(r.lower_bound, *lambda, "{at}");
+            // The solve answers that tree's 1-respecting cut with no
+            // Minimum Path operation.
+            assert_eq!(cut.kind, Some(RespectKind::One), "{at}");
+            assert_eq!(cut.tree_index, Some(0), "{at}");
+            let swept = (r.trees_selected, r.trees_examined);
+            assert_eq!((swept, r.batch_ops_total, r.phases), ((1, 1), 0, 0), "{at}");
+        }
+    }
+    // The corpus counts are E20's: the instances whose answer meets the
+    // bound.
+    assert_eq!(certified, [58, 58, 40, 40]);
 }
 
 #[test]
@@ -312,6 +387,11 @@ fn early_exit_matches_a_full_sweep_at_every_width() {
     for s in 0..3 {
         graphs.push((format!("ring8x32#{s}"), gen::community_ring(8, 32, 4, s).0));
     }
+    graphs.extend(
+        serve_instances(12)
+            .into_iter()
+            .map(|(name, g, _)| (name, g)),
+    );
     for (name, g) in &graphs {
         let mut counters = None;
         for threads in [1, 2, 8] {
@@ -339,7 +419,8 @@ fn early_exit_matches_a_full_sweep_at_every_width() {
 
 #[test]
 fn early_exit_stops_on_rings_and_sweeps_dense_families() {
-    // The solve-community ring: the bound (⌈1.03⌉ = 2) is met by tree 0.
+    // The solve-community ring: the bound (⌈1.03⌉ = 2) is met by the
+    // packing's own tree, which certifies it.
     let (ring, _) = gen::community_ring(32, 64, 4, 1);
     for threads in [1, 2] {
         let cfg = MinCutConfig {
@@ -348,7 +429,8 @@ fn early_exit_stops_on_rings_and_sweeps_dense_families() {
         };
         let (cut, r) = minimum_cut_report(&ring, &cfg).unwrap();
         assert_eq!((cut.value, r.lower_bound), (2, 2), "{threads} threads");
-        assert_eq!((r.trees_examined, r.trees_selected), (1, 36));
+        assert_eq!((r.trees_examined, r.trees_selected), (1, 1));
+        assert!(r.certified, "{threads} threads");
     }
     // Complete graphs and tori pack at about λ / 2: the bound never
     // closes, and every packed tree is swept.

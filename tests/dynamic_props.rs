@@ -7,8 +7,8 @@
 
 use parallel_mincut::baseline::stoer_wagner;
 use parallel_mincut::core_alg::{
-    apply_delta, minimum_cut_with, MinCutConfig, MutationOp, ResolveMode, SolveState,
-    SolverWorkspace,
+    apply_delta, minimum_cut_report, minimum_cut_with, MinCutConfig, MutationOp, ResolveMode,
+    SolveState, SolverWorkspace,
 };
 use parallel_mincut::graph::{gen, Graph};
 
@@ -143,6 +143,62 @@ fn seeded_mixed_traces_match_from_scratch_at_every_prefix() {
         let ops = mixed_trace(&base, seed, len);
         assert_trace_matches_from_scratch(&base, seed, &ops);
     }
+}
+
+/// A graph of serve-mixed's shape: a cycle on 28–43 vertices plus chords
+/// up to `m = 1.5 n`, weights 1–6.
+fn serve_shaped(seed: u64) -> Graph {
+    let mut rng = seed ^ 0x5E7E_D000;
+    let n = 28 + splitmix(&mut rng) % 16;
+    let mut weight = || 1 + splitmix(&mut rng) % 6;
+    let mut edges: Vec<(u32, u32, u64)> = (0..n)
+        .map(|i| (i as u32, ((i + 1) % n) as u32, weight()))
+        .collect();
+    while (edges.len() as u64) < n + n / 2 {
+        let (u, v) = (splitmix(&mut rng) % n, splitmix(&mut rng) % n);
+        if u != v {
+            edges.push((u as u32, v as u32, 1 + splitmix(&mut rng) % 6));
+        }
+    }
+    Graph::from_edges(n as usize, &edges).unwrap()
+}
+
+#[test]
+fn serve_mixed_shaped_traces_match_from_scratch_and_pin_certified_trees() {
+    // serve-mixed's graphs under its update mix: chord additions
+    // (weights 1–8), removals of added chords and reweights to 1–9.
+    let mut packs = (0, 0);
+    for seed in 0..6u64 {
+        let base = serve_shaped(seed);
+        let ops = mixed_trace(&base, seed, 40);
+        assert_trace_matches_from_scratch(&base, seed, &ops);
+        // Every snapshot a certified pack builds pins that pack's one tree;
+        // an uncertified pack pins every tree it selected.
+        let cfg = MinCutConfig {
+            seed,
+            use_certificate: false,
+            ..MinCutConfig::default()
+        };
+        let mut check_pins = |g: &Graph, state: &SolveState| {
+            let (_, r) = minimum_cut_report(g, &cfg).unwrap();
+            let want = if r.certified { 1 } else { r.trees_selected };
+            assert_eq!(state.tree_count(), want, "seed {seed}");
+            packs.0 += usize::from(r.certified);
+            packs.1 += 1;
+        };
+        let mut g = base.clone();
+        let mut ws = SolverWorkspace::new();
+        let mut state = SolveState::fresh(&g, seed, &mut ws, Some(2)).expect("base solves");
+        check_pins(&g, &state);
+        for op in &ops {
+            apply_delta(&mut g, &mut state, op).expect("trace op applies");
+            if state.resolve(&g, &mut ws, Some(2)).expect("resolves") == ResolveMode::Repack {
+                check_pins(&g, &state);
+            }
+        }
+    }
+    // Packs: certified, of all (the six fresh snapshots and every re-pack).
+    assert_eq!(packs, (92, 97));
 }
 
 #[test]

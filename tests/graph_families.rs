@@ -226,7 +226,9 @@ fn adversarial_families_agree_with_oracle() {
 #[test]
 fn report_reflects_certificate_on_dense_family() {
     // A dense torus-of-communities style graph with a weak vertex: the
-    // report must show the certificate firing and all stages populated.
+    // report must show the certificate firing. The weak vertex is a leaf
+    // of every tree, so the packing certifies λ = 2 on one tree and the
+    // search runs no Minimum Path operation.
     let dense = gen::complete(80, 4, 5);
     let mut edges: Vec<(u32, u32, u64)> = dense.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
     edges.push((0, 80, 2));
@@ -235,6 +237,25 @@ fn report_reflects_certificate_on_dense_family() {
     assert_eq!(cut.value, 2);
     assert!(report.certificate_applied);
     assert!(report.certificate_kept < 0.2);
+    assert!(report.certified);
+    assert_eq!((report.trees_examined, report.batch_ops_total), (1, 0));
+    // The same clique with a weak 5-cycle through vertex 0 (weight-2
+    // edges): λ = 4, but the cycle caps the packing at 5 · 2 / 4 = 2.5, so
+    // the bound (3) cannot close, and all stages run.
+    let mut edges: Vec<(u32, u32, u64)> = dense.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
+    edges.extend([
+        (0, 80, 2),
+        (80, 81, 2),
+        (81, 82, 2),
+        (82, 83, 2),
+        (83, 0, 2),
+    ]);
+    let g = parallel_mincut::Graph::from_edges(84, &edges).unwrap();
+    let (cut, report) = minimum_cut_report(&g, &MinCutConfig::default()).unwrap();
+    assert_eq!(cut.value, 4);
+    assert!(report.certificate_applied);
+    assert!(report.certificate_kept < 0.2);
+    assert!(!report.certified);
     assert!(report.trees_examined > 0);
     assert!(report.batch_ops_total > 0);
 }
