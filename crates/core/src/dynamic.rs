@@ -14,6 +14,14 @@
 //! loop, only the trees whose cached winner a mutation can have changed,
 //! and reducing the per-tree cache again.
 //!
+//! A certified packing (see
+//! [`TreePacking::certified`](pmc_packing::TreePacking::certified)) keeps
+//! one tree and hands out the cut that certified it, which is the cut a
+//! full sweep of that tree returns. The pipeline answers with it and
+//! sweeps no tree, so that cut is the tree's cached winner, and a fresh
+//! snapshot or a re-pack of a certified graph costs exactly a certified
+//! one-shot solve.
+//!
 //! The invalidation rule is exact with respect to the pinned trees. The
 //! per-tree sweep minimizes over the fixed candidate set of
 //! one/two-respecting cuts of that tree, breaking ties toward the earliest
@@ -48,8 +56,7 @@
 //! `decrease`), and a decrease that crosses no minimum cut, or an
 //! increase that raises `best`, re-packs.
 //!
-//! A certified pack (the packing proved `λ = ⌈P⌉` and kept one tree, see
-//! [`TreePacking::certified`](pmc_packing::TreePacking::certified)) pins
+//! A certified pack (the packing proved `λ = ⌈P⌉` and kept one tree) pins
 //! that single tree, so an update re-sweeps at most one tree, and every
 //! answer the rule admits after it is exact, not only correct w.h.p.:
 //! `packed = λ` at the pack; a cut loses at most `decrease` since then, so
@@ -194,6 +201,7 @@ impl SolveState {
             ..MinCutConfig::default()
         };
         // Every tree's cut is pinned (see the module docs): no early stop.
+        // A certified packing's one cut comes from the packing itself.
         let solved = solve_pipeline(g, &cfg, ws, false)?;
         Ok(SolveState {
             seed,
@@ -553,6 +561,35 @@ mod tests {
             apply_delta(&mut g, &mut state, &MutationOp::Remove { eid }).unwrap();
             resolve(&g, &mut state);
         }
+    }
+
+    #[test]
+    fn certified_snapshot_is_the_full_sweep_of_its_tree() {
+        // A certified pack pins the packing's cut with no sweep; a full
+        // re-sweep of its one tree must reproduce that cut exactly.
+        let mut ws = SolverWorkspace::new();
+        let mut certified = 0;
+        let graphs = (0..6).map(|s| gen::cycle_with_chords(24, 8, s));
+        for (i, g) in graphs.chain([bridged_triangles()]).enumerate() {
+            let cfg = MinCutConfig {
+                use_certificate: false,
+                ..MinCutConfig::default()
+            };
+            if !crate::minimum_cut_report(&g, &cfg).unwrap().1.certified {
+                continue;
+            }
+            certified += 1;
+            let state = SolveState::fresh(&g, cfg.seed, &mut ws, None).unwrap();
+            assert_eq!(state.tree_count(), 1, "graph {i}");
+            let mut swept = state.clone();
+            swept.mark_all_stale();
+            let mode = swept.resolve(&g, &mut ws, None).unwrap();
+            assert_eq!(mode, ResolveMode::Incremental { reswept: 1 }, "graph {i}");
+            assert_eq!(swept.per_tree, state.per_tree, "graph {i}");
+            assert_eq!(swept.best().side, state.best().side, "graph {i}");
+            assert_matches_sw(&g, &state);
+        }
+        assert!(certified >= 2, "{certified} certified graphs");
     }
 
     #[test]

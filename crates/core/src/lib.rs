@@ -17,9 +17,11 @@
 //!    certificate keeps it. A greedy run on the full skeleton checks, from
 //!    round 32 on, whether `⌈P⌉` equals the lightest 1-respecting cut of
 //!    the round's tree; when it does, `λ = ⌈P⌉` is proven and the packing
-//!    stops with that one tree, marked
-//!    [`certified`](pmc_packing::TreePacking::certified);
-//! 4. tree by tree in index order, the Lemma 13 search
+//!    stops with that one tree and hands out the cut it certified
+//!    ([`certified`](pmc_packing::TreePacking::certified));
+//! 4. a certified packing is answered by that cut, which is the cut the
+//!    full search of its tree returns: no tree is rooted or swept again.
+//!    Otherwise, tree by tree in index order, the Lemma 13 search
 //!    ([`two_respect::two_respect_mincut_reusing`]) finds the smallest cut
 //!    crossing at most two of the tree's edges, using the Minimum Path
 //!    batch engine of `pmc-minpath` (§3). The trees fan out across OS
@@ -28,18 +30,18 @@
 //!    below `λ`, so no later tree can beat it, and no later tree starts
 //!    once it is found. Each search takes the bound as well: when the
 //!    tree's best 1-respecting cut meets it, that cut is the search's
-//!    answer and no bough cascade is built. A certified packing's one tree
-//!    always ends there, with no Minimum Path operation;
-//! 5. the smallest `(value, tree index)` over the swept trees wins, and its
-//!    witness is checked against the input graph. It is the same winner a
-//!    sweep of every tree picks, at every worker count.
+//!    answer and no bough cascade is built;
+//! 5. the smallest `(value, tree index)` over the answered trees wins, and
+//!    its witness is checked against the input graph. It is the same
+//!    winner a sweep of every tree picks, at every worker count.
 //!
 //! [`minimum_cut_with`] runs it on a reused [`SolverWorkspace`];
 //! [`minimum_cut`] and [`minimum_cut_report`] run it on a fresh one; a
-//! [`SolveState`] runs it without the certificate and
-//! without the early stop (every packed tree gets a full search), and
+//! [`SolveState`] runs it without the certificate and without the early
+//! stop (every tree of an uncertified packing gets a full search), and
 //! keeps the trees and every tree's cut, so an edge update re-sweeps only
-//! the trees it touched. A certified packing leaves it one tree to pin.
+//! the trees it touched. A certified packing leaves it one tree to pin,
+//! answered by the packing's cut.
 //!
 //! ```
 //! use pmc_core::{minimum_cut, MinCutConfig};
@@ -304,17 +306,19 @@ pub struct MinCutReport {
     pub lower_bound: u64,
     /// Whether the packing certified its answer
     /// ([`TreePacking::certified`](pmc_packing::TreePacking::certified)):
-    /// it proved `λ = lower_bound` and kept the one tree whose 1-respecting
-    /// cut meets it, so the search sweeps that tree, builds no bough
-    /// cascade and runs no Minimum Path operation.
+    /// it proved `λ = lower_bound`, kept the one tree whose 1-respecting
+    /// cut meets it, and handed out that cut, which is the answer. No tree
+    /// is swept again, no bough cascade is built and no Minimum Path
+    /// operation runs; the one tree counts as examined.
     pub certified: bool,
     /// Distinct trees in the full greedy packing.
     pub distinct_trees: usize,
     /// Trees the packing selected for the 2-respect search.
     pub trees_selected: usize,
-    /// Trees the 2-respect search swept: the selected trees up to and
-    /// including the first whose cut met [`MinCutReport::lower_bound`], or
-    /// every selected tree. The same at every worker count.
+    /// Trees whose cut the answer was chosen from: the certified packing's
+    /// one tree, or the selected trees the 2-respect search swept, up to
+    /// and including the first whose cut met [`MinCutReport::lower_bound`],
+    /// or every selected tree. The same at every worker count.
     pub trees_examined: usize,
     /// Bough phases of the winning tree's cascade (0 when its search
     /// stopped at a 1-respecting cut that met the lower bound).
@@ -331,8 +335,9 @@ pub struct MinCutReport {
 }
 
 /// What one run of the pipeline built: the answer, the stage report, the
-/// packed trees, and the cuts of the swept trees in tree order (all of
-/// them without the early stop). Both are empty for the shortcut answers.
+/// packed trees, and the cuts of the answered trees in tree order (all of
+/// them without the early stop; a certified packing's one tree has the
+/// packing's cut). Both are empty for the shortcut answers.
 struct Solved {
     result: MinCutResult,
     report: MinCutReport,
@@ -344,7 +349,8 @@ struct Solved {
 /// docs, on the arenas of `ws`: the certificate is built into
 /// `ws.cert_graph`, the packing runs on `ws.packing`, the per-tree loop on
 /// `ws.trees`. The token installed on `ws` is polled before the
-/// certificate, before the packing, and before each tree's sweep. With
+/// certificate, before the packing, and before each tree's sweep. A
+/// certified packing is answered by its cut. Otherwise, with
 /// `stop_at_bound` the per-tree loop stops at the first tree whose cut
 /// meets the packing's lower bound; without it every tree is swept.
 fn solve_pipeline(
@@ -436,23 +442,36 @@ fn solve_pipeline(
     report.skeleton_p = packing.skeleton_p;
     report.packing_value = packing.packing_value;
     report.lower_bound = packing.cut_lower_bound;
-    report.certified = packing.certified;
+    report.certified = packing.certified.is_some();
     report.distinct_trees = packing.distinct_trees;
     report.trees_selected = packing.trees.len();
 
-    // Lemma 13 tree by tree, up to the first cut that meets the lower
-    // bound; the smallest (value, tree index) wins.
+    // A certified packing's one tree is answered by the cut that certified
+    // it, the cut its full search returns. Otherwise Lemma 13 runs tree by
+    // tree, up to the first cut that meets the lower bound; the smallest
+    // (value, tree index) wins.
     let t0 = Instant::now();
-    let every_tree: Vec<usize> = (0..packing.trees.len()).collect();
-    let cuts = sweep_trees(
-        work_graph,
-        &packing.trees,
-        &every_tree,
-        arenas,
-        cfg.threads,
-        cancel,
-        stop_at_bound.then_some(packing.cut_lower_bound),
-    )?;
+    let cuts = match packing.certified {
+        Some(cut) => vec![TwoRespectCut {
+            value: i64::try_from(cut.value).expect("a cut fits in i64"),
+            side: cut.side,
+            kind: RespectKind::One,
+            phases: 0,
+            batch_ops: 0,
+        }],
+        None => {
+            let every_tree: Vec<usize> = (0..packing.trees.len()).collect();
+            sweep_trees(
+                work_graph,
+                &packing.trees,
+                &every_tree,
+                arenas,
+                cfg.threads,
+                cancel,
+                stop_at_bound.then_some(packing.cut_lower_bound),
+            )?
+        }
+    };
     report.t_two_respect = t0.elapsed();
     report.trees_examined = cuts.len();
     report.batch_ops_total = cuts.iter().map(|c| c.batch_ops).sum();
@@ -490,14 +509,15 @@ pub fn minimum_cut(g: &Graph, cfg: &MinCutConfig) -> Result<MinCutResult, PmcErr
 /// cut equals the bound: that cut is proven minimum, and no later tree
 /// can beat its index, so the answer (value, witness, kind and tree
 /// index) is the one a sweep of every tree gives. When the packing
-/// certifies `λ = ⌈P⌉` it stops early and keeps one tree, whose lightest
-/// 1-respecting cut is the answer: one tree swept, no bough cascade, no
-/// Minimum Path operation. The per-tree searches
+/// certifies `λ = ⌈P⌉` it stops early, keeps one tree and hands out that
+/// tree's lightest 1-respecting cut, which is the answer: no tree is
+/// rooted or swept again, no bough cascade, no Minimum Path operation.
+/// The per-tree searches
 /// fan out across OS workers — one [`TreeArena`] per worker — up to
 /// `cfg.threads` or the ambient rayon thread budget; small inputs run the
 /// same loop on one worker. Results are bit-identical at every width.
 /// A [`CancelToken`] installed on `ws` is polled before the certificate,
-/// before the packing and before each tree, and answers
+/// before the packing and before each swept tree, and answers
 /// [`PmcError::Cancelled`] once it trips.
 pub fn minimum_cut_with(
     g: &Graph,

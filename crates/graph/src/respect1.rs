@@ -9,18 +9,26 @@
 //!
 //! because an edge with both endpoints in `v↓` (⟺ its LCA is in `v↓`) is
 //! counted twice by the degree sum and crosses nothing. Both terms are
-//! subtree sums over `T`, computed with Euler-tour prefix sums after a
-//! batched LCA pass — `O(m + n log n)` work, polylog depth.
+//! subtree sums over `T`, and one pass over a DFS post-order of `T` builds
+//! both: a finished vertex adds its sums to its parent's. The same pass
+//! charges every graph edge to its LCA with Tarjan's offline algorithm
+//! (*Applications of path compression on balanced trees*, JACM 1979): the
+//! edges of `v` are read from the graph's own adjacency when `v` finishes,
+//! and an edge whose other endpoint `u` finished earlier has its LCA at the
+//! representative ancestor of `u`'s set — the deepest unfinished vertex
+//! above `u`, or `v` itself. Each edge is charged once, by the endpoint
+//! that finishes second. Union by size with path halving makes the pass
+//! `O(m α(n) + n)` work; its depth is the DFS's, as for the Euler tour.
 //!
 //! The same pass also yields `ρ↓(v)` — the total weight of edges with both
 //! endpoints in `v↓` — which Appendix A's ancestor case needs.
 //!
-//! The module lives beside [`EulerTour`] and [`LcaIndex`] so that both the
-//! tree packing (which certifies its own answer with the lightest
-//! 1-respecting cut of a packed tree) and the per-tree 2-respect search can
-//! call it.
+//! The module lives beside [`RootedTree`] so that both the tree packing
+//! (which certifies its own answer with the lightest 1-respecting cut of a
+//! packed tree) and the per-tree 2-respect search can call it.
 
-use crate::{EulerTour, Graph, LcaIndex, RootedTree};
+use crate::tree::NO_PARENT;
+use crate::{Graph, RootedTree, UnionFind};
 
 /// Per-vertex subtree aggregates of a graph against a spanning tree.
 #[derive(Clone, Debug)]
@@ -35,25 +43,39 @@ pub struct SubtreeCuts {
 pub fn one_respect_cuts(g: &Graph, tree: &RootedTree) -> SubtreeCuts {
     let n = g.n();
     assert_eq!(n, tree.n());
-    let euler = EulerTour::new(tree);
-
-    // Weighted degrees.
-    let degs: Vec<i64> = g.weighted_degrees().iter().map(|&d| d as i64).collect();
-    let degsum = euler.subtree_sums(&degs);
-
-    // Charge every edge to its LCA, then subtree-sum the charges.
-    let mut lca_weight = vec![0i64; n];
-    if g.m() > 0 {
-        let idx = LcaIndex::new(tree);
-        let pairs: Vec<(u32, u32)> = g.edges().iter().map(|e| (e.u, e.v)).collect();
-        let lcas = idx.lca_batch(&pairs);
-        for (e, &l) in g.edges().iter().zip(&lcas) {
-            lca_weight[l as usize] += e.w as i64;
-        }
+    // A DFS preorder that takes children last-first; reversed, it is a
+    // DFS post-order: every subtree contiguous, children before parents.
+    let mut order = Vec::with_capacity(n);
+    let mut stack = vec![tree.root()];
+    while let Some(v) = stack.pop() {
+        order.push(v);
+        stack.extend_from_slice(tree.children(v));
     }
-    let rho = euler.subtree_sums(&lca_weight);
-
-    let cut1 = degsum.iter().zip(&rho).map(|(&d, &r)| d - 2 * r).collect();
+    // `cut1[v]` holds `v`'s degree sum until `v` finishes.
+    let mut cut1: Vec<i64> = g.weighted_degrees().iter().map(|&d| d as i64).collect();
+    let mut rho = vec![0i64; n];
+    let mut done = vec![false; n];
+    // Tarjan's sets: a finished subtree joins its parent's set, whose
+    // representative ancestor `anc[find(·)]` is that parent.
+    let mut sets = UnionFind::new(n);
+    let mut anc: Vec<u32> = (0..n as u32).collect();
+    for &v in order.iter().rev() {
+        done[v as usize] = true;
+        for (u, w, _) in g.neighbors(v) {
+            if done[u as usize] {
+                let lca = anc[sets.find(u) as usize];
+                rho[lca as usize] += w as i64;
+            }
+        }
+        let p = tree.parent(v);
+        if p != NO_PARENT {
+            cut1[p as usize] += cut1[v as usize];
+            rho[p as usize] += rho[v as usize];
+            sets.union(v, p);
+            anc[sets.find(p) as usize] = p;
+        }
+        cut1[v as usize] -= 2 * rho[v as usize];
+    }
     SubtreeCuts { cut1, rho }
 }
 
@@ -104,6 +126,22 @@ mod tests {
             .sum()
     }
 
+    fn assert_matches_naive(g: &Graph, tree: &RootedTree, at: &str) {
+        let cuts = one_respect_cuts(g, tree);
+        for v in 0..g.n() as u32 {
+            assert_eq!(
+                cuts.cut1[v as usize],
+                naive_cut1(g, tree, v),
+                "{at}: cut1({v})"
+            );
+            assert_eq!(
+                cuts.rho[v as usize],
+                naive_rho(g, tree, v),
+                "{at}: rho({v})"
+            );
+        }
+    }
+
     #[test]
     fn matches_naive_on_random_graphs() {
         let mut rng = SmallRng::seed_from_u64(41);
@@ -111,12 +149,79 @@ mod tests {
             let n = rng.gen_range(2..60);
             let m = rng.gen_range(n - 1..4 * n);
             let g = gen::gnm_connected(n, m, 9, trial);
-            let tree = spanning_tree(&g);
-            let cuts = one_respect_cuts(&g, &tree);
-            for v in 0..n as u32 {
-                assert_eq!(cuts.cut1[v as usize], naive_cut1(&g, &tree, v), "cut1({v})");
-                assert_eq!(cuts.rho[v as usize], naive_rho(&g, &tree, v), "rho({v})");
+            assert_matches_naive(&g, &spanning_tree(&g), &format!("gnm {trial}"));
+        }
+        // Contracted multigraphs, as the bough-phase cascade builds them:
+        // every edge is charged once, parallel copies included.
+        for trial in 0..10 {
+            let k = rng.gen_range(2..24);
+            let n_base = rng.gen_range(k..3 * k + 2);
+            let g = gen::contracted_multigraph(n_base, 4 * n_base, k, trial);
+            let pairs: std::collections::HashSet<(u32, u32)> = g
+                .edges()
+                .iter()
+                .map(|e| (e.u.min(e.v), e.u.max(e.v)))
+                .collect();
+            assert!(pairs.len() < g.m(), "trial {trial} has no parallel edge");
+            assert_matches_naive(&g, &spanning_tree(&g), &format!("contracted {trial}"));
+        }
+        // A path-shaped tree on 5,000 vertices: the DFS is as deep as the
+        // tree. With the path rooted at 0, an edge (a, b), a < b, crosses
+        // v↓ = {v, …, n − 1} iff a < v ≤ b, and lies inside it iff a ≥ v.
+        let n = 5000u32;
+        let mut edges: Vec<(u32, u32, u64)> =
+            (1..n).map(|v| (v - 1, v, rng.gen_range(1..=9))).collect();
+        for _ in 0..2 * n {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                edges.push((u, v, rng.gen_range(1..=9)));
             }
+        }
+        let g = Graph::from_edges(n as usize, &edges).unwrap();
+        let tree = gen::path_tree(n as usize);
+        let (mut crossing, mut inside) = (vec![0i64; n as usize + 1], vec![0i64; n as usize + 1]);
+        for e in g.edges() {
+            let (a, b) = (e.u.min(e.v) as usize, e.u.max(e.v) as usize);
+            crossing[a + 1] += e.w as i64;
+            crossing[b + 1] -= e.w as i64;
+            inside[a] += e.w as i64;
+        }
+        for v in 1..=n as usize {
+            crossing[v] += crossing[v - 1];
+        }
+        for v in (0..n as usize).rev() {
+            inside[v] += inside[v + 1];
+        }
+        let cuts = one_respect_cuts(&g, &tree);
+        assert_eq!(cuts.cut1[0], 0);
+        assert_eq!(cuts.cut1[1..], crossing[1..n as usize]);
+        assert_eq!(cuts.rho, inside[..n as usize]);
+    }
+
+    #[test]
+    fn matches_naive_on_wide_and_deep_trees() {
+        // Stars, caterpillars, brooms and balanced trees against random
+        // multigraphs on the same vertices: many finished siblings under
+        // one unfinished parent, and long chains above them.
+        let mut rng = SmallRng::seed_from_u64(43);
+        let trees = [
+            gen::star_tree(40),
+            gen::caterpillar_tree(10, 3),
+            gen::broom_tree(20, 15),
+            gen::balanced_binary_tree(63),
+            gen::random_tree(50, 7),
+        ];
+        for (i, tree) in trees.iter().enumerate() {
+            let n = tree.n() as u32;
+            let mut edges = Vec::new();
+            while edges.len() < 3 * n as usize {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    edges.push((u, v, rng.gen_range(1..=9)));
+                }
+            }
+            let g = Graph::from_edges(n as usize, &edges).unwrap();
+            assert_matches_naive(&g, tree, &format!("tree {i}"));
         }
     }
 

@@ -31,7 +31,7 @@ pub mod skeleton;
 
 pub use mst::{kruskal_mst, set_bits, RepeatedMst};
 pub use pack::{
-    pack_greedy_with, pack_trees, pack_trees_with, rooted_tree_from_edges, PackScratch,
-    PackedTreeList, PackingConfig, RootScratch, TreePacking,
+    pack_greedy_with, pack_trees, pack_trees_with, rooted_tree_from_edges, CertifiedCut,
+    PackScratch, PackedTreeList, PackingConfig, RootScratch, TreePacking,
 };
 pub use skeleton::{sample_skeleton, Skeleton};

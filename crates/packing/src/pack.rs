@@ -41,12 +41,16 @@
 //! 1-respecting cut `c` of any round's tree is at least `λ`. When
 //! `c = ⌈P_r⌉`, both bounds meet: `λ = ⌈P_r⌉` is proven, and that tree
 //! crosses a minimum cut once. [`pack_trees_with`] checks this on the
-//! checkpoint round's own tree (Lemma 11's subtree sums, one
-//! `O(m + n log n)` pass) at rounds 32, 64, 128, … and at the run's last
-//! round, and when it holds it stops the run and returns that one tree,
-//! marked [`TreePacking::certified`]. A check draws no randomness and
-//! changes no counter, so a run it does not stop, and the whole packing
-//! when none holds, is bit-identical to a run without checks.
+//! checkpoint round's own tree at rounds 32, 64, 128, … and at the run's
+//! last round. A check roots the tree at vertex 0 in an arena
+//! [`PackScratch`] keeps, and takes its 1-respecting cuts in one Lemma 11
+//! pass (`O(m α(n) + n)` work, Tarjan's offline LCAs). When it holds, the
+//! run stops and returns that one tree, and the cut it certified:
+//! [`TreePacking::certified`] holds `λ` and its side `v↓`, for the vertex
+//! `v` that [`best_one_respect`] picks. A caller answers with that cut and
+//! sweeps no tree. A check draws no randomness and changes no counter, so
+//! a run it does not stop, and the whole packing when none holds, is
+//! bit-identical to a run without checks.
 //!
 //! Only runs on the full skeleton (`p = 1`, the estimation run when the
 //! rate search reaches it, or the final run) check. A sampled run's `⌈P⌉`
@@ -219,6 +223,19 @@ impl<'a> Iterator for PackedTreeIter<'a> {
     }
 }
 
+/// The minimum cut a certified packing proved (see the module docs).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CertifiedCut {
+    /// Its value: `λ`, the packing's [`TreePacking::cut_lower_bound`].
+    pub value: u64,
+    /// Its side `v↓`: with the certifying tree rooted at vertex 0, the
+    /// descendants of the vertex `v` that [`best_one_respect`] returns.
+    /// The full 2-respect search of that tree returns the same cut: it
+    /// starts from this candidate and replaces it only with a strictly
+    /// smaller one, and no cut is below `λ`.
+    pub side: Vec<bool>,
+}
+
 /// Result of the packing pipeline.
 #[derive(Clone, Debug)]
 pub struct TreePacking {
@@ -245,10 +262,11 @@ pub struct TreePacking {
     /// Number of distinct trees the packing's run produced (up to the
     /// certifying round for a certified packing).
     pub distinct_trees: usize,
-    /// Whether the packing proved `λ = cut_lower_bound`: a run on the full
+    /// The cut that proved `λ = cut_lower_bound`, when a run on the full
     /// skeleton found `⌈P⌉` equal to the lightest 1-respecting cut of one of
-    /// its trees, which is then the only tree kept.
-    pub certified: bool,
+    /// its trees; that tree is then the only one kept. `None` when no check
+    /// held.
+    pub certified: Option<CertifiedCut>,
 }
 
 /// Distinct packed trees (each a sorted skeleton-edge-id list) with their
@@ -257,9 +275,9 @@ pub type PackedTrees = Vec<(Vec<u32>, u32)>;
 
 /// Reusable state of the greedy packing loop ([`pack_greedy_with`],
 /// [`pack_trees_with`]): the skeleton-subgraph arena, the repeated-MST
-/// engine, two per-skeleton-edge counters, and the distinct trees keyed by
-/// their left-out bitsets. One scratch amortizes every packing a solver
-/// performs.
+/// engine, two per-skeleton-edge counters, the distinct trees keyed by
+/// their left-out bitsets, and the arena the certificate checks root their
+/// trees in. One scratch amortizes every packing a solver performs.
 ///
 /// An edge's load is never stored: it is the number of rounds run so far
 /// minus the number of rounds that left the edge out.
@@ -275,6 +293,8 @@ pub struct PackScratch {
     /// Multiplicity of each distinct tree, keyed by the bitset of the
     /// skeleton edges it leaves out (`m / 8` bytes).
     trees: std::collections::HashMap<Vec<u64>, u32>,
+    /// Where a certificate check roots its tree; made by the first check.
+    root: Option<RootScratch>,
 }
 
 impl Default for PackScratch {
@@ -285,6 +305,7 @@ impl Default for PackScratch {
             mult: Vec::new(),
             left_out: Vec::new(),
             trees: std::collections::HashMap::new(),
+            root: None,
         }
     }
 }
@@ -308,6 +329,7 @@ impl PackScratch {
                 .keys()
                 .map(|k| k.len() * size_of::<u64>() + size_of::<u32>())
                 .sum::<usize>()
+            + self.root.as_ref().map_or(0, RootScratch::heap_bytes)
     }
 }
 
@@ -344,8 +366,12 @@ enum RunEnd {
     Done,
     /// Round `rounds` certified its own tree, whose left-out bitset is
     /// `dropped`: `⌈P⌉` of the rounds so far equals that tree's lightest
-    /// 1-respecting cut (see the module docs).
-    Certified { rounds: usize, dropped: Vec<u64> },
+    /// 1-respecting cut, `cut` (see the module docs).
+    Certified {
+        rounds: usize,
+        dropped: Vec<u64>,
+        cut: CertifiedCut,
+    },
 }
 
 /// The greedy loop of [`pack_greedy_with`] and [`pack_trees_with`]: up to
@@ -390,6 +416,7 @@ fn greedy_run(
         mult,
         left_out,
         trees,
+        root,
         ..
     } = ws;
     mult.clear();
@@ -419,10 +446,12 @@ fn greedy_run(
         let run = done as usize + 1;
         if certify && run >= FIRST_CHECK && (run.is_power_of_two() || run == rounds) {
             let bound = cut_lower_bound(run as u64, left_out, mult);
-            if certifies(g, live, dropped, bound) {
+            let root = root.get_or_insert_with(RootScratch::default);
+            if let Some(cut) = certified_cut(g, live, dropped, bound, root) {
                 return Some(RunEnd::Certified {
                     rounds: run,
                     dropped: dropped.to_vec(),
+                    cut,
                 });
             }
         }
@@ -430,19 +459,26 @@ fn greedy_run(
     Some(RunEnd::Done)
 }
 
-/// Whether the tree that leaves out the skeleton edges `dropped` has a
-/// 1-respecting cut of value `bound` in `g`. With `bound` a proven lower
-/// bound on `λ`, that cut is a minimum cut and `λ = bound`.
-fn certifies(g: &Graph, live: &[u32], dropped: &[u64], bound: u64) -> bool {
-    let pairs: Vec<(u32, u32)> = tree_edges(live, dropped)
-        .map(|eid| {
-            let e = g.edges()[eid as usize];
-            (e.u, e.v)
-        })
-        .collect();
-    let tree = RootedTree::from_undirected_edges(g.n(), &pairs, 0);
-    best_one_respect(&one_respect_cuts(g, &tree), &tree)
-        .is_some_and(|(value, _)| u64::try_from(value) == Ok(bound))
+/// The lightest 1-respecting cut of the tree that leaves out the skeleton
+/// edges `dropped`, rooted at vertex 0 in `root`, when its value is
+/// `bound`. With `bound` a proven lower bound on `λ`, that cut is a minimum
+/// cut and `λ = bound`.
+fn certified_cut(
+    g: &Graph,
+    live: &[u32],
+    dropped: &[u64],
+    bound: u64,
+    root: &mut RootScratch,
+) -> Option<CertifiedCut> {
+    let tree = root.rebuild_from(g, tree_edges(live, dropped), 0);
+    let (value, v) = best_one_respect(&one_respect_cuts(g, tree), tree)?;
+    (u64::try_from(value) == Ok(bound)).then(|| {
+        let mut side = vec![false; g.n()];
+        for x in tree.descendants(v) {
+            side[x as usize] = true;
+        }
+        CertifiedCut { value: bound, side }
+    })
 }
 
 /// The original-graph edge ids of the tree that leaves out the skeleton
@@ -486,12 +522,14 @@ fn drain_trees(ws: &mut PackScratch, live: &[u32], rounds: usize) -> (PackedTree
 }
 
 /// The packing a certified run ends with: the one tree it certified, with
-/// its multiplicity, the rounds run, the distinct trees seen, and `λ`.
+/// its multiplicity, the rounds run, the distinct trees seen, `λ` and the
+/// cut that proved it.
 fn certified_packing(
     ws: &PackScratch,
     live: &[u32],
     rounds: usize,
     dropped: &[u64],
+    cut: CertifiedCut,
 ) -> TreePacking {
     let mut edge_ids: Vec<u32> = tree_edges(live, dropped).collect();
     edge_ids.sort_unstable();
@@ -504,7 +542,7 @@ fn certified_packing(
         cut_lower_bound: cut_lower_bound(rounds as u64, &ws.left_out, &ws.mult),
         rounds,
         distinct_trees: ws.trees.len(),
-        certified: true,
+        certified: Some(cut),
     }
 }
 
@@ -581,8 +619,12 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
                     }
                     p = (p * 2.0).min(1.0);
                 }
-                Some(RunEnd::Certified { rounds, dropped }) => {
-                    return certified_packing(ws, &sk.live_edges, rounds, &dropped);
+                Some(RunEnd::Certified {
+                    rounds,
+                    dropped,
+                    cut,
+                }) => {
+                    return certified_packing(ws, &sk.live_edges, rounds, &dropped, cut);
                 }
                 Some(RunEnd::Done) => {
                     let value = packing_value(est_rounds, ws);
@@ -605,8 +647,12 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
     match greedy_run(g, &skeleton, final_rounds, skeleton.p >= 1.0, ws)
         .expect("accepted skeleton must span the graph")
     {
-        RunEnd::Certified { rounds, dropped } => {
-            return certified_packing(ws, live, rounds, &dropped);
+        RunEnd::Certified {
+            rounds,
+            dropped,
+            cut,
+        } => {
+            return certified_packing(ws, live, rounds, &dropped, cut);
         }
         RunEnd::Done => {}
     }
@@ -650,7 +696,7 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
         cut_lower_bound,
         rounds: final_rounds,
         distinct_trees,
-        certified: false,
+        certified: None,
     }
 }
 
@@ -711,8 +757,18 @@ impl RootScratch {
     /// producing a tree identical to
     /// [`rooted_tree_from_edges`]`(g, tree_edges, root)`.
     pub fn rebuild<'a>(&'a mut self, g: &Graph, tree_edges: &[u32], root: u32) -> &'a RootedTree {
+        self.rebuild_from(g, tree_edges.iter().copied(), root)
+    }
+
+    /// [`RootScratch::rebuild`] from the tree's edge ids in any order.
+    fn rebuild_from(
+        &mut self,
+        g: &Graph,
+        tree_edges: impl Iterator<Item = u32>,
+        root: u32,
+    ) -> &RootedTree {
         self.pairs.clear();
-        self.pairs.extend(tree_edges.iter().map(|&eid| {
+        self.pairs.extend(tree_edges.map(|eid| {
             let e = g.edges()[eid as usize];
             (e.u, e.v)
         }));
@@ -1094,7 +1150,7 @@ mod tests {
             // after its rounds.
             assert_eq!(packing.skeleton_p, 1.0, "seed {seed}");
             let run = assert_is_plain_run(&mut ws, &g, &packing);
-            if !packing.certified {
+            if packing.certified.is_none() {
                 assert_eq!(packing.trees.len(), run.len(), "seed {seed}");
                 continue;
             }
@@ -1111,6 +1167,53 @@ mod tests {
     }
 
     #[test]
+    fn certified_cut_is_the_lightest_one_respecting_side() {
+        let mut ws = PackScratch::new();
+        let mut certified = 0;
+        for seed in 0..40u64 {
+            let g = serve_shaped(seed);
+            let packing = pack_trees_with(&g, &select_all(seed, false), &mut ws);
+            let Some(cut) = &packing.certified else {
+                continue;
+            };
+            certified += 1;
+            let tree = rooted_tree_from_edges(&g, &packing.trees[0], 0);
+            let (value, v) = best_one_respect(&one_respect_cuts(&g, &tree), &tree).unwrap();
+            assert_eq!(cut.value, value as u64, "seed {seed}");
+            assert_eq!(cut.value, packing.cut_lower_bound, "seed {seed}");
+            // v↓: the vertices whose path to the root passes v.
+            let below_v = |mut x: u32| loop {
+                if x == v {
+                    break true;
+                }
+                if x == tree.root() {
+                    break false;
+                }
+                x = tree.parent(x);
+            };
+            let side: Vec<bool> = (0..g.n() as u32).map(below_v).collect();
+            assert_eq!(cut.side, side, "seed {seed}");
+            assert_eq!(g.cut_value(&cut.side), cut.value, "seed {seed}");
+        }
+        assert_eq!(certified, 39);
+    }
+
+    #[test]
+    fn check_arena_is_made_by_the_first_check_and_counted() {
+        let mut ws = PackScratch::new();
+        let g = serve_shaped(1);
+        pack_greedy_with(&g, &full_skeleton(&g), 40, &mut ws).unwrap();
+        assert!(ws.root.is_none(), "a plain greedy run checks nothing");
+        pack_trees_with(&g, &select_all(1, false), &mut ws);
+        // The rooted tree (20n bytes), its edge endpoints (8 bytes each)
+        // and the BFS scratch: n + 1 offsets, 2(n − 1) adjacency entries
+        // and n queue entries (u32), and n visited flags.
+        let n = g.n();
+        let arena = 20 * n + 8 * (n - 1) + 4 * ((n + 1) + 2 * (n - 1) + n) + n;
+        assert_eq!(ws.root.as_ref().map(RootScratch::heap_bytes), Some(arena));
+    }
+
+    #[test]
     fn uncertified_full_skeleton_packing_is_a_plain_greedy_run() {
         // These pack at about λ / 2, so no check holds, and the packing is
         // the run `pack_greedy_with` makes: trees, multiplicities, value
@@ -1124,7 +1227,7 @@ mod tests {
             gen::wheel(30),
         ] {
             let packing = pack_trees_with(&g, &select_all(0, true), &mut ws);
-            assert!(!packing.certified);
+            assert!(packing.certified.is_none());
             let run = assert_is_plain_run(&mut ws, &g, &packing);
             assert_eq!(packing.trees.len(), run.len());
         }

@@ -1,9 +1,9 @@
 //! Stage-by-stage introspection with `minimum_cut_report`: where does the
 //! time go, how sparse did the certificate and skeleton make the problem,
 //! what lower bound did the packing prove (and did it certify the answer
-//! by itself), how many packed trees did the 2-respect search sweep before
-//! a cut met that bound, and how many Minimum Path operations did it
-//! generate?
+//! by itself, in which case its cut is the answer and no tree is swept),
+//! how many packed trees did the 2-respect search sweep before a cut met
+//! that bound, and how many Minimum Path operations did it generate?
 //!
 //! ```sh
 //! cargo run --release --example pipeline_report
@@ -70,6 +70,11 @@ fn main() {
             r.distinct_trees,
             r.t_packing.as_secs_f64() * 1e3
         );
+        if r.certified {
+            println!("   2-respect: answered by the packing's certified cut, no tree swept");
+            println!();
+            continue;
+        }
         println!(
             "   2-respect: swept {} of {} packed trees{}, {} phases, {} MinPath ops total ({:.1} ms)",
             r.trees_examined,

@@ -313,10 +313,10 @@ fn certified_packings_prove_lambda_on_the_corpus_and_serve_shapes() {
             let mut pcfg = cfg.packing.clone();
             pcfg.seed = pcfg.seed.wrapping_add(cfg.seed);
             let packing = pack_trees(&work, &pcfg);
-            assert_eq!(packing.certified, r.certified, "{at}");
-            if !r.certified {
+            assert_eq!(packing.certified.is_some(), r.certified, "{at}");
+            let Some(handed_out) = &packing.certified else {
                 continue;
-            }
+            };
             certified
                 [2 * usize::from(name.starts_with("serve#")) + usize::from(!use_certificate)] += 1;
             // One tree, whose lightest 1-respecting cut is the bound and λ.
@@ -326,8 +326,18 @@ fn certified_packings_prove_lambda_on_the_corpus_and_serve_shapes() {
             assert_eq!(lightest as u64, packing.cut_lower_bound, "{at}");
             assert_eq!(packing.cut_lower_bound, *lambda, "{at}");
             assert_eq!(r.lower_bound, *lambda, "{at}");
-            // The solve answers that tree's 1-respecting cut with no
-            // Minimum Path operation.
+            // The packing hands out the cut the full search of its tree
+            // returns, and the solve answers with it: no Minimum Path
+            // operation.
+            let full = two_respect_mincut(&work, &tree);
+            assert_eq!(full.value as u64, handed_out.value, "{at}");
+            assert_eq!(full.side, handed_out.side, "{at}");
+            assert_eq!(full.kind, RespectKind::One, "{at}");
+            assert_eq!(
+                (cut.value, &cut.side),
+                (handed_out.value, &handed_out.side),
+                "{at}"
+            );
             assert_eq!(cut.kind, Some(RespectKind::One), "{at}");
             assert_eq!(cut.tree_index, Some(0), "{at}");
             let swept = (r.trees_selected, r.trees_examined);
@@ -402,14 +412,28 @@ fn early_exit_matches_a_full_sweep_at_every_width() {
             };
             let mut ws = SolverWorkspace::new();
             let got = minimum_cut_with(g, &cfg, &mut ws).unwrap();
-            // `SolveState::fresh` sweeps every packed tree.
-            let full = SolveState::fresh(g, cfg.seed, &mut ws, cfg.threads).unwrap();
-            let want = full.best();
             let at = format!("{name}, {threads} threads");
-            assert_eq!(got.value, want.value, "{at}");
-            assert_eq!(got.side, want.side, "{at}");
-            assert_eq!(got.kind, want.kind, "{at}");
-            assert_eq!(got.tree_index, want.tree_index, "{at}");
+            let mut pcfg = cfg.packing.clone();
+            pcfg.seed = pcfg.seed.wrapping_add(cfg.seed);
+            let packing = pack_trees(g, &pcfg);
+            if packing.certified.is_some() {
+                // The solve answers from the packing, so the oracle is the
+                // full search run directly on the one packed tree.
+                let tree = rooted_tree_from_edges(g, &packing.trees[0], 0);
+                let want = two_respect_mincut(g, &tree);
+                assert_eq!(got.value, want.value as u64, "{at}");
+                assert_eq!(got.side, want.side, "{at}");
+                assert_eq!(got.kind, Some(want.kind), "{at}");
+                assert_eq!(got.tree_index, Some(0), "{at}");
+            } else {
+                // `SolveState::fresh` sweeps every packed tree.
+                let full = SolveState::fresh(g, cfg.seed, &mut ws, cfg.threads).unwrap();
+                let want = full.best();
+                assert_eq!(got.value, want.value, "{at}");
+                assert_eq!(got.side, want.side, "{at}");
+                assert_eq!(got.kind, want.kind, "{at}");
+                assert_eq!(got.tree_index, want.tree_index, "{at}");
+            }
             let (_, r) = minimum_cut_report(g, &cfg).unwrap();
             let now = (r.trees_examined, r.batch_ops_total, r.phases);
             assert_eq!(*counters.get_or_insert(now), now, "{at}");
