@@ -665,6 +665,18 @@ mod tests {
     }
 
     #[test]
+    fn certified_solve_roots_no_tree() {
+        // The packing certifies this graph (see `report_is_coherent`), so
+        // its cut is the answer and the per-tree loop never runs: no
+        // worker arena is made.
+        let g = gen::gnm_connected(80, 240, 9, 55);
+        let mut ws = SolverWorkspace::new();
+        let cut = minimum_cut_with(&g, &MinCutConfig::default(), &mut ws).unwrap();
+        assert_eq!(cut.kind, Some(RespectKind::One));
+        assert!(ws.trees.is_empty(), "{} tree arenas", ws.trees.len());
+    }
+
+    #[test]
     fn certificate_preprocessing_is_exact() {
         let mut rng = SmallRng::seed_from_u64(77);
         for trial in 0..10 {

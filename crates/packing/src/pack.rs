@@ -470,7 +470,7 @@ fn certified_cut(
     bound: u64,
     root: &mut RootScratch,
 ) -> Option<CertifiedCut> {
-    let tree = root.rebuild_from(g, tree_edges(live, dropped), 0);
+    let tree = root.rebuild(g, tree_edges(live, dropped), 0);
     let (value, v) = best_one_respect(&one_respect_cuts(g, tree), tree)?;
     (u64::try_from(value) == Ok(bound)).then(|| {
         let mut side = vec![false; g.n()];
@@ -753,23 +753,18 @@ impl RootScratch {
         Self::default()
     }
 
-    /// Rebuilds the internal tree from `tree_edges` rooted at `root`,
-    /// producing a tree identical to
+    /// Rebuilds the internal tree from `tree_edges` (graph edge ids, in any
+    /// order) rooted at `root`, producing a tree identical to
     /// [`rooted_tree_from_edges`]`(g, tree_edges, root)`.
-    pub fn rebuild<'a>(&'a mut self, g: &Graph, tree_edges: &[u32], root: u32) -> &'a RootedTree {
-        self.rebuild_from(g, tree_edges.iter().copied(), root)
-    }
-
-    /// [`RootScratch::rebuild`] from the tree's edge ids in any order.
-    fn rebuild_from(
-        &mut self,
+    pub fn rebuild<'a>(
+        &'a mut self,
         g: &Graph,
-        tree_edges: impl Iterator<Item = u32>,
+        tree_edges: impl IntoIterator<Item = impl std::borrow::Borrow<u32>>,
         root: u32,
-    ) -> &RootedTree {
+    ) -> &'a RootedTree {
         self.pairs.clear();
-        self.pairs.extend(tree_edges.map(|eid| {
-            let e = g.edges()[eid as usize];
+        self.pairs.extend(tree_edges.into_iter().map(|eid| {
+            let e = g.edges()[*eid.borrow() as usize];
             (e.u, e.v)
         }));
         self.tree
