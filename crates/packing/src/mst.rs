@@ -156,6 +156,12 @@ impl RepeatedMst {
         components
     }
 
+    /// Whether edge `e` is a bridge of the prepared graph: it lies in
+    /// every spanning tree, whatever the costs.
+    pub fn is_bridge(&self, e: u32) -> bool {
+        self.edge_chain[e as usize] == BRIDGE
+    }
+
     /// The edges the minimum spanning forest of the prepared graph under
     /// `cost` leaves out, the complement of [`kruskal_mst`]`(g, cost)`, as
     /// a bitset over the edge ids: bit `e % 64` of word `e / 64` is set iff
@@ -625,6 +631,8 @@ mod tests {
         let non_bridge = vec![0, 1, 2, 3, 4, 6, 7, 8];
         let mut mst = RepeatedMst::new();
         assert_eq!(mst.prepare(&g, 100), 1);
+        let marked: Vec<u32> = (0..g.m() as u32).filter(|&e| !mst.is_bridge(e)).collect();
+        assert_eq!(marked, non_bridge);
         let mut rng = SmallRng::seed_from_u64(3);
         for round in 0..6 {
             let cost: Vec<u64> = (0..g.m()).map(|_| rng.gen_range(0..100)).collect();

@@ -29,37 +29,69 @@
 //! a sampled one is `⌊wp⌋ + Bernoulli(frac(wp)) ≤ w` for `p ≤ 1`. So the
 //! packing fits inside the graph's own weights. Every spanning tree
 //! crosses every cut, so every cut weighs at least `P` (the easy half of
-//! Nash-Williams–Tutte duality), and with integer weights `λ ≥ ⌈P⌉`.
-//! [`TreePacking::cut_lower_bound`] is that `⌈P⌉`, computed in integers
-//! from the final run's counters, never from the f64
+//! Nash-Williams–Tutte duality), and with integer weights `λ ≥ ⌈P⌉`,
+//! computed in integers from the run's counters, never from the f64
 //! [`TreePacking::packing_value`]. A capped or sampled multiplicity only
 //! weakens it; in practice it can meet `λ` only at `p = 1`.
 //!
-//! **The certified stop.** The same argument holds after any prefix of a
-//! run: the first `r` rounds form a packing of value `P_r`, so `λ ≥ ⌈P_r⌉`.
-//! Every tree edge's cut is a cut of the graph, so the lightest
-//! 1-respecting cut `c` of any round's tree is at least `λ`. When
-//! `c = ⌈P_r⌉`, both bounds meet: `λ = ⌈P_r⌉` is proven, and that tree
-//! crosses a minimum cut once. [`pack_trees_with`] checks this on the
-//! checkpoint round's own tree at rounds 32, 64, 128, … and at the run's
+//! **The floor.** A run on the full skeleton holds a second lower bound,
+//! `B = min(lightest bridge, w₁ + w₂)` for the two lightest edge weights
+//! `w₁ ≤ w₂` of the packed graph. A cut of a connected graph crosses at
+//! least one edge. If it crosses exactly one, that edge is a bridge, so
+//! the cut weighs at least the lightest bridge. Otherwise it crosses two
+//! distinct edges and weighs at least `w₁ + w₂`. Parallel copies count as
+//! distinct edges, and a parallel edge is never a bridge. So `λ ≥ B`. The
+//! run reads the bridges off [`RepeatedMst::prepare`]'s marks and the
+//! weights off the graph itself, not off the capped multiplicities, so
+//! `B` stays exact where `⌈P⌉` is capped. It closes the gap the packing
+//! leaves on cycle-like graphs: a cycle packs at most 1 against `λ = 2`
+//! (Nash-Williams–Tutte; Karger, *Minimum cuts in near-linear time*, JACM
+//! 2000), and its floor is 2. [`TreePacking::cut_lower_bound`] is
+//! `max(⌈P⌉, B)` for a packing of the full skeleton and `⌈P⌉` for a
+//! sampled one, whose skeleton's bridges are not the graph's.
+//!
+//! **The certified stop.** Both bounds hold after any prefix of a run:
+//! the first `r` rounds form a packing of value `P_r`, so
+//! `λ ≥ max(⌈P_r⌉, B)`. Every tree edge's cut is a cut of the graph, so
+//! the lightest 1-respecting cut `c` of any round's tree is at least `λ`.
+//! When `c = max(⌈P_r⌉, B)`, the bounds meet: `λ = c` is proven, and that
+//! tree crosses a minimum cut once. [`pack_trees_with`] checks this on the
+//! checkpoint round's own tree at rounds 1, 2, 4, 8, … and at the run's
 //! last round. A check roots the tree at vertex 0 in an arena
 //! [`PackScratch`] keeps, and takes its 1-respecting cuts in one Lemma 11
 //! pass (`O(m α(n) + n)` work, Tarjan's offline LCAs). When it holds, the
 //! run stops and returns that one tree, and the cut it certified:
 //! [`TreePacking::certified`] holds `λ` and its side `v↓`, for the vertex
 //! `v` that [`best_one_respect`] picks. A caller answers with that cut and
-//! sweeps no tree. A check draws no randomness and changes no counter, so
-//! a run it does not stop, and the whole packing when none holds, is
-//! bit-identical to a run without checks.
+//! sweeps no tree. A bridge is a cut by itself, so it weighs at least `λ`,
+//! and two edges weigh at least 2, so `B ≥ min(λ, 2)`. A graph with
+//! `λ ≤ 2` therefore has `B = λ` and certifies at round 1 whenever its
+//! first tree crosses a minimum cut once: always when `λ = 1`, whose
+//! minimum cut is a bridge every tree holds. A check draws no randomness
+//! and changes no counter, so a run it does not stop, and the whole
+//! packing when none holds, is bit-identical to a run without checks.
 //!
 //! Only runs on the full skeleton (`p = 1`, the estimation run when the
 //! rate search reaches it, or the final run) check. A sampled run's `⌈P⌉`
 //! bounds the sample's cuts, measured in sampled units, not the graph's
-//! `λ`. The first check waits for round 32: the default final run is never
-//! shorter, so every default run on the full skeleton gets at least one,
-//! while checks at doubling rounds add at most `log₂(R / 32) + 2` passes to
-//! an `R`-round run. A run deliberately starved below 32 rounds (E8's
-//! success-rate rows) keeps measuring the raw Monte Carlo engine.
+//! `λ`. When an estimation run and the final run both pack the full
+//! skeleton, their first rounds are the same rounds, so the final run
+//! skips every check the estimation run already made. An `R`-round run
+//! pays at most `⌊log₂ R⌋ + 2` checks.
+//!
+//! **Starved runs.** E8 (`success_rate`) starves the packing to 1, 2 or 8
+//! rounds on planted bisections to measure the raw Monte Carlo engine, so
+//! none of its runs checks a round past 8. No such check can hold, so
+//! those runs are bit-identical to runs without checks:
+//! - the planted cut is 55 (5 cross edges of weight 11), and every other
+//!   cut is heavier;
+//! - the floor is 22: there are no bridges, and the two lightest edges
+//!   weigh 11;
+//! - every tree crosses the planted cut, so after `r` rounds some cross
+//!   edge lies in at least `⌈r/5⌉` of them, and
+//!   `⌈P_r⌉ ≤ 11r/⌈r/5⌉ ≤ 44` at every check round `r ≤ 8`.
+//!
+//! So the bound stays at most 44, below every cut of 55 or more.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -71,10 +103,6 @@ use crate::skeleton::{full_skeleton, sample_skeleton, Skeleton};
 
 /// Fixed-point shift for load-ratio MST keys.
 const RATIO_SHIFT: u32 = 20;
-
-/// The first round at which a run on the full skeleton checks its
-/// certificate (see the module docs).
-const FIRST_CHECK: usize = 32;
 
 /// Configuration for [`pack_trees`]. `Default` picks the paper's
 /// asymptotics with practical constants.
@@ -249,23 +277,28 @@ pub struct TreePacking {
     /// Sampling rate of the accepted skeleton (1 for a certified packing).
     pub skeleton_p: f64,
     /// Estimated packing value of the accepted skeleton, after the rounds
-    /// run.
+    /// run. A run stopped early reports the value of its prefix: one
+    /// certified at round 1 reports its one tree's lightest multiplicity,
+    /// which can sit far below `λ / 2`.
     pub packing_value: f64,
-    /// `⌈P⌉` for the packing's value `P`, computed exactly: a lower bound
-    /// on the packed graph's minimum cut (see the module docs). For a
-    /// certified packing it is the minimum cut `λ` itself.
+    /// A proven lower bound on the packed graph's minimum cut, computed
+    /// exactly (see the module docs): `max(⌈P⌉, B)` for the packing's value
+    /// `P` and the floor `B` on the full skeleton, `⌈P⌉` on a sampled one.
+    /// For a certified packing it is the minimum cut `λ` itself, also when
+    /// `⌈P⌉` is far below it.
     pub cut_lower_bound: u64,
     /// Number of greedy rounds the packing ran: the final run's budget, or,
     /// for a certified packing, the rounds of the run that certified it up
-    /// to its certifying round.
+    /// to its certifying round (1, 2, 4, 8, … or that run's last round; a
+    /// graph with `λ ≤ 2` often certifies at round 1).
     pub rounds: usize,
     /// Number of distinct trees the packing's run produced (up to the
     /// certifying round for a certified packing).
     pub distinct_trees: usize,
     /// The cut that proved `λ = cut_lower_bound`, when a run on the full
-    /// skeleton found `⌈P⌉` equal to the lightest 1-respecting cut of one of
-    /// its trees; that tree is then the only one kept. `None` when no check
-    /// held.
+    /// skeleton found `max(⌈P⌉, B)` equal to the lightest 1-respecting cut
+    /// of one of its trees; that tree is then the only one kept. `None` when
+    /// no check held.
     pub certified: Option<CertifiedCut>,
 }
 
@@ -356,17 +389,18 @@ pub fn pack_greedy_with(
     if g.n() == 1 {
         return Some((vec![(Vec::new(), rounds as u32)], f64::INFINITY));
     }
-    greedy_run(g, sk, rounds, false, ws)?;
+    greedy_run(g, sk, rounds, None, ws)?;
     Some(drain_trees(ws, &sk.live_edges, rounds))
 }
 
 /// How a [`greedy_run`] ended.
 enum RunEnd {
-    /// Every round ran.
-    Done,
+    /// Every round ran. `floor` is the floor `B` the run checked against,
+    /// 0 for a run that does not check.
+    Done { floor: u64 },
     /// Round `rounds` certified its own tree, whose left-out bitset is
-    /// `dropped`: `⌈P⌉` of the rounds so far equals that tree's lightest
-    /// 1-respecting cut, `cut` (see the module docs).
+    /// `dropped`: `max(⌈P⌉, B)` of the rounds so far equals that tree's
+    /// lightest 1-respecting cut, `cut` (see the module docs).
     Certified {
         rounds: usize,
         dropped: Vec<u64>,
@@ -374,18 +408,26 @@ enum RunEnd {
     },
 }
 
+/// Whether a run of `rounds` rounds on the full skeleton checks its
+/// certificate after round `run`: at powers of two and at its last round.
+fn is_check_round(run: usize, rounds: usize) -> bool {
+    run.is_power_of_two() || run == rounds
+}
+
 /// The greedy loop of [`pack_greedy_with`] and [`pack_trees_with`]: up to
 /// `rounds` rounds on the skeleton, their counters and distinct trees left
-/// in `ws`. `None` if the skeleton does not span the graph. With `certify`,
-/// the run checks its certificate at rounds 32, 64, 128, … and at its last
-/// round, and stops at the first that holds. A check reads the counters
+/// in `ws`. `None` if the skeleton does not span the graph. With
+/// `checks = Some(checked)`, the skeleton is the full one and the run
+/// checks its certificate at rounds 1, 2, 4, 8, … and at its last round,
+/// skipping those a run of `checked` rounds on it already checked (0 for
+/// none), and stops at the first that holds. A check reads the counters
 /// and the round's tree and draws no randomness, so a run it does not stop
 /// is the same run as without it. `g` has at least two vertices.
 fn greedy_run(
     g: &Graph,
     sk: &Skeleton,
     rounds: usize,
-    certify: bool,
+    checks: Option<usize>,
     ws: &mut PackScratch,
 ) -> Option<RunEnd> {
     let n = g.n();
@@ -424,6 +466,7 @@ fn greedy_run(
     left_out.clear();
     left_out.resize(live.len(), 0);
     trees.clear();
+    let floor = checks.map_or(0, |_| cut_floor(g, live, mst));
     for done in 0..rounds as u64 {
         // An edge's load is `done - left_out[e]`: the integer cost is
         // `(load << RATIO_SHIFT) / multiplicity`.
@@ -444,8 +487,11 @@ fn greedy_run(
             trees.insert(dropped.to_vec(), 1);
         }
         let run = done as usize + 1;
-        if certify && run >= FIRST_CHECK && (run.is_power_of_two() || run == rounds) {
-            let bound = cut_lower_bound(run as u64, left_out, mult);
+        let check = checks.is_some_and(|checked| {
+            is_check_round(run, rounds) && !(run <= checked && is_check_round(run, checked))
+        });
+        if check {
+            let bound = cut_lower_bound(run as u64, left_out, mult).max(floor);
             let root = root.get_or_insert_with(RootScratch::default);
             if let Some(cut) = certified_cut(g, live, dropped, bound, root) {
                 return Some(RunEnd::Certified {
@@ -456,7 +502,26 @@ fn greedy_run(
             }
         }
     }
-    Some(RunEnd::Done)
+    Some(RunEnd::Done { floor })
+}
+
+/// The floor `B = min(lightest bridge, w₁ + w₂)` of the full skeleton
+/// `live` prepared in `mst`, from `g`'s true weights: a lower bound on
+/// `λ` (see the module docs).
+fn cut_floor(g: &Graph, live: &[u32], mst: &RepeatedMst) -> u64 {
+    let (mut bridge, mut w1, mut w2) = (u64::MAX, u64::MAX, u64::MAX);
+    for (e, &eid) in live.iter().enumerate() {
+        let w = g.edges()[eid as usize].w;
+        if mst.is_bridge(e as u32) {
+            bridge = bridge.min(w);
+        }
+        if w < w1 {
+            (w1, w2) = (w, w1);
+        } else if w < w2 {
+            w2 = w;
+        }
+    }
+    bridge.min(w1.saturating_add(w2))
 }
 
 /// The lightest 1-respecting cut of the tree that leaves out the skeleton
@@ -522,8 +587,8 @@ fn drain_trees(ws: &mut PackScratch, live: &[u32], rounds: usize) -> (PackedTree
 }
 
 /// The packing a certified run ends with: the one tree it certified, with
-/// its multiplicity, the rounds run, the distinct trees seen, `λ` and the
-/// cut that proved it.
+/// its multiplicity, the rounds run, the distinct trees seen, `λ` as its
+/// lower bound, and the cut that proved it.
 fn certified_packing(
     ws: &PackScratch,
     live: &[u32],
@@ -539,7 +604,7 @@ fn certified_packing(
         tree_weights: vec![ws.trees[dropped]],
         skeleton_p: 1.0,
         packing_value: packing_value(rounds, ws),
-        cut_lower_bound: cut_lower_bound(rounds as u64, &ws.left_out, &ws.mult),
+        cut_lower_bound: cut.value,
         rounds,
         distinct_trees: ws.trees.len(),
         certified: Some(cut),
@@ -591,6 +656,9 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
         cfg.estimation_rounds
     };
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    // Rounds of the estimation run on the full skeleton, when one ran: the
+    // final run's first rounds repeat it, checks included.
+    let mut checked = 0;
 
     // --- Rate search -------------------------------------------------------
     let target = cfg.target_factor * (n.max(2) as f64).ln();
@@ -611,7 +679,7 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
                 sample_skeleton(g, p, &mut rng)
             };
             // Only a run on the full skeleton bounds the graph's own λ.
-            match greedy_run(g, &sk, est_rounds, p >= 1.0, ws) {
+            match greedy_run(g, &sk, est_rounds, (p >= 1.0).then_some(checked), ws) {
                 None => {
                     // Disconnected: not enough sampled edges.
                     if p >= 1.0 {
@@ -626,7 +694,10 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
                 }) => {
                     return certified_packing(ws, &sk.live_edges, rounds, &dropped, cut);
                 }
-                Some(RunEnd::Done) => {
+                Some(RunEnd::Done { .. }) => {
+                    if p >= 1.0 {
+                        checked = est_rounds;
+                    }
                     let value = packing_value(est_rounds, ws);
                     if value < target / 2.0 && p < 1.0 {
                         p = (p * 2.0).min(1.0);
@@ -644,7 +715,8 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
 
     // --- Final packing ------------------------------------------------------
     let live = &skeleton.live_edges;
-    match greedy_run(g, &skeleton, final_rounds, skeleton.p >= 1.0, ws)
+    let checks = (skeleton.p >= 1.0).then_some(checked);
+    let floor = match greedy_run(g, &skeleton, final_rounds, checks, ws)
         .expect("accepted skeleton must span the graph")
     {
         RunEnd::Certified {
@@ -654,11 +726,11 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
         } => {
             return certified_packing(ws, live, rounds, &dropped, cut);
         }
-        RunEnd::Done => {}
-    }
+        RunEnd::Done { floor } => floor,
+    };
     let (mut distinct, value) = drain_trees(ws, live, final_rounds);
     let distinct_trees = distinct.len();
-    let cut_lower_bound = cut_lower_bound(final_rounds as u64, &ws.left_out, &ws.mult);
+    let cut_lower_bound = cut_lower_bound(final_rounds as u64, &ws.left_out, &ws.mult).max(floor);
 
     // --- Weighted selection without replacement -----------------------------
     // Draw trees proportionally to multiplicity until we have the requested
@@ -1062,6 +1134,12 @@ mod tests {
         assert_eq!(packing.packing_value, 3.0);
     }
 
+    /// `⌈P⌉` of a plain greedy run of `rounds` rounds on the full skeleton.
+    fn plain_run_bound(ws: &mut PackScratch, g: &Graph, rounds: usize) -> u64 {
+        pack_greedy_with(g, &full_skeleton(g), rounds, ws).unwrap();
+        cut_lower_bound(rounds as u64, &ws.left_out, &ws.mult)
+    }
+
     #[test]
     fn lower_bound_on_a_cycle_is_its_cut() {
         // Every tree of a unit cycle drops one edge, and the greedy run
@@ -1069,26 +1147,61 @@ mod tests {
         // dropped at least once, so each load is below R: P > 1, and
         // ⌈P⌉ = 2 = λ.
         let g = gen::cycle_with_chords(40, 0, 0);
+        let mut ws = PackScratch::new();
+        let (_, value) = pack_greedy_with(&g, &full_skeleton(&g), 64, &mut ws).unwrap();
+        assert!(value > 1.0, "{value}");
+        assert_eq!(plain_run_bound(&mut ws, &g, 64), 2);
+        // The floor, w₁ + w₂ = 2, proves λ long before: the first tree is a
+        // path, and cutting off its end costs 2.
         let packing = full_packing(&g);
-        assert!(packing.packing_value > 1.0, "{}", packing.packing_value);
-        assert_eq!(packing.cut_lower_bound, 2);
+        assert_eq!((packing.cut_lower_bound, packing.rounds), (2, 1));
+        assert!(packing.certified.is_some());
     }
 
     #[test]
     fn capped_multiplicities_only_weaken_the_lower_bound() {
         let heavy = 1u64 << 38;
+        let mut ws = PackScratch::new();
         // A bridge heavier than u32::MAX beside a light one: the light
         // bridge still sets the bound.
         let g = Graph::from_edges(3, &[(0, 1, heavy), (1, 2, 3)]).unwrap();
-        assert_eq!(full_packing(&g).cut_lower_bound, 3);
+        assert_eq!(plain_run_bound(&mut ws, &g, 32), 3);
         // A triangle of such edges has λ = 2^39, but each multiplicity is
         // capped at u32::MAX, so the packing is worth at most
         // 1.5 · u32::MAX: a sound bound, far below λ.
         let tri = Graph::from_edges(3, &[(0, 1, heavy), (1, 2, heavy), (2, 0, heavy)]).unwrap();
         let cap = u64::from(u32::MAX);
-        let bound = full_packing(&tri).cut_lower_bound;
+        let bound = plain_run_bound(&mut ws, &tri, 32);
         assert!(bound >= cap && bound <= cap + cap / 2 + 1, "{bound}");
         assert!(bound < 2 * heavy);
+        // The floor reads the true weights, so both packings prove λ
+        // exactly, at round 1.
+        for (g, lambda) in [(&g, 3), (&tri, 2 * heavy)] {
+            let packing = full_packing(g);
+            assert_eq!((packing.cut_lower_bound, packing.rounds), (lambda, 1));
+            assert!(packing.certified.is_some());
+        }
+    }
+
+    /// The floor from its definition: the lightest edge whose removal
+    /// disconnects `g`, or the two lightest edges together.
+    fn floor_by_definition(g: &Graph) -> u64 {
+        let mut weights: Vec<u64> = g.edges().iter().map(|e| e.w).collect();
+        weights.sort_unstable();
+        let pair = weights.get(1).map_or(u64::MAX, |w2| weights[0] + w2);
+        let is_bridge = |b: usize| {
+            let mut uf = UnionFind::new(g.n());
+            for (e, edge) in g.edges().iter().enumerate() {
+                if e != b {
+                    uf.union(edge.u, edge.v);
+                }
+            }
+            uf.components() > 1
+        };
+        (0..g.m())
+            .filter(|&b| is_bridge(b))
+            .map(|b| g.edges()[b].w)
+            .fold(pair, u64::min)
     }
 
     /// A graph of serve-mixed's shape: a cycle on 28–43 vertices plus
@@ -1109,14 +1222,15 @@ mod tests {
     }
 
     /// Asserts that `packing` is the run [`pack_greedy_with`] makes of its
-    /// rounds on the full skeleton: the same value bits, bound and distinct
-    /// trees, and each kept tree with its multiplicity among the run's
-    /// trees. Returns the run's trees.
+    /// rounds on the full skeleton: the same value bits, distinct trees and
+    /// bound (the run's `⌈P⌉` or the floor, whichever is larger), and each
+    /// kept tree with its multiplicity among the run's trees. Returns the
+    /// run's trees.
     fn assert_is_plain_run(ws: &mut PackScratch, g: &Graph, packing: &TreePacking) -> PackedTrees {
         let (run, value) = pack_greedy_with(g, &full_skeleton(g), packing.rounds, ws).unwrap();
         assert_eq!(packing.packing_value.to_bits(), value.to_bits());
         let bound = cut_lower_bound(packing.rounds as u64, &ws.left_out, &ws.mult);
-        assert_eq!(packing.cut_lower_bound, bound);
+        assert_eq!(packing.cut_lower_bound, bound.max(floor_by_definition(g)));
         assert_eq!(packing.distinct_trees, run.len());
         for (tree, &mult) in packing.trees.iter().zip(&packing.tree_weights) {
             assert!(run.contains(&(tree.to_vec(), mult)));
@@ -1150,7 +1264,12 @@ mod tests {
                 continue;
             }
             certified += 1;
-            assert!(packing.rounds >= FIRST_CHECK, "seed {seed}");
+            // A check round of the default estimation run (when the rate
+            // search ran one) or of the default final run.
+            let log2n = (usize::BITS - (g.n() - 1).leading_zeros()) as usize;
+            let (est, last) = (4 * log2n, 3 * log2n * log2n);
+            let rounds = packing.rounds;
+            assert!(is_check_round(rounds, est) || rounds == last, "seed {seed}");
             assert_eq!(packing.trees.len(), 1, "seed {seed}");
             let tree = &packing.trees[0];
             assert!(is_spanning_tree(&g, tree), "seed {seed}");

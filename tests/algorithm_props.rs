@@ -6,7 +6,7 @@ use parallel_mincut::core_alg::{
     best_one_respect, minimum_cut, minimum_cut_report, minimum_cut_with, one_respect_cuts,
     two_respect_mincut, MinCutConfig, RespectKind, SolveState, SolverWorkspace,
 };
-use parallel_mincut::graph::{gen, mincut_certificate, Graph};
+use parallel_mincut::graph::{gen, mincut_certificate, Graph, UnionFind};
 use parallel_mincut::packing::{
     kruskal_mst, pack_trees, rooted_tree_from_edges, sample_skeleton, set_bits, PackingConfig,
     RepeatedMst,
@@ -260,8 +260,147 @@ fn packing_lower_bound_is_sound_on_the_corpus() {
         }
     }
     // The corpus counts EXPERIMENTS.md § E20 reports; they move only when
-    // the packing or the early exit does.
-    assert_eq!(counts, (58, 719, 719));
+    // the packing, its certified stop or the early exit does.
+    assert_eq!(counts, (60, 699, 699));
+}
+
+/// The floor `min(lightest bridge, w₁ + w₂)` from its definition: the
+/// lightest edge whose removal disconnects `g`, or the two lightest edges
+/// together.
+fn floor_by_definition(g: &Graph) -> u64 {
+    let mut weights: Vec<u64> = g.edges().iter().map(|e| e.w).collect();
+    weights.sort_unstable();
+    let pair = weights.get(1).map_or(u64::MAX, |w2| weights[0] + w2);
+    let is_bridge = |b: usize| {
+        let mut uf = UnionFind::new(g.n());
+        for (e, edge) in g.edges().iter().enumerate() {
+            if e != b {
+                uf.union(edge.u, edge.v);
+            }
+        }
+        uf.components() > 1
+    };
+    (0..g.m())
+        .filter(|&b| is_bridge(b))
+        .map(|b| g.edges()[b].w)
+        .fold(pair, u64::min)
+}
+
+#[test]
+fn packing_floor_is_sound_and_certifies_sparse_graphs_at_round_one() {
+    let full = PackingConfig {
+        force_full_skeleton: true,
+        ..PackingConfig::default()
+    };
+    let heavy = 1u64 << 38;
+    // Two triangles of weight `w` on 0..3 and 3..6, joined by `joins`.
+    let triangles = |w: u64, joins: &[(u32, u32, u64)]| {
+        let mut edges = vec![
+            (0, 1, w),
+            (1, 2, w),
+            (2, 0, w),
+            (3, 4, w),
+            (4, 5, w),
+            (5, 3, w),
+        ];
+        edges.extend_from_slice(joins);
+        Graph::from_edges(6, &edges).unwrap()
+    };
+    let weighted_cycle: Vec<(u32, u32, u64)> = (0..8u32)
+        .map(|i| (i, (i + 1) % 8, [1, 4, 4, 4][i as usize % 4]))
+        .collect();
+    let leaf = (0u64..)
+        .map(|seed| gen::gnm_connected(96, 288, 6, seed))
+        .find(|g| g.min_weighted_degree() == 1)
+        .unwrap();
+    // Each input with the round it certifies at, where that is pinned. A
+    // graph with λ ≤ 2 has floor λ, so it certifies at round 1 when its
+    // first tree crosses a minimum cut once.
+    let mut cases: Vec<(String, Graph, Option<usize>)> = vec![
+        // δ = 1: the minimum cut is a bridge every tree holds.
+        ("leaf gnm".into(), leaf, Some(1)),
+        ("barbell".into(), gen::barbell(8), Some(1)),
+        ("bridge".into(), gen::bridge_graph(10, 6, 1, 3).0, Some(1)),
+        // The bridge (3) is lighter than w₁ + w₂ (8): a floor without its
+        // bridge term is above λ.
+        (
+            "bridged triangles".into(),
+            triangles(5, &[(2, 3, 3)]),
+            Some(1),
+        ),
+        ("light triangles".into(), triangles(1, &[(2, 3, 3)]), None),
+        (
+            "two joins".into(),
+            triangles(5, &[(2, 3, 7), (0, 5, 9)]),
+            None,
+        ),
+        // Parallel unit edges, never bridges, are the minimum cut: a floor
+        // of w₂ + w₃ (6) is above λ. So in the weighted cycle, whose two
+        // unit edges are its minimum cut.
+        (
+            "parallel pair".into(),
+            triangles(5, &[(2, 3, 1), (3, 2, 1)]),
+            Some(1),
+        ),
+        (
+            "weighted cycle".into(),
+            Graph::from_edges(8, &weighted_cycle).unwrap(),
+            None,
+        ),
+        // Multiplicities capped at u32::MAX: the floor reads true weights.
+        (
+            "capped path".into(),
+            Graph::from_edges(3, &[(0, 1, heavy), (1, 2, 3)]).unwrap(),
+            Some(1),
+        ),
+        (
+            "capped triangle".into(),
+            Graph::from_edges(3, &[(0, 1, heavy), (1, 2, heavy), (2, 0, heavy)]).unwrap(),
+            Some(1),
+        ),
+    ];
+    for n in [3, 12, 40, 257] {
+        cases.push((
+            format!("cycle {n}"),
+            gen::cycle_with_chords(n, 0, 0),
+            Some(1),
+        ));
+    }
+    for (rows, cols) in [(2, 9), (3, 5), (8, 8), (5, 13)] {
+        cases.push((
+            format!("grid {rows}x{cols}"),
+            gen::grid(rows, cols),
+            Some(1),
+        ));
+    }
+    // The 6x8 ring's first tree holds all six ring edges, so it crosses
+    // every minimum cut twice; the second tree leaves one out.
+    for (k, size, seed, rounds) in [(4, 4, 0, 1), (6, 8, 1, 2), (8, 32, 2, 1), (32, 8, 3, 1)] {
+        let (ring, _) = gen::community_ring(k, size, 4, seed);
+        cases.push((format!("ring {k}x{size}"), ring, Some(rounds)));
+    }
+    for seed in 0..4 {
+        let g = gen::contracted_multigraph(24, 60, 8, seed);
+        cases.push((format!("contracted #{seed}"), g, None));
+    }
+    for (name, g, rounds) in &cases {
+        let lambda = stoer_wagner(g).unwrap().value;
+        let packing = pack_trees(g, &full);
+        let (bound, floor) = (packing.cut_lower_bound, floor_by_definition(g));
+        assert!(bound <= lambda, "{name}: bound {bound} above λ = {lambda}");
+        assert!(
+            bound >= floor,
+            "{name}: bound {bound} below the floor {floor}"
+        );
+        if let Some(cut) = &packing.certified {
+            assert_eq!((cut.value, bound), (lambda, lambda), "{name}");
+            assert_eq!(g.cut_value(&cut.side), lambda, "{name}");
+        }
+        if let Some(rounds) = rounds {
+            assert!(packing.certified.is_some(), "{name}: not certified");
+            assert_eq!(packing.rounds, *rounds, "{name}");
+        }
+    }
 }
 
 /// `count` graphs of serve-mixed's shape (a cycle on 28–43 vertices plus
@@ -346,7 +485,7 @@ fn certified_packings_prove_lambda_on_the_corpus_and_serve_shapes() {
     }
     // The corpus counts are E20's: the instances whose answer meets the
     // bound.
-    assert_eq!(certified, [58, 58, 40, 40]);
+    assert_eq!(certified, [60, 60, 40, 40]);
 }
 
 #[test]
