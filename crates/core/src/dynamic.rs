@@ -56,9 +56,11 @@
 //! `decrease`), and a decrease that crosses no minimum cut, or an
 //! increase that raises `best`, re-packs.
 //!
-//! A certified pack (the packing proved `λ = ⌈P⌉` and kept one tree) pins
-//! that single tree, so an update re-sweeps at most one tree, and every
-//! answer the rule admits after it is exact, not only correct w.h.p.:
+//! A certified pack (the packing proved `λ = max(⌈P⌉, B)`, for its value
+//! `P` and the floor `B = min(lightest bridge, w₁ + w₂)`, and kept one
+//! tree) pins that single tree, so an update re-sweeps at most one tree,
+//! and every answer the rule admits after it is exact, not only correct
+//! w.h.p.:
 //! `packed = λ` at the pack; a cut loses at most `decrease` since then, so
 //! the mutated graph's minimum cut is at least `λ − decrease`; the rule
 //! admits `best` only when `best ≤ λ − decrease`; and `best` is the value

@@ -11,14 +11,19 @@
 //!    certificate replaces the graph by an exact sparse subgraph;
 //! 3. [`pmc_packing::pack_trees_with`] packs `O(log n)` spanning trees such
 //!    that w.h.p. one of them crosses a minimum cut at most twice
-//!    (Lemma 1). The packing also proves `λ ≥ ⌈P⌉` for its value `P`
-//!    ([`TreePacking::cut_lower_bound`](pmc_packing::TreePacking::cut_lower_bound));
-//!    on the certificate graph that bounds the input's `λ` too, since the
-//!    certificate keeps it. A greedy run on the full skeleton checks, from
-//!    round 32 on, whether `⌈P⌉` equals the lightest 1-respecting cut of
-//!    the round's tree; when it does, `λ = ⌈P⌉` is proven and the packing
-//!    stops with that one tree and hands out the cut it certified
-//!    ([`certified`](pmc_packing::TreePacking::certified));
+//!    (Lemma 1). The packing also proves a lower bound on `λ`
+//!    ([`TreePacking::cut_lower_bound`](pmc_packing::TreePacking::cut_lower_bound)):
+//!    `⌈P⌉` for its value `P`, and on the full skeleton
+//!    `max(⌈P⌉, B)` for the floor `B = min(lightest bridge, w₁ + w₂)`.
+//!    On the certificate graph that bounds the input's `λ` too, since the
+//!    certificate keeps it. A greedy run on the full skeleton checks at
+//!    rounds 1, 2, 4, 8, … and at its last round whether `max(⌈P_r⌉, B)`
+//!    equals the lightest 1-respecting cut of the round's tree; when it
+//!    does, `λ` is proven and the packing stops with that one tree and
+//!    hands out the cut it certified
+//!    ([`certified`](pmc_packing::TreePacking::certified)). A graph with
+//!    `λ ≤ 2` has `B = λ` and stops at round 1 whenever its first tree
+//!    crosses a minimum cut once;
 //! 4. a certified packing is answered by that cut, which is the cut the
 //!    full search of its tree returns: no tree is rooted or swept again.
 //!    Otherwise, tree by tree in index order, the Lemma 13 search
@@ -299,10 +304,16 @@ pub struct MinCutReport {
     pub skeleton_p: f64,
     /// Estimated packing value `P` of the skeleton. It is `Θ(log n)` by
     /// design only on a sampled skeleton (`p < 1`); at `p = 1` it is the
-    /// packed graph's own packing value, between `λ / 2` and `λ`.
+    /// packed graph's own packing value after the rounds run: between
+    /// `λ / 2` and `λ` for a full run, but a run certified after a few
+    /// rounds reports its prefix's value, which can sit far below `λ / 2`
+    /// (1 for a unit cycle certified at round 1).
     pub packing_value: f64,
-    /// `⌈P⌉`, computed exactly: a proven lower bound on the minimum cut
-    /// (0 when the pipeline shortcut around the packing).
+    /// The packing's proven lower bound on the minimum cut, computed
+    /// exactly: `max(⌈P⌉, B)` on the full skeleton, with `B` the floor
+    /// `min(lightest bridge, w₁ + w₂)`, and `⌈P⌉` on a sampled one; `λ`
+    /// itself when the packing certified (0 when the pipeline shortcut
+    /// around the packing).
     pub lower_bound: u64,
     /// Whether the packing certified its answer
     /// ([`TreePacking::certified`](pmc_packing::TreePacking::certified)):
@@ -503,17 +514,17 @@ pub fn minimum_cut(g: &Graph, cfg: &MinCutConfig) -> Result<MinCutResult, PmcErr
 ///
 /// The stages run in the order of the crate docs: shortcuts, the
 /// Nagamochi–Ibaraki certificate (when `cfg.use_certificate` and it
-/// shrinks the graph), the Lemma 1 packing and its lower bound `⌈P⌉`, the
+/// shrinks the graph), the Lemma 1 packing and its lower bound, the
 /// Lemma 13 search tree by tree in index order, then the smallest
 /// `(value, tree index)` wins. The search stops at the first tree whose
 /// cut equals the bound: that cut is proven minimum, and no later tree
 /// can beat its index, so the answer (value, witness, kind and tree
 /// index) is the one a sweep of every tree gives. When the packing
-/// certifies `λ = ⌈P⌉` it stops early, keeps one tree and hands out that
-/// tree's lightest 1-respecting cut, which is the answer: no tree is
-/// rooted or swept again, no bough cascade, no Minimum Path operation.
-/// The per-tree searches
-/// fan out across OS workers — one [`TreeArena`] per worker — up to
+/// certifies `λ` (its bound meets a tree's lightest 1-respecting cut) it
+/// stops early, keeps one tree and hands out that tree's lightest
+/// 1-respecting cut, which is the answer: no tree is rooted or swept
+/// again, no bough cascade, no Minimum Path operation. The per-tree
+/// searches fan out across OS workers — one [`TreeArena`] per worker — up to
 /// `cfg.threads` or the ambient rayon thread budget; small inputs run the
 /// same loop on one worker. Results are bit-identical at every width.
 /// A [`CancelToken`] installed on `ws` is polled before the certificate,

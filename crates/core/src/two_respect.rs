@@ -19,9 +19,10 @@
 //! cascade.
 //!
 //! The solver's tree loop may pass a lower bound on the minimum cut (the
-//! packing's `⌈P⌉`). The search computes phase 0's aggregates first; when
-//! the best 1-respecting cut already meets the bound it is returned without
-//! building the cascade. The full search returns the same cut: it starts
+//! packing's `cut_lower_bound`, `max(⌈P⌉, B)` on the full skeleton). The
+//! search computes phase 0's aggregates first; when the best 1-respecting
+//! cut already meets the bound it is returned without building the
+//! cascade. The full search returns the same cut: it starts
 //! from that candidate and replaces it only with a strictly smaller one,
 //! and no cut is below the bound.
 

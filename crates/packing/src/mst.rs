@@ -158,7 +158,7 @@ impl RepeatedMst {
 
     /// Whether edge `e` is a bridge of the prepared graph: it lies in
     /// every spanning tree, whatever the costs.
-    pub fn is_bridge(&self, e: u32) -> bool {
+    pub(crate) fn is_bridge(&self, e: u32) -> bool {
         self.edge_chain[e as usize] == BRIDGE
     }
 

@@ -85,8 +85,9 @@
 //! those runs are bit-identical to runs without checks:
 //! - the planted cut is 55 (5 cross edges of weight 11), and every other
 //!   cut is heavier;
-//! - the floor is 22: there are no bridges, and the two lightest edges
-//!   weigh 11;
+//! - the floor is at most 22, since the cross edges weigh 11 (22 on the
+//!   input, which has no bridges; the NI certificate graph keeps the cross
+//!   edges whole, since it keeps the planted cut's value);
 //! - every tree crosses the planted cut, so after `r` rounds some cross
 //!   edge lies in at least `⌈r/5⌉` of them, and
 //!   `⌈P_r⌉ ≤ 11r/⌈r/5⌉ ≤ 44` at every check round `r ≤ 8`.
