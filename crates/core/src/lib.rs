@@ -307,7 +307,8 @@ pub struct MinCutReport {
     /// packed graph's own packing value after the rounds run: between
     /// `λ / 2` and `λ` for a full run, but a run certified after a few
     /// rounds reports its prefix's value, which can sit far below `λ / 2`
-    /// (1 for a unit cycle certified at round 1).
+    /// (a run certified at round 1 reports its one tree's lightest
+    /// multiplicity).
     pub packing_value: f64,
     /// The packing's proven lower bound on the minimum cut, computed
     /// exactly: `max(⌈P⌉, B)` on the full skeleton, with `B` the floor

@@ -1135,10 +1135,12 @@ mod tests {
         assert_eq!(packing.packing_value, 3.0);
     }
 
-    /// `⌈P⌉` of a plain greedy run of `rounds` rounds on the full skeleton.
-    fn plain_run_bound(ws: &mut PackScratch, g: &Graph, rounds: usize) -> u64 {
-        pack_greedy_with(g, &full_skeleton(g), rounds, ws).unwrap();
-        cut_lower_bound(rounds as u64, &ws.left_out, &ws.mult)
+    /// The value `P` and `⌈P⌉` of a plain greedy run of `rounds` rounds on
+    /// the full skeleton.
+    fn plain_run(ws: &mut PackScratch, g: &Graph, rounds: usize) -> (f64, u64) {
+        let (_, value) = pack_greedy_with(g, &full_skeleton(g), rounds, ws).unwrap();
+        let bound = cut_lower_bound(rounds as u64, &ws.left_out, &ws.mult);
+        (value, bound)
     }
 
     #[test]
@@ -1148,10 +1150,9 @@ mod tests {
         // dropped at least once, so each load is below R: P > 1, and
         // ⌈P⌉ = 2 = λ.
         let g = gen::cycle_with_chords(40, 0, 0);
-        let mut ws = PackScratch::new();
-        let (_, value) = pack_greedy_with(&g, &full_skeleton(&g), 64, &mut ws).unwrap();
+        let (value, bound) = plain_run(&mut PackScratch::new(), &g, 64);
         assert!(value > 1.0, "{value}");
-        assert_eq!(plain_run_bound(&mut ws, &g, 64), 2);
+        assert_eq!(bound, 2);
         // The floor, w₁ + w₂ = 2, proves λ long before: the first tree is a
         // path, and cutting off its end costs 2.
         let packing = full_packing(&g);
@@ -1166,13 +1167,13 @@ mod tests {
         // A bridge heavier than u32::MAX beside a light one: the light
         // bridge still sets the bound.
         let g = Graph::from_edges(3, &[(0, 1, heavy), (1, 2, 3)]).unwrap();
-        assert_eq!(plain_run_bound(&mut ws, &g, 32), 3);
+        assert_eq!(plain_run(&mut ws, &g, 32).1, 3);
         // A triangle of such edges has λ = 2^39, but each multiplicity is
         // capped at u32::MAX, so the packing is worth at most
         // 1.5 · u32::MAX: a sound bound, far below λ.
         let tri = Graph::from_edges(3, &[(0, 1, heavy), (1, 2, heavy), (2, 0, heavy)]).unwrap();
         let cap = u64::from(u32::MAX);
-        let bound = plain_run_bound(&mut ws, &tri, 32);
+        let (_, bound) = plain_run(&mut ws, &tri, 32);
         assert!(bound >= cap && bound <= cap + cap / 2 + 1, "{bound}");
         assert!(bound < 2 * heavy);
         // The floor reads the true weights, so both packings prove λ
