@@ -13,16 +13,16 @@
 //!     comparably; this checks nothing in the engine secretly depends on
 //!     bough shape.
 //!
-//! Each timed engine first runs untimed, which grows its scratch; that run
-//! is checked against the allocating reference (`two_respect_mincut`,
-//! `run_tree_batch`), which is never timed.
+//! Each timed batch engine first runs untimed, which grows its scratch;
+//! its answers are checked against the sequential `Δ`-tree's (E9a's timed
+//! per-op column, and an untimed `Δ`-tree run in E9b).
 
 use pmc_bench::*;
-use pmc_core::{two_respect_mincut, two_respect_mincut_reusing, two_respect_mincut_with, ExecMode};
+use pmc_core::{two_respect_mincut_reusing, two_respect_mincut_sequential};
 use pmc_graph::gen;
 use pmc_minpath::{
     decompose::{Decomposition, Strategy},
-    run_tree_batch, run_tree_batch_with, TreeBatchScratch,
+    run_tree_batch_with, TreeBatchScratch,
 };
 
 fn main() {
@@ -33,16 +33,14 @@ fn main() {
         let g = table1_graph(n, 4, 17 + n as u64);
         let tree = arbitrary_spanning_tree(&g, 3);
         let ours = two_respect_mincut_reusing(&g, &tree, &mut ws);
-        let want = two_respect_mincut(&g, &tree);
+        let (t_batch, v1) = time_once(|| two_respect_mincut_reusing(&g, &tree, &mut ws).value);
+        let (t_seq, want) = time_once(|| two_respect_mincut_sequential(&g, &tree));
         assert_eq!(
             (ours.value, &ours.side, ours.kind),
             (want.value, &want.side, want.kind),
-            "reused scratch changed the cut (n={n})"
+            "the batch engine and the Δ-tree disagree (n={n})"
         );
-        let (t_batch, v1) = time_once(|| two_respect_mincut_reusing(&g, &tree, &mut ws).value);
-        let (t_seq, v2) =
-            time_once(|| two_respect_mincut_with(&g, &tree, ExecMode::Sequential).value);
-        assert_eq!(v1, v2);
+        assert_eq!(v1, want.value);
         row(&[
             n.to_string(),
             g.m().to_string(),
@@ -61,8 +59,8 @@ fn main() {
         let ops = random_tree_ops(n, k, 29);
         let d_bough = Decomposition::new(&tree, Strategy::BoughWalk);
         let d_hl = Decomposition::new(&tree, Strategy::HeavyLight);
-        // Both must return the reference's answers.
-        let want = run_tree_batch(&tree, &d_bough, &init, &ops);
+        // Both must return the Δ-tree's answers.
+        let want = delta_tree_answers(&tree, &d_bough, &init, &ops);
         for d in [&d_bough, &d_hl] {
             assert_eq!(run_tree_batch_with(&tree, d, &init, &ops, &mut ws), want);
         }

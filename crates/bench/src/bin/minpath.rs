@@ -7,8 +7,8 @@
 //! We sweep `n` and `k` and report per-op times for:
 //!
 //! * `batch`  — the §3 batch engine as the solver runs it
-//!   (`run_tree_batch_with`, one scratch reused across every batch); the
-//!   allocating reference `run_tree_batch` only checks its answers,
+//!   (`run_tree_batch_with`, one scratch reused across every batch), its
+//!   answers checked, untimed, against the Δ-tree's,
 //! * `seq`    — the §2.3 sequential Δ-tree (`O(log² n)` per op),
 //! * `naive`  — the `O(depth)` walking oracle.
 //!
@@ -25,12 +25,12 @@ use pmc_bench::*;
 use pmc_graph::{gen, RootedTree};
 use pmc_minpath::{
     decompose::{Decomposition, Strategy},
-    run_tree_batch, run_tree_batch_with, NaiveMinPath, SeqMinPath, TreeBatchScratch, TreeOp,
+    run_tree_batch_with, NaiveMinPath, SeqMinPath, TreeBatchScratch, TreeOp,
 };
 
 /// µs per op of `run_tree_batch_with` on the reused `ws` (best of 3) and
 /// of the per-op Δ-tree (best of 2). The batch's answers are first checked
-/// against the allocating `run_tree_batch`, which also grows `ws`.
+/// against the Δ-tree's, untimed; that first batch run also grows `ws`.
 fn batch_and_seq_us(
     tree: &RootedTree,
     decomp: &Decomposition,
@@ -40,7 +40,7 @@ fn batch_and_seq_us(
 ) -> (f64, f64) {
     assert_eq!(
         run_tree_batch_with(tree, decomp, init, ops, ws),
-        run_tree_batch(tree, decomp, init, ops),
+        delta_tree_answers(tree, decomp, init, ops),
         "engines disagree (n={}, k={})",
         tree.n(),
         ops.len()

@@ -4,15 +4,14 @@
 //! Sweeps `n` at several densities `m/n`; for each instance both engines
 //! process the *same* spanning tree and must return the same value. `ours`
 //! times the search as the solver runs it (`two_respect_mincut_reusing`,
-//! one batch scratch reused across every instance); the allocating
-//! `two_respect_mincut` only checks its answer.
+//! one batch scratch reused across every instance).
 //! Expected: the baseline's column grows ~×4 per doubling of `n`
 //! regardless of density; ours tracks `m` (×2 per doubling at fixed
 //! density) — so the sparser the graph, the earlier ours wins.
 
 use pmc_baseline::quadratic_two_respect;
 use pmc_bench::*;
-use pmc_core::{two_respect_mincut, two_respect_mincut_reusing};
+use pmc_core::two_respect_mincut_reusing;
 use pmc_minpath::TreeBatchScratch;
 
 fn main() {
@@ -23,13 +22,12 @@ fn main() {
         for &n in &[256usize, 512, 1024, 2048, 4096] {
             let g = table1_graph(n, density, 99 + n as u64);
             let tree = arbitrary_spanning_tree(&g, 7);
-            // The untimed first run grows the scratch and checks the answer.
+            // The untimed first run grows the scratch.
             let ours = two_respect_mincut_reusing(&g, &tree, &mut ws);
-            let want = two_respect_mincut(&g, &tree);
             assert_eq!(
-                (ours.value, &ours.side, ours.kind),
-                (want.value, &want.side, want.kind),
-                "reused scratch changed the cut (n={n}, density={density})"
+                g.cut_value(&ours.side),
+                ours.value as u64,
+                "witness (n={n})"
             );
             let (t_ours, v1) =
                 time_once(|| two_respect_mincut_reusing(&g, &tree, &mut ws).value as u64);

@@ -12,6 +12,7 @@ pub mod workload;
 use std::time::{Duration, Instant};
 
 use pmc_graph::{gen, Graph, RootedTree};
+use pmc_minpath::{Decomposition, SeqMinPath, TreeOp};
 use pmc_packing::{kruskal_mst, rooted_tree_from_edges};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -54,23 +55,6 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
     (0..reps.max(1)).map(|_| time_once(&mut f).0).min().unwrap()
 }
 
-/// Min-of-`reps` for a before/after pair with the rounds interleaved
-/// (`a b a b …` instead of `a a … b b …`), so slow ambient-load drift
-/// lands on both sides equally. Returns `(best_a, best_b)`.
-pub fn time_pair<T, U>(
-    reps: usize,
-    mut a: impl FnMut() -> T,
-    mut b: impl FnMut() -> U,
-) -> (Duration, Duration) {
-    let mut best_a = Duration::MAX;
-    let mut best_b = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        best_a = best_a.min(time_once(&mut a).0);
-        best_b = best_b.min(time_once(&mut b).0);
-    }
-    (best_a, best_b)
-}
-
 /// The standard Table-1 workload family: sparse connected multigraphs with
 /// `m = density·n` and weights in `1..=8`.
 pub fn table1_graph(n: usize, density: usize, seed: u64) -> Graph {
@@ -86,21 +70,40 @@ pub fn arbitrary_spanning_tree(g: &Graph, seed: u64) -> RootedTree {
 }
 
 /// Random mixed MinPath/AddPath tree-op batch (E3 workload).
-pub fn random_tree_ops(n: usize, k: usize, seed: u64) -> Vec<pmc_minpath::TreeOp> {
+pub fn random_tree_ops(n: usize, k: usize, seed: u64) -> Vec<TreeOp> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..k)
         .map(|_| {
             let v = rng.gen_range(0..n) as u32;
             if rng.gen_bool(0.5) {
-                pmc_minpath::TreeOp::Add {
+                TreeOp::Add {
                     v,
                     x: rng.gen_range(-1000..1000),
                 }
             } else {
-                pmc_minpath::TreeOp::Min { v }
+                TreeOp::Min { v }
             }
         })
         .collect()
+}
+
+/// The answers to a tree-op batch from the sequential Δ-tree, one op at a
+/// time: the oracle the batch-engine experiments check against, untimed.
+pub fn delta_tree_answers(
+    tree: &RootedTree,
+    decomp: &Decomposition,
+    init: &[i64],
+    ops: &[TreeOp],
+) -> Vec<i64> {
+    let mut seq = SeqMinPath::new(tree, decomp, init);
+    let mut out = Vec::new();
+    for op in ops {
+        match *op {
+            TreeOp::Add { v, x } => seq.add_path(v, x),
+            TreeOp::Min { v } => out.push(seq.min_path(v).0),
+        }
+    }
+    out
 }
 
 /// Formats a duration in milliseconds with three significant digits.

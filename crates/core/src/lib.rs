@@ -80,7 +80,7 @@ pub use solver::{
     MinCutSolver, PaperSolver, QuadraticSolver, SolverConfig, StoerWagnerSolver, ALGORITHM_ALIASES,
 };
 pub use two_respect::{
-    two_respect_mincut, two_respect_mincut_reusing, two_respect_mincut_with, ExecMode, RespectKind,
+    two_respect_mincut, two_respect_mincut_reusing, two_respect_mincut_sequential, RespectKind,
     TwoRespectCut,
 };
 pub use workspace::{

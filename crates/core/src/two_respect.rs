@@ -2,8 +2,8 @@
 //! cut of `G` crossing at most two edges of a given spanning tree `T`.
 //!
 //! Pipeline: build the phase cascade, generate the incomparable and
-//! ancestor batches for every phase, execute all batches in parallel with
-//! the §3 batch engine, and combine:
+//! ancestor batches for every phase, execute every batch with the §3 batch
+//! engine, back to back through one reused scratch, and combine:
 //!
 //! * 1-respecting candidates come directly from Lemma 11 on phase 0;
 //! * incomparable candidates pair the *running minimum* of query results
@@ -29,7 +29,7 @@
 use rayon::prelude::*;
 
 use pmc_graph::{best_one_respect, one_respect_cuts, EulerTour, Graph, RootedTree};
-use pmc_minpath::{run_tree_batch, run_tree_batch_with, SeqMinPath, TreeBatchScratch, TreeOp, INF};
+use pmc_minpath::{run_tree_batch_with, SeqMinPath, TreeBatchScratch, TreeOp, INF};
 
 use crate::gen_ops::{gen_ancestor, gen_incomparable, GenBatch};
 use crate::phases::{build_phases_from, Phase};
@@ -74,40 +74,21 @@ enum Winner {
     },
 }
 
-/// How the per-phase operation batches are executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// The paper's §3 parallel batch engine (default).
-    #[default]
-    ParallelBatch,
-    /// One operation at a time on the sequential `Δ`-tree structure —
-    /// Karger's sequential `O(m log³ n)` execution model (the "Lowest
-    /// Work" row of Table 1) and the ablation partner for the batch
-    /// engine.
-    Sequential,
-}
-
 /// Finds the smallest cut of `g` crossing at most two edges of `tree`
 /// (Lemma 13). Deterministic. Panics if `g.n() < 2`.
 pub fn two_respect_mincut(g: &Graph, tree: &RootedTree) -> TwoRespectCut {
-    two_respect_mincut_with(g, tree, ExecMode::ParallelBatch)
-}
-
-/// [`two_respect_mincut`] with an explicit execution mode.
-pub fn two_respect_mincut_with(g: &Graph, tree: &RootedTree, mode: ExecMode) -> TwoRespectCut {
-    two_respect_impl(g, tree, Exec::PerMode(mode), None)
+    two_respect_mincut_reusing(g, tree, &mut TreeBatchScratch::default())
 }
 
 /// [`two_respect_mincut`] with the batch-engine working state drawn from a
-/// reusable [`TreeBatchScratch`]. Identical results. Phases execute back to
-/// back through the shared scratch instead of fanning out — the amortized
-/// serving path behind `MinCutSolver::solve_with` / `solve_batch`.
+/// reusable [`TreeBatchScratch`]. Identical results — the path behind
+/// `MinCutSolver::solve_with` / `solve_batch`.
 pub fn two_respect_mincut_reusing(
     g: &Graph,
     tree: &RootedTree,
     ws: &mut TreeBatchScratch,
 ) -> TwoRespectCut {
-    two_respect_impl(g, tree, Exec::Amortized(ws), None)
+    two_respect_mincut_bounded(g, tree, ws, None)
 }
 
 /// [`two_respect_mincut_reusing`] given `bound`, a lower bound on `g`'s
@@ -120,20 +101,26 @@ pub(crate) fn two_respect_mincut_bounded(
     ws: &mut TreeBatchScratch,
     bound: Option<i64>,
 ) -> TwoRespectCut {
-    two_respect_impl(g, tree, Exec::Amortized(ws), bound)
+    two_respect_impl(g, tree, bound, |p, b| {
+        run_tree_batch_with(&p.tree, &p.decomp, &b.init, &b.ops, ws)
+    })
 }
 
-/// How `two_respect_impl` runs the per-phase batches.
-enum Exec<'a> {
-    PerMode(ExecMode),
-    Amortized(&'a mut TreeBatchScratch),
+/// [`two_respect_mincut`] with every batch executed one operation at a
+/// time on the sequential `Δ`-tree: Karger's sequential `O(m log³ n)`
+/// execution model (the "Lowest Work" row of Table 1). Identical results;
+/// it is the batch engine's ablation partner (E9a) and a test oracle.
+pub fn two_respect_mincut_sequential(g: &Graph, tree: &RootedTree) -> TwoRespectCut {
+    two_respect_impl(g, tree, None, run_batch_sequential)
 }
 
+/// The search, with `run` executing one non-empty phase batch and
+/// returning its `MinPath` results in op order.
 fn two_respect_impl(
     g: &Graph,
     tree: &RootedTree,
-    exec: Exec<'_>,
     bound: Option<i64>,
+    mut run: impl FnMut(&Phase, &GenBatch) -> Vec<i64>,
 ) -> TwoRespectCut {
     assert!(g.n() >= 2, "need at least two vertices");
     // Phase 0's aggregates give every 1-respecting candidate (phase 0
@@ -157,46 +144,22 @@ fn two_respect_impl(
         .map(|p| (gen_incomparable(p), gen_ancestor(p)))
         .collect();
 
-    // Execute every batch: in parallel for the one-shot modes (phases are
-    // independent; the paper runs them all at once), back to back through
-    // the scratch for the amortized mode.
-    let results: Vec<(Vec<i64>, Vec<i64>)> = match exec {
-        Exec::PerMode(mode) => phases
-            .par_iter()
-            .zip(batches.par_iter())
-            .map(|(p, (inc, anc))| {
-                let run = |b: &GenBatch| {
-                    if b.ops.is_empty() {
-                        Vec::new()
-                    } else {
-                        match mode {
-                            ExecMode::ParallelBatch => {
-                                run_tree_batch(&p.tree, &p.decomp, &b.init, &b.ops)
-                            }
-                            ExecMode::Sequential => run_batch_sequential(p, b),
-                        }
-                    }
-                };
-                (run(inc), run(anc))
-            })
-            .collect(),
-        Exec::Amortized(ws) => phases
-            .iter()
-            .zip(batches.iter())
-            .map(|(p, (inc, anc))| {
-                let mut run = |b: &GenBatch| {
-                    if b.ops.is_empty() {
-                        Vec::new()
-                    } else {
-                        run_tree_batch_with(&p.tree, &p.decomp, &b.init, &b.ops, ws)
-                    }
-                };
-                let a = run(inc);
-                let b = run(anc);
-                (a, b)
-            })
-            .collect(),
-    };
+    // Execute every non-empty batch, phase by phase.
+    let results: Vec<(Vec<i64>, Vec<i64>)> = phases
+        .iter()
+        .zip(&batches)
+        .map(|(p, (inc, anc))| {
+            let mut exec = |b: &GenBatch| {
+                if b.ops.is_empty() {
+                    Vec::new()
+                } else {
+                    run(p, b)
+                }
+            };
+            let a = exec(inc);
+            (a, exec(anc))
+        })
+        .collect();
 
     // --- Combine -------------------------------------------------------------
     let mut best_val = i64::MAX;
@@ -317,7 +280,7 @@ fn subtree_side(tree: &RootedTree, v: u32) -> Vec<bool> {
 }
 
 /// Executes a whole batch one operation at a time on the sequential
-/// structure (the `ExecMode::Sequential` path).
+/// structure ([`two_respect_mincut_sequential`]).
 fn run_batch_sequential(phase: &Phase, batch: &GenBatch) -> Vec<i64> {
     let mut seq = SeqMinPath::new(&phase.tree, &phase.decomp, &batch.init);
     let mut out = Vec::with_capacity(batch.metas.len());
@@ -373,15 +336,19 @@ mod tests {
 
     #[test]
     fn sequential_mode_agrees_with_batch_mode() {
+        // The Δ-tree answers every query exactly like the batch engine, so
+        // the two executions pick the same cut.
         let mut rng = SmallRng::seed_from_u64(53);
         for trial in 0..25 {
             let n = rng.gen_range(2..60);
             let m = rng.gen_range(n - 1..4 * n);
             let g = gen::gnm_connected(n, m, 9, 300 + trial);
             let t = spanning_tree(&g, trial + 5);
-            let a = two_respect_mincut_with(&g, &t, ExecMode::ParallelBatch);
-            let b = two_respect_mincut_with(&g, &t, ExecMode::Sequential);
+            let a = two_respect_mincut(&g, &t);
+            let b = two_respect_mincut_sequential(&g, &t);
             assert_eq!(a.value, b.value, "trial {trial}");
+            assert_eq!(a.side, b.side, "trial {trial}");
+            assert_eq!(a.kind, b.kind, "trial {trial}");
             assert_eq!(g.cut_value(&b.side), b.value as u64);
         }
     }
@@ -435,8 +402,9 @@ mod tests {
     fn flat_sweep_matches_reference_on_solver_batches() {
         // The solver's own op shape, including the ±INF guards: every
         // phase's generated batches of every packed tree, through one
-        // reused scratch. Inputs: a community ring, and a sparse graph with
-        // a weight-1 leaf on its certificate (as the solver packs it).
+        // reused scratch, against the Δ-tree one op at a time. Inputs: a
+        // community ring, and a sparse graph with a weight-1 leaf on its
+        // certificate (as the solver packs it).
         let (ring, _) = gen::community_ring(4, 12, 4, 3);
         let sparse = (0u64..)
             .map(|k| gen::gnm_connected(120, 480, 8, 40 + k))
@@ -456,7 +424,7 @@ mod tests {
                         let (t, d) = (&phase.tree, &phase.decomp);
                         assert_eq!(
                             run_tree_batch_with(t, d, &b.init, &b.ops, &mut ws),
-                            run_tree_batch(t, d, &b.init, &b.ops)
+                            run_batch_sequential(&phase, &b)
                         );
                     }
                 }

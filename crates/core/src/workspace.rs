@@ -13,9 +13,9 @@
 //! [`MinCutSolver::solve_batch`](crate::MinCutSolver::solve_batch) do it
 //! for you) and the buffers grow to their high-water sizes once, then get
 //! recycled: at steady state the hot path allocates only what it returns.
-//! `hotpath_report` (`BENCH_hotpath.json`) records the steady-state size
-//! of these arenas, and EXPERIMENTS.md § E11 keeps the last one-shot vs
-//! reused-workspace throughput reading.
+//! EXPERIMENTS.md § E15 keeps the last reading of these arenas'
+//! steady-state size, and § E11 the last one-shot vs reused-workspace
+//! throughput reading.
 //!
 //! Two multi-worker layers sit on top of the single arena:
 //!
@@ -192,7 +192,7 @@ impl SolverWorkspace {
     /// Bytes of heap memory in active use across every layer's arena
     /// (`len`-based, like the per-layer `heap_bytes` methods it sums).
     /// The figure a serving loop would report as its steady-state working
-    /// set; `BENCH_hotpath.json` records it for the bench families.
+    /// set (EXPERIMENTS.md § E15 keeps its last reading).
     pub fn heap_bytes(&self) -> usize {
         self.cert.heap_bytes()
             + self.cert_graph.as_ref().map_or(0, |g| g.heap_bytes())

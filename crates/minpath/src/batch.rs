@@ -1,59 +1,39 @@
-//! Parallel batched `MinPrefix` / `AddPrefix` on a single list
-//! (paper §3.1 and §3.2, Lemmas 5 and 6).
+//! Batched `MinPrefix` / `AddPrefix` on a single list (paper §3.1 and
+//! §3.2, Lemmas 5 and 6).
 //!
 //! A batch of `k` operations on a list of length `n` is executed *as if*
-//! sequentially, but the whole binary tree is swept bottom-up once, level by
-//! level. For every tree node `b` the sweep materializes:
+//! sequentially, but the list's binary tree is swept bottom-up once, level
+//! by level. Every record of the batch is first counting-sorted into a leaf
+//! arena, keyed by its leaf slot, so a list's leaves are one slot range.
+//! Each tree node `b` is then one streaming merge of its children's
+//! time-sorted update runs that carries:
 //!
 //! * `H(b)` — the sorted times of the updates relevant at `b` (those whose
-//!   prefix ends in `b`'s subtree), by merging the children's arrays
-//!   (Observation 2);
+//!   prefix ends in `b`'s subtree), the merge itself (Observation 2);
 //! * `Φ(b)` — how much `b`'s subtree minimum changed at each such time,
-//!   derived from the children's `Φ` plus the trivial "missing" values of
+//!   derived from the children's `φ` plus the trivial "missing" values of
 //!   Observation 4 (`φ = 0` for an untouched right child, `φ = x` for a
 //!   fully-covered left child);
-//! * `Δ(b)` — the intermediate `Δ` states, via the telescoping identity of
-//!   Observation 3 computed with two all-prefix-sums.
+//! * `Δ(b)` — the current `Δ` state, from the running `φ_l`/`φ_r` sums of
+//!   Observation 3's telescoping identity.
 //!
 //! Queries ride along: each query carries its running difference
-//! `d = prefix-min-within-subtree − subtree-min`, is merged by time with the
-//! sibling's queries, reads "the last `Δ` before me" via a merge plus
-//! segmented broadcast, and applies the §3.2 update rule. At the root, the
-//! overall minima `min_i(root) = min_0 + Σ_{j≤i} φ_j(root)` come from one
-//! more prefix sum, and each query's answer is `d + min_{t(q)}(root)`.
+//! `d = prefix-min-within-subtree − subtree-min`, is resolved as its time
+//! comes up in the merge by the §3.2 rule with the `Δ` current at that
+//! time, and takes its side from the child run it came from. At the root
+//! the running overall minimum `min_0 + Σ φ(root)` (§3.1.3) folds straight
+//! into each query's answer `d + min`.
 //!
-//! Work `O(k (log n + log k) + n)`, depth `O(log n log k)`: every level
-//! processes its nodes in parallel, and within a node the merges, scans and
-//! broadcasts use the `pmc-par` primitives once the node's arrays exceed a
-//! threshold.
-//!
-//! Two realizations share these rules. The allocating reference
-//! ([`run_list_batch`], and the tree batches of
-//! [`run_tree_batch`](crate::run_tree_batch)) follows the description above
-//! literally and is kept as the test oracle. The flat sweep
-//! ([`run_list_batch_with`], and through the same leaf arena
-//! [`run_tree_batch_with`](crate::run_tree_batch_with)) is the amortized
-//! path the solver runs. It computes the same values with the same
-//! arithmetic in the same order, so every answer is bit-identical:
-//!
-//! * every record of a batch is counting-sorted once into a leaf arena,
-//!   keyed by its leaf slot, so a list's leaves are one slot range;
-//! * each node is one streaming merge of its children's time-sorted update
-//!   runs that carries the running `φ_l`/`φ_r` sums and the current `Δ`,
-//!   and resolves each query of the children's query runs as its time
-//!   comes up, with its side given by the run it came from;
-//! * the root's records fold straight into the answers: its running
-//!   minimum replaces the last prefix sum.
+//! Lemma 5 bounds the work by `O(k (log n + log k) + n)` and the depth by
+//! `O(log n log k)`, with every level's nodes, and the merges and prefix
+//! sums inside a node, run in parallel. The sweep here runs the levels one
+//! after another through two reused level arenas, visiting only nodes
+//! that cover a real (unpadded) leaf; [`BatchStats`] counts the records
+//! and per-level node sizes the lemma bounds.
 
-use pmc_par::merge::merge_by_key;
-use pmc_par::scan::{inclusive_scan_in_place, inclusive_scan_in_place_with};
-use pmc_par::seg::segmented_broadcast;
-use rayon::prelude::*;
+use std::ops::Range;
 
 use crate::PAD;
-
-/// Threshold above which within-node steps switch to parallel primitives.
-const NODE_PAR_THRESHOLD: usize = 1 << 13;
 
 /// One operation on a list, stamped with its batch time. Times must be
 /// strictly increasing across the batch.
@@ -93,29 +73,40 @@ impl PrefixOp {
     }
 }
 
-/// Execution statistics of one list batch, accumulated during the level
-/// sweep. `work_items` counts every record processed at every node (the
-/// quantity Lemma 5 bounds by `O(k(log n + log k) + n)`); `depth_est` sums
-/// `log₂(max node batch) + 1` over the levels (the Lemma 5 depth
-/// `O(log n log k)`).
+/// Record counters of a batch, filled level by level by the sweep
+/// ([`run_tree_batch_stats`](crate::run_tree_batch_stats)). Per list,
+/// `work_items` counts every record at every node, the leaf level
+/// included: the quantity Lemma 5 bounds by `O(k(log n + log k) + n)`.
+/// `depth_est` adds `⌊log₂ max⌋ + 2` per level above the leaves, where
+/// `max` is the level's largest node in records: the Lemma 5 depth
+/// `O(log n log k)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Total records processed across all nodes and levels.
     pub work_items: u64,
-    /// Estimated critical-path length (sum over levels of the log of the
-    /// largest per-node batch).
+    /// Estimated critical-path length (the per-level terms above, summed).
     pub depth_est: u64,
-    /// Number of binary-tree levels swept.
+    /// Number of binary-tree levels swept above the leaves.
     pub levels: u32,
 }
 
 impl BatchStats {
     /// Merges stats from independently processed lists: work adds, depth
-    /// takes the maximum (lists run in parallel).
+    /// takes the maximum (the lists are independent, so the paper runs
+    /// them in parallel).
     pub fn merge_parallel(&mut self, other: &BatchStats) {
         self.work_items += other.work_items;
         self.depth_est = self.depth_est.max(other.depth_est);
         self.levels = self.levels.max(other.levels);
+    }
+
+    /// Counts one level above the leaves: `records` in total, `largest`
+    /// in its largest node (at least 1 on a swept list, which holds a
+    /// query).
+    fn add_level(&mut self, records: u64, largest: u64) {
+        self.work_items += records;
+        self.depth_est += u64::from(u64::BITS - largest.leading_zeros()) + 1;
+        self.levels += 1;
     }
 }
 
@@ -128,27 +119,10 @@ struct Upd {
     phi: i64,
 }
 
-/// A query record travelling up the tree: `d` is the running difference,
-/// `pos` identifies the original leaf (used to derive the child side at
-/// every level).
-#[derive(Clone, Copy, Debug)]
-struct Qry {
-    time: u32,
-    qid: u32,
-    pos: u32,
-    d: i64,
-}
-
-#[derive(Clone, Debug, Default)]
-struct NodeState {
-    upds: Vec<Upd>,
-    qrys: Vec<Qry>,
-}
-
-/// A query record of the flat sweep: [`Qry`] without `pos`, because the
-/// flat sweep knows a record's side from the child run it came from.
+/// A query record travelling up the tree: `d` is the running difference.
+/// Its side at a node is the child run it came from.
 #[derive(Clone, Copy, Debug, Default)]
-struct FlatQry {
+struct Qry {
     time: u32,
     qid: u32,
     d: i64,
@@ -156,7 +130,7 @@ struct FlatQry {
 
 /// One node's records in the flat sweep: its update and query runs, each
 /// sorted by time.
-type Runs<'a> = (&'a [Upd], &'a [FlatQry]);
+type Runs<'a> = (&'a [Upd], &'a [Qry]);
 
 const NO_RUNS: Runs<'static> = (&[], &[]);
 
@@ -169,7 +143,7 @@ const NO_RUNS: Runs<'static> = (&[], &[]);
 struct LevelArena {
     upds: Vec<Upd>,
     upd_off: Vec<u32>,
-    qrys: Vec<FlatQry>,
+    qrys: Vec<Qry>,
     qry_off: Vec<u32>,
 }
 
@@ -197,9 +171,19 @@ impl LevelArena {
         self.qry_off.push(self.qrys.len() as u32);
     }
 
+    /// The records held by `nodes`: in total, and in the largest one.
+    fn sizes(&self, nodes: Range<usize>) -> (u64, u64) {
+        let records = |a: usize, b: usize| {
+            u64::from(self.upd_off[b] - self.upd_off[a])
+                + u64::from(self.qry_off[b] - self.qry_off[a])
+        };
+        let largest = nodes.clone().map(|p| records(p, p + 1)).max();
+        (records(nodes.start, nodes.end), largest.unwrap_or(0))
+    }
+
     fn heap_bytes(&self) -> usize {
         self.upds.len() * std::mem::size_of::<Upd>()
-            + self.qrys.len() * std::mem::size_of::<FlatQry>()
+            + self.qrys.len() * std::mem::size_of::<Qry>()
             + (self.upd_off.len() + self.qry_off.len()) * std::mem::size_of::<u32>()
     }
 }
@@ -246,7 +230,7 @@ impl<'a> SlotCounts<'a> {
         leaves.upds.clear();
         leaves.upds.resize(nu as usize, Upd::default());
         leaves.qrys.clear();
-        leaves.qrys.resize(nq as usize, FlatQry::default());
+        leaves.qrys.resize(nq as usize, Qry::default());
         SlotPlacer(leaves)
     }
 }
@@ -265,7 +249,7 @@ impl SlotPlacer<'_> {
     /// Files `MinPrefix` record `(time, qid)` under leaf `slot`.
     pub(crate) fn min(&mut self, slot: usize, time: u32, qid: u32) {
         let cursor = &mut self.0.qry_off[slot + 1];
-        self.0.qrys[*cursor as usize] = FlatQry { time, qid, d: 0 };
+        self.0.qrys[*cursor as usize] = Qry { time, qid, d: 0 };
         *cursor += 1;
     }
 }
@@ -291,10 +275,12 @@ impl ListBatchScratch {
         SlotCounts(&mut self.leaves)
     }
 
-    /// The one flat sweep: executes the list whose leaves are the slots
+    /// The sweep: executes the list whose leaves are the slots
     /// `first..first + weights.len()` of the leaf arena, with `weights` as
     /// its initial values, and hands each query's answer to `emit` as
     /// `(qid, value)` in time order. A list without queries is skipped.
+    /// With `stats`, the list's record counts are merged into it as one
+    /// more independent list ([`BatchStats::merge_parallel`]).
     ///
     /// Every tree node is one fused streaming pass over its children's
     /// runs ([`combine_runs`]); the first level reads the leaf slots in
@@ -307,6 +293,7 @@ impl ListBatchScratch {
         &mut self,
         first: usize,
         weights: impl ExactSizeIterator<Item = i64>,
+        stats: Option<&mut BatchStats>,
         emit: impl FnMut(u32, i64),
     ) {
         let ListBatchScratch {
@@ -345,6 +332,12 @@ impl ListBatchScratch {
             acc: 0,
             emit,
         };
+        // Every record is counted once per level, the leaf level included.
+        let counting = stats.is_some();
+        let mut list = BatchStats::default();
+        if counting {
+            list.work_items = leaves.sizes(first..first + len).0;
+        }
         if cap == 1 {
             // The leaf is the root: replay its runs in time order.
             let (upds, qrys) = leaves.runs(first);
@@ -356,27 +349,40 @@ impl ListBatchScratch {
                 }
                 root.qry(q);
             }
-            return;
+        } else {
+            // Bottom-up level sweep below the root. `base` is the heap id
+            // of a level's first parent and `live` the child level's count
+            // of nodes that cover a real leaf (the rest are empty padding).
+            // More than half of the leaves are real, so both root children
+            // are live.
+            let (mut child, mut live, mut base) = (&*leaves, len, cap / 2);
+            let mut child_first = first;
+            while base > 1 {
+                combine_level(child, child_first, live, base, delta0, level_b);
+                std::mem::swap(level_a, level_b);
+                (child, child_first) = (&*level_a, 0);
+                live = live.div_ceil(2);
+                base /= 2;
+                if counting {
+                    let (records, largest) = level_a.sizes(0..live);
+                    list.add_level(records, largest);
+                }
+            }
+            combine_runs(
+                child.runs(child_first),
+                child.runs(child_first + 1),
+                delta0(1),
+                &mut root,
+            );
+            if counting {
+                // The root holds every record of its two children.
+                let (records, _) = child.sizes(child_first..child_first + 2);
+                list.add_level(records, records);
+            }
         }
-        // Bottom-up level sweep below the root. `base` is the heap id of a
-        // level's first parent and `live` the child level's count of nodes
-        // that cover a real leaf (the rest are empty padding). More than
-        // half of the leaves are real, so both root children are live.
-        let (mut child, mut live, mut base) = (&*leaves, len, cap / 2);
-        let mut child_first = first;
-        while base > 1 {
-            combine_level(child, child_first, live, base, delta0, level_b);
-            std::mem::swap(level_a, level_b);
-            (child, child_first) = (&*level_a, 0);
-            live = live.div_ceil(2);
-            base /= 2;
+        if let Some(stats) = stats {
+            stats.merge_parallel(&list);
         }
-        combine_runs(
-            child.runs(child_first),
-            child.runs(child_first + 1),
-            delta0(1),
-            &mut root,
-        );
     }
 }
 
@@ -385,7 +391,7 @@ impl ListBatchScratch {
 /// time order across both kinds.
 trait Sink {
     fn upd(&mut self, u: Upd);
-    fn qry(&mut self, q: FlatQry);
+    fn qry(&mut self, q: Qry);
 }
 
 impl Sink for LevelArena {
@@ -393,7 +399,7 @@ impl Sink for LevelArena {
         self.upds.push(u);
     }
 
-    fn qry(&mut self, q: FlatQry) {
+    fn qry(&mut self, q: Qry) {
         self.qrys.push(q);
     }
 }
@@ -412,32 +418,21 @@ impl<F: FnMut(u32, i64)> Sink for RootSink<F> {
         self.acc += u.phi;
     }
 
-    fn qry(&mut self, q: FlatQry) {
+    fn qry(&mut self, q: Qry) {
         (self.emit)(q.qid, q.d + (self.min0 + self.acc));
     }
 }
 
 /// Executes a batch of prefix operations on a list with the given initial
-/// weights; returns `(qid, value)` pairs for every `Min` operation (order
-/// unspecified; qids identify them).
-///
-/// # Panics
-/// Panics if times are not strictly increasing, a position is out of range,
-/// or the list is empty.
-pub fn run_list_batch(init: &[i64], ops: &[PrefixOp]) -> Vec<(u32, i64)> {
-    run_list_batch_impl(init, ops, None)
-}
-
-/// [`run_list_batch`] drawing all working state from a reusable
-/// [`ListBatchScratch`]. Identical results (in time order), produced by
-/// the flat sweep that also serves
+/// weights, drawing all working state from a reusable
+/// [`ListBatchScratch`]; returns `(qid, value)` for every `Min` operation,
+/// in time order. This is the sweep behind
 /// [`run_tree_batch_with`](crate::run_tree_batch_with): the ops are
 /// counting-sorted by position into the leaf arena once, each tree node
 /// is one fused merge of its children's time-sorted runs, written into two
-/// ping-ponged flat level arenas instead of a `Vec` pair per node, and the
-/// root's records fold straight into the answers. The sweep is strictly
-/// sequential — this is the amortized serving path, where concurrency
-/// comes from independent requests, each with its own workspace.
+/// ping-ponged level arenas, and the root's records fold straight into the
+/// answers. The sweep is sequential; concurrency comes from independent
+/// requests, each with its own workspace.
 ///
 /// # Panics
 /// Panics if times are not strictly increasing, a position is out of range,
@@ -468,125 +463,10 @@ pub fn run_list_batch_with(
         }
     }
     let mut out = Vec::new();
-    ws.sweep(0, init.iter().copied(), |qid, value| out.push((qid, value)));
+    ws.sweep(0, init.iter().copied(), None, |qid, value| {
+        out.push((qid, value))
+    });
     out
-}
-
-/// [`run_list_batch`] that also reports [`BatchStats`].
-pub fn run_list_batch_stats(init: &[i64], ops: &[PrefixOp]) -> (Vec<(u32, i64)>, BatchStats) {
-    let mut stats = BatchStats::default();
-    let out = run_list_batch_impl(init, ops, Some(&mut stats));
-    (out, stats)
-}
-
-/// The allocating reference sweep: per-node [`NodeState`] vectors,
-/// reallocated level by level. Retained verbatim as the correctness
-/// reference for the flat-arena sweep and as the "before" side of the
-/// `hotpath_report` sweep microbench; it is also the only path with the
-/// above-threshold parallel branches (the flat path is the strictly
-/// sequential amortized route).
-fn run_list_batch_impl(
-    init: &[i64],
-    ops: &[PrefixOp],
-    mut stats: Option<&mut BatchStats>,
-) -> Vec<(u32, i64)> {
-    let n = init.len();
-    assert!(n > 0, "empty list");
-    for w in ops.windows(2) {
-        assert!(w[0].time() < w[1].time(), "times must strictly increase");
-    }
-    for op in ops {
-        assert!((op.pos() as usize) < n, "position out of range");
-    }
-    let cap = n.next_power_of_two();
-    let mut mins: Vec<i64> = Vec::new();
-    let mut leaves: Vec<NodeState> = Vec::new();
-    let mut ping: Vec<NodeState> = Vec::new();
-    let mut pong: Vec<NodeState> = Vec::new();
-    let (mut run_min, mut partials) = (Vec::new(), Vec::new());
-    let (leaves, ping, pong) = (&mut leaves, &mut ping, &mut pong);
-
-    // Initial subtree minima and Δ⁰ per inner node (heap layout, root = 1).
-    mins.resize(2 * cap, PAD);
-    for (i, &w) in init.iter().enumerate() {
-        mins[cap + i] = w;
-    }
-    for i in (1..cap).rev() {
-        mins[i] = mins[2 * i].min(mins[2 * i + 1]);
-    }
-    let mins = &*mins;
-    let delta0 = |node: usize| mins[2 * node + 1] - mins[2 * node];
-    let min0_root = mins[1.min(2 * cap - 1)];
-
-    // Leaf states: bucket ops by position, preserving time order.
-    leaves.resize_with(cap, NodeState::default);
-    for op in ops {
-        let state = &mut leaves[op.pos() as usize];
-        match *op {
-            PrefixOp::Add { time, x, .. } => state.upds.push(Upd { time, x, phi: x }),
-            PrefixOp::Min { time, qid, pos } => state.qrys.push(Qry {
-                time,
-                qid,
-                pos,
-                d: 0,
-            }),
-        }
-    }
-
-    if let Some(stats) = stats.as_deref_mut() {
-        // Leaf level counts as processed work.
-        stats.work_items += ops.len() as u64;
-    }
-
-    // Bottom-up level sweep. The inner levels ping-pong between two
-    // buffers, so the per-node update/query vectors keep their capacities
-    // across levels instead of being reallocated per level.
-    let mut at_leaves = true; // current child level is the leaf buckets
-    let mut cur_len = cap;
-    let mut child_level_shift = 0u32; // leaves sit at shift 0
-    while cur_len > 1 {
-        let parents = cur_len / 2;
-        let heap_base = parents; // parent nodes occupy heap ids parents..2*parents
-        {
-            let level: &[NodeState] = if at_leaves {
-                &leaves[..cap]
-            } else {
-                &ping[..cur_len]
-            };
-            if pong.len() < parents {
-                pong.resize_with(parents, NodeState::default);
-            }
-            let out = &mut pong[..parents];
-            out.par_iter_mut().enumerate().for_each(|(p, slot)| {
-                combine_into(
-                    &level[2 * p],
-                    &level[2 * p + 1],
-                    delta0(heap_base + p),
-                    child_level_shift,
-                    slot,
-                )
-            });
-        }
-        std::mem::swap(ping, pong);
-        at_leaves = false;
-        cur_len = parents;
-        child_level_shift += 1;
-        if let Some(stats) = stats.as_deref_mut() {
-            let mut level_items = 0u64;
-            let mut max_node = 0u64;
-            for st in &ping[..cur_len] {
-                let items = (st.upds.len() + st.qrys.len()) as u64;
-                level_items += items;
-                max_node = max_node.max(items);
-            }
-            stats.work_items += level_items;
-            stats.depth_est += 64 - max_node.leading_zeros() as u64 + 1;
-            stats.levels += 1;
-        }
-    }
-
-    let root: &NodeState = if at_leaves { &leaves[0] } else { &ping[0] };
-    finish_root(root, min0_root, &mut run_min, &mut partials)
 }
 
 /// Combines one level of the flat sweep into `out`: parent `p` (heap id
@@ -619,8 +499,7 @@ fn combine_level(
 /// Observation 4's trivial side filled in), and resolves each query of the
 /// two children's query runs as its time comes up (§3.2 rule; a query's
 /// side is the run it came from). Hands `out` exactly the children's
-/// records, in time order. The arithmetic and its order are the reference
-/// [`combine_into`]'s, so every value is bit-identical.
+/// records, in time order.
 ///
 /// The run heads are cached so the merge picks each record with selects
 /// rather than branches on the data, which mispredict about half the time.
@@ -687,7 +566,7 @@ impl Timed for Upd {
     }
 }
 
-impl Timed for FlatQry {
+impl Timed for Qry {
     fn time(&self) -> u32 {
         self.time
     }
@@ -701,8 +580,8 @@ impl Timed for FlatQry {
 /// registers (measured slower).
 #[inline(never)]
 fn resolve_queries(
-    l_qrys: &[FlatQry],
-    r_qrys: &[FlatQry],
+    l_qrys: &[Qry],
+    r_qrys: &[Qry],
     (a, b): &mut (usize, usize),
     end: u64,
     delta: i64,
@@ -732,287 +611,16 @@ fn resolve_queries(
         } else {
             -delta
         };
-        out.qry(FlatQry { d, ..q });
-    }
-}
-
-/// A merged update with the per-child φ contributions filled in
-/// (Observation 4 supplies the trivial side).
-#[derive(Clone, Copy, Debug)]
-struct MergedUpd {
-    time: u32,
-    x: i64,
-    phi_l: i64,
-    phi_r: i64,
-}
-
-/// Combines two child states into `out` (cleared and refilled, keeping its
-/// vector capacities). Below the parallel threshold the update and query
-/// records are written straight into `out`'s recycled buffers; the
-/// above-threshold branches build fresh vectors (they are rare and large,
-/// and the parallel map cannot target a shared buffer without unsafe
-/// slicing).
-fn combine_into(l: &NodeState, r: &NodeState, delta0: i64, child_shift: u32, out: &mut NodeState) {
-    out.upds.clear();
-    out.qrys.clear();
-    let nu = l.upds.len() + r.upds.len();
-    let nq = l.qrys.len() + r.qrys.len();
-    if nu == 0 && nq == 0 {
-        return;
-    }
-
-    // --- Updates: H(b), φ_l/φ_r, Δ(b), Φ(b) ---------------------------------
-    let merged: Vec<MergedUpd> = merge_upds(&l.upds, &r.upds);
-    // Prefix sums of φ_l and φ_r give Δ via Observation 3.
-    let mut sum_l: Vec<i64> = merged.iter().map(|u| u.phi_l).collect();
-    let mut sum_r: Vec<i64> = merged.iter().map(|u| u.phi_r).collect();
-    if nu >= NODE_PAR_THRESHOLD {
-        inclusive_scan_in_place(&mut sum_l);
-        inclusive_scan_in_place(&mut sum_r);
-    } else {
-        seq_scan(&mut sum_l);
-        seq_scan(&mut sum_r);
-    }
-    let delta_at = |i: usize| -> i64 {
-        if i == 0 {
-            delta0
-        } else {
-            delta0 + sum_r[i - 1] - sum_l[i - 1]
-        }
-    };
-    let mk_upd = |i: usize, u: &MergedUpd| -> Upd {
-        let old = delta_at(i);
-        let new = delta0 + sum_r[i] - sum_l[i];
-        let phi = match (old > 0, new > 0) {
-            (true, true) => u.phi_l,
-            (false, false) => u.phi_r,
-            (false, true) => u.phi_l - old,
-            (true, false) => u.phi_r + old,
-        };
-        Upd {
-            time: u.time,
-            x: u.x,
-            phi,
-        }
-    };
-    if nu >= NODE_PAR_THRESHOLD {
-        out.upds = merged
-            .par_iter()
-            .enumerate()
-            .map(|(i, u)| mk_upd(i, u))
-            .collect();
-    } else {
-        out.upds
-            .extend(merged.iter().enumerate().map(|(i, u)| mk_upd(i, u)));
-    }
-
-    // --- Queries -------------------------------------------------------------
-    if nq > 0 {
-        let merged_q: Vec<Qry> = merge_qrys(&l.qrys, &r.qrys);
-        // Δ value current at each query's time (last update strictly before;
-        // times are unique so "≤ previous update" ≡ "< query time").
-        let upd_times: Vec<u32> = merged.iter().map(|u| u.time).collect();
-        let deltas_after: Vec<i64> = (0..nu).map(|i| delta0 + sum_r[i] - sum_l[i]).collect();
-        let delta_cur = attach_latest(&merged_q, &upd_times, &deltas_after, delta0);
-        let apply = |(q, dcur): (&Qry, i64)| -> Qry {
-            // Child side of the query leaf at this node (paper §3.2 rule).
-            let from_right = (q.pos >> child_shift) & 1 == 1;
-            let d = if from_right {
-                if dcur > 0 {
-                    0
-                } else if q.d + dcur < 0 {
-                    q.d
-                } else {
-                    -dcur
-                }
-            } else if dcur <= 0 {
-                q.d - dcur
-            } else {
-                q.d
-            };
-            Qry { d, ..*q }
-        };
-        if nq >= NODE_PAR_THRESHOLD {
-            out.qrys = merged_q
-                .par_iter()
-                .zip(delta_cur.par_iter().copied())
-                .map(apply)
-                .collect();
-        } else {
-            out.qrys
-                .extend(merged_q.iter().zip(delta_cur.iter().copied()).map(apply));
-        }
-    }
-}
-
-fn finish_root(
-    root: &NodeState,
-    min0: i64,
-    run_min: &mut Vec<i64>,
-    partials: &mut Vec<i64>,
-) -> Vec<(u32, i64)> {
-    // Running overall minima after each update (§3.1.3).
-    run_min.clear();
-    run_min.extend(root.upds.iter().map(|u| u.phi));
-    if run_min.len() >= NODE_PAR_THRESHOLD {
-        inclusive_scan_in_place_with(run_min, partials);
-    } else {
-        seq_scan(run_min);
-    }
-    for m in run_min.iter_mut() {
-        *m += min0;
-    }
-    let times: Vec<u32> = root.upds.iter().map(|u| u.time).collect();
-    let min_cur = attach_latest(&root.qrys, &times, run_min, min0);
-    root.qrys
-        .iter()
-        .zip(min_cur)
-        .map(|(q, m)| (q.qid, q.d + m))
-        .collect()
-}
-
-fn seq_scan(xs: &mut [i64]) {
-    let mut acc = 0i64;
-    for x in xs.iter_mut() {
-        acc += *x;
-        *x = acc;
-    }
-}
-
-/// Merges the children's update arrays by time, filling in the trivial φ
-/// contribution of the non-owning child (Observation 4).
-fn merge_upds(l: &[Upd], r: &[Upd]) -> Vec<MergedUpd> {
-    let total = l.len() + r.len();
-    if total < NODE_PAR_THRESHOLD {
-        let mut out = Vec::with_capacity(total);
-        let (mut i, mut j) = (0, 0);
-        while i < l.len() || j < r.len() {
-            let take_left = j == r.len() || (i < l.len() && l[i].time < r[j].time);
-            if take_left {
-                out.push(MergedUpd {
-                    time: l[i].time,
-                    x: l[i].x,
-                    phi_l: l[i].phi,
-                    phi_r: 0,
-                });
-                i += 1;
-            } else {
-                out.push(MergedUpd {
-                    time: r[j].time,
-                    x: r[j].x,
-                    phi_l: r[j].x,
-                    phi_r: r[j].phi,
-                });
-                j += 1;
-            }
-        }
-        out
-    } else {
-        // Tag side, merge in parallel, map to MergedUpd in parallel.
-        let lt: Vec<(Upd, bool)> = l.iter().map(|&u| (u, false)).collect();
-        let rt: Vec<(Upd, bool)> = r.iter().map(|&u| (u, true)).collect();
-        let merged = merge_by_key(&lt, &rt, |(u, _)| u.time);
-        merged
-            .par_iter()
-            .map(|&(u, from_right)| {
-                if from_right {
-                    MergedUpd {
-                        time: u.time,
-                        x: u.x,
-                        phi_l: u.x,
-                        phi_r: u.phi,
-                    }
-                } else {
-                    MergedUpd {
-                        time: u.time,
-                        x: u.x,
-                        phi_l: u.phi,
-                        phi_r: 0,
-                    }
-                }
-            })
-            .collect()
-    }
-}
-
-fn merge_qrys(l: &[Qry], r: &[Qry]) -> Vec<Qry> {
-    let total = l.len() + r.len();
-    if total < NODE_PAR_THRESHOLD {
-        let mut out = Vec::with_capacity(total);
-        let (mut i, mut j) = (0, 0);
-        while i < l.len() || j < r.len() {
-            let take_left = j == r.len() || (i < l.len() && l[i].time < r[j].time);
-            if take_left {
-                out.push(l[i]);
-                i += 1;
-            } else {
-                out.push(r[j]);
-                j += 1;
-            }
-        }
-        out
-    } else {
-        merge_by_key(l, r, |q| q.time)
-    }
-}
-
-/// For each query (sorted by time), the value associated with the last
-/// event time `< query time`, or `default` if none: the merge + segmented
-/// broadcast of §3.2.
-fn attach_latest(qrys: &[Qry], times: &[u32], values: &[i64], default: i64) -> Vec<i64> {
-    debug_assert_eq!(times.len(), values.len());
-    let total = qrys.len() + times.len();
-    if total < NODE_PAR_THRESHOLD {
-        let mut out = Vec::with_capacity(qrys.len());
-        let mut j = 0usize;
-        let mut cur = default;
-        for q in qrys {
-            while j < times.len() && times[j] < q.time {
-                cur = values[j];
-                j += 1;
-            }
-            out.push(cur);
-        }
-        out
-    } else {
-        // Merge (time, Some(value)) events with (time, None) query slots by
-        // time, broadcast, read back the query slots in order.
-        #[derive(Clone, Copy)]
-        struct Slot {
-            time: u32,
-            val: Option<i64>,
-        }
-        let ev: Vec<Slot> = times
-            .iter()
-            .zip(values)
-            .map(|(&t, &v)| Slot {
-                time: t,
-                val: Some(v),
-            })
-            .collect();
-        let qs: Vec<Slot> = qrys
-            .iter()
-            .map(|q| Slot {
-                time: q.time,
-                val: None,
-            })
-            .collect();
-        // Events sort before queries at equal time; times are unique anyway.
-        let merged = merge_by_key(&ev, &qs, |s| s.time);
-        let opts: Vec<Option<i64>> = merged.iter().map(|s| s.val).collect();
-        let carried = segmented_broadcast(&opts);
-        merged
-            .iter()
-            .zip(carried)
-            .filter(|(s, _)| s.val.is_none())
-            .map(|(_, c)| c.unwrap_or(default))
-            .collect()
+        out.qry(Qry { d, ..q });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompose::{Decomposition, Strategy};
+    use crate::{run_tree_batch_stats, TreeBatchScratch, TreeOp};
+    use pmc_graph::gen;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1035,14 +643,39 @@ mod tests {
         out
     }
 
-    fn sorted(mut v: Vec<(u32, i64)>) -> Vec<(u32, i64)> {
-        v.sort_unstable();
-        v
+    /// The sweep on a fresh scratch.
+    fn run(init: &[i64], ops: &[PrefixOp]) -> Vec<(u32, i64)> {
+        run_list_batch_with(init, ops, &mut ListBatchScratch::default())
+    }
+
+    /// `k` random ops on a list of length `n`, adds with probability
+    /// `p_add` and increments in `-x..x`.
+    fn random_ops(rng: &mut SmallRng, n: usize, k: u32, p_add: f64, x: i64) -> Vec<PrefixOp> {
+        let mut qid = 0;
+        (0..k)
+            .map(|time| {
+                let pos = rng.gen_range(0..n) as u32;
+                if rng.gen_bool(p_add) {
+                    PrefixOp::Add {
+                        time,
+                        pos,
+                        x: rng.gen_range(-x..x),
+                    }
+                } else {
+                    qid += 1;
+                    PrefixOp::Min {
+                        time,
+                        pos,
+                        qid: qid - 1,
+                    }
+                }
+            })
+            .collect()
     }
 
     #[test]
     fn empty_batch() {
-        assert!(run_list_batch(&[1, 2, 3], &[]).is_empty());
+        assert!(run(&[1, 2, 3], &[]).is_empty());
     }
 
     #[test]
@@ -1059,8 +692,7 @@ mod tests {
                 qid: 1,
             },
         ];
-        let got = sorted(run_list_batch(&[5, 1, 7], &ops));
-        assert_eq!(got, vec![(0, 1), (1, 5)]);
+        assert_eq!(run(&[5, 1, 7], &ops), vec![(0, 1), (1, 5)]);
     }
 
     #[test]
@@ -1098,10 +730,7 @@ mod tests {
             },
         ];
         let init = [4i64, 8, 2, 9];
-        assert_eq!(
-            sorted(run_list_batch(&init, &ops)),
-            sorted(reference(&init, &ops))
-        );
+        assert_eq!(run(&init, &ops), reference(&init, &ops));
     }
 
     #[test]
@@ -1123,8 +752,7 @@ mod tests {
                 qid: 1,
             },
         ];
-        let got = sorted(run_list_batch(&[10], &ops));
-        assert_eq!(got, vec![(0, 10), (1, 7)]);
+        assert_eq!(run(&[10], &ops), vec![(0, 10), (1, 7)]);
     }
 
     #[test]
@@ -1147,8 +775,7 @@ mod tests {
                 qid: 1,
             },
         ];
-        let got = sorted(run_list_batch(&[5, 10], &ops));
-        assert_eq!(got, vec![(0, 10), (1, 105)]);
+        assert_eq!(run(&[5, 10], &ops), vec![(0, 10), (1, 105)]);
     }
 
     #[test]
@@ -1158,31 +785,8 @@ mod tests {
             let n = rng.gen_range(1..24);
             let init: Vec<i64> = (0..n).map(|_| rng.gen_range(-100..100)).collect();
             let k = rng.gen_range(0..50);
-            let mut qid = 0;
-            let ops: Vec<PrefixOp> = (0..k)
-                .map(|t| {
-                    let pos = rng.gen_range(0..n) as u32;
-                    if rng.gen_bool(0.5) {
-                        PrefixOp::Add {
-                            time: t,
-                            pos,
-                            x: rng.gen_range(-50..50),
-                        }
-                    } else {
-                        qid += 1;
-                        PrefixOp::Min {
-                            time: t,
-                            pos,
-                            qid: qid - 1,
-                        }
-                    }
-                })
-                .collect();
-            assert_eq!(
-                sorted(run_list_batch(&init, &ops)),
-                sorted(reference(&init, &ops)),
-                "trial {trial}"
-            );
+            let ops = random_ops(&mut rng, n, k, 0.5, 50);
+            assert_eq!(run(&init, &ops), reference(&init, &ops), "trial {trial}");
         }
     }
 
@@ -1192,64 +796,20 @@ mod tests {
         for trial in 0..10 {
             let n = rng.gen_range(100..1000);
             let init: Vec<i64> = (0..n).map(|_| rng.gen_range(-1000..1000)).collect();
-            let mut qid = 0;
-            let ops: Vec<PrefixOp> = (0..2000u32)
-                .map(|t| {
-                    let pos = rng.gen_range(0..n) as u32;
-                    if rng.gen_bool(0.6) {
-                        PrefixOp::Add {
-                            time: t,
-                            pos,
-                            x: rng.gen_range(-500..500),
-                        }
-                    } else {
-                        qid += 1;
-                        PrefixOp::Min {
-                            time: t,
-                            pos,
-                            qid: qid - 1,
-                        }
-                    }
-                })
-                .collect();
-            assert_eq!(
-                sorted(run_list_batch(&init, &ops)),
-                sorted(reference(&init, &ops)),
-                "trial {trial}"
-            );
+            let ops = random_ops(&mut rng, n, 2000, 0.6, 500);
+            assert_eq!(run(&init, &ops), reference(&init, &ops), "trial {trial}");
         }
     }
 
     #[test]
-    fn large_batch_crosses_parallel_threshold() {
+    fn large_batch_on_a_short_list() {
+        // 40,000 ops on 64 leaves: the nodes near the root merge runs of
+        // thousands of records, with long stretches from one side.
         let mut rng = SmallRng::seed_from_u64(7);
         let n = 64;
         let init: Vec<i64> = (0..n).map(|_| rng.gen_range(-1000..1000)).collect();
-        let mut qid = 0;
-        let k = 40_000u32; // forces the NODE_PAR_THRESHOLD branches near the root
-        let ops: Vec<PrefixOp> = (0..k)
-            .map(|t| {
-                let pos = rng.gen_range(0..n) as u32;
-                if rng.gen_bool(0.7) {
-                    PrefixOp::Add {
-                        time: t,
-                        pos,
-                        x: rng.gen_range(-5..5),
-                    }
-                } else {
-                    qid += 1;
-                    PrefixOp::Min {
-                        time: t,
-                        pos,
-                        qid: qid - 1,
-                    }
-                }
-            })
-            .collect();
-        assert_eq!(
-            sorted(run_list_batch(&init, &ops)),
-            sorted(reference(&init, &ops))
-        );
+        let ops = random_ops(&mut rng, n, 40_000, 0.7, 5);
+        assert_eq!(run(&init, &ops), reference(&init, &ops));
     }
 
     #[test]
@@ -1267,84 +827,63 @@ mod tests {
                 x: 1,
             },
         ];
-        let _ = run_list_batch(&[0, 0], &ops);
+        let _ = run(&[0, 0], &ops);
     }
 
     #[test]
     fn scratch_variant_matches_allocating_path() {
+        // One scratch across many differently-sized lists and batches
+        // answers like a fresh scratch per batch, and like the plain array.
         let mut rng = SmallRng::seed_from_u64(11);
         let mut ws = ListBatchScratch::default();
-        // One scratch across many differently-sized lists and batches.
         for trial in 0..40 {
             let n = rng.gen_range(1..300);
             let init: Vec<i64> = (0..n).map(|_| rng.gen_range(-500..500)).collect();
-            let mut qid = 0;
-            let ops: Vec<PrefixOp> = (0..rng.gen_range(0..300u32))
-                .map(|t| {
-                    let pos = rng.gen_range(0..n) as u32;
-                    if rng.gen_bool(0.5) {
-                        PrefixOp::Add {
-                            time: t,
-                            pos,
-                            x: rng.gen_range(-100..100),
-                        }
-                    } else {
-                        qid += 1;
-                        PrefixOp::Min {
-                            time: t,
-                            pos,
-                            qid: qid - 1,
-                        }
-                    }
-                })
-                .collect();
-            assert_eq!(
-                sorted(run_list_batch_with(&init, &ops, &mut ws)),
-                sorted(run_list_batch(&init, &ops)),
-                "trial {trial}"
-            );
+            let k = rng.gen_range(0..300);
+            let ops = random_ops(&mut rng, n, k, 0.5, 100);
+            let got = run_list_batch_with(&init, &ops, &mut ws);
+            assert_eq!(got, run(&init, &ops), "trial {trial}");
+            assert_eq!(got, reference(&init, &ops), "trial {trial}");
         }
     }
 
     #[test]
     fn stats_track_lemma5_bounds() {
+        // A path decomposes into one list, so Lemma 5 applies to the
+        // whole batch: every op leaves one record, which every level holds.
         let mut rng = SmallRng::seed_from_u64(9);
         let n = 256usize;
+        let tree = gen::path_tree(n);
+        let decomp = Decomposition::new(&tree, Strategy::BoughWalk);
+        assert_eq!(decomp.npaths(), 1);
         let init: Vec<i64> = (0..n).map(|_| rng.gen_range(-500..500)).collect();
-        let k = 4096u32;
-        let mut qid = 0;
-        let ops: Vec<PrefixOp> = (0..k)
-            .map(|t| {
-                let pos = rng.gen_range(0..n) as u32;
+        let k = 4096u64;
+        let ops: Vec<TreeOp> = (0..k)
+            .map(|_| {
+                let v = rng.gen_range(0..n) as u32;
                 if rng.gen_bool(0.5) {
-                    PrefixOp::Add {
-                        time: t,
-                        pos,
+                    TreeOp::Add {
+                        v,
                         x: rng.gen_range(-100..100),
                     }
                 } else {
-                    qid += 1;
-                    PrefixOp::Min {
-                        time: t,
-                        pos,
-                        qid: qid - 1,
-                    }
+                    TreeOp::Min { v }
                 }
             })
             .collect();
-        let (res, stats) = run_list_batch_stats(&init, &ops);
-        assert_eq!(res.len(), qid as usize);
+        let mut ws = TreeBatchScratch::default();
+        let (res, stats) = run_tree_batch_stats(&tree, &decomp, &init, &ops, &mut ws);
+        let queries = ops.iter().filter(|op| matches!(op, TreeOp::Min { .. }));
+        assert_eq!(res.len(), queries.count());
         assert_eq!(stats.levels, 8); // log2(256)
-                                     // Every op survives to the root, so at least k items per level are
-                                     // processed somewhere; the Lemma 5 bound caps the total.
-        assert!(stats.work_items >= k as u64);
+        assert_eq!(stats.work_items, k * (1 + 8));
         let (logn, logk) = (8u64, 12u64);
         assert!(
-            stats.work_items <= 4 * k as u64 * (logn + logk) + 4 * n as u64,
+            stats.work_items <= 4 * k * (logn + logk) + 4 * n as u64,
             "work {} exceeds the Lemma 5 budget",
             stats.work_items
         );
-        // Depth: at most log2(k)+1 per level.
-        assert!(stats.depth_est <= (logn + 1) * (logk + 2));
+        // Depth: at most log2(k)+2 per level.
+        assert!(stats.depth_est <= logn * (logk + 2));
     }
 }

@@ -11,17 +11,18 @@
 //! * [`naive`] — a straightforward `O(depth)`-per-op oracle used by tests.
 //! * [`seq`] — the sequential `Δ`-tree structure (§2.3): `O(log² n)` per
 //!   operation, with **argmin tracking** used for witness extraction.
-//! * [`batch`] — the batched engine (§3.1–3.2, Lemmas 5 & 6). The
-//!   allocating reference ([`run_list_batch`]) materializes every node's
-//!   intermediate states level by level with parallel merges, prefix sums
-//!   and segmented broadcasts. The flat sweep behind [`run_list_batch_with`]
-//!   and [`run_tree_batch_with`] computes the same values sequentially:
-//!   records are counting-sorted into a leaf arena once per batch, and each
-//!   tree node is one fused streaming merge of its children's runs.
+//! * [`batch`] — the batched engine (§3.1–3.2, Lemmas 5 & 6), one sweep
+//!   ([`run_list_batch_with`]): records are counting-sorted into a leaf
+//!   arena once per batch, and each tree node is one fused streaming merge
+//!   of its children's runs, level by level.
 //! * [`ops`] — the tree-level batch API (Lemma 9): decomposes a mixed
-//!   `MinPath`/`AddPath` sequence onto the path lists and executes every
-//!   list's batch (in parallel in [`run_tree_batch`], back to back through
-//!   one scratch in [`run_tree_batch_with`]).
+//!   `MinPath`/`AddPath` sequence onto the path lists and sweeps every
+//!   list's batch back to back through one scratch
+//!   ([`run_tree_batch_with`]); [`run_tree_batch_stats`] also counts the
+//!   records Lemmas 5 and 9 bound.
+//!
+//! The batch engine has one implementation. [`naive`] and [`seq`] are the
+//! independent oracles its tests compare against.
 //!
 //! Weight convention: weights are `i64`. Callers may use [`INF`] as a guard
 //! value (the two-respect reduction masks vertices with `±INF`); all
@@ -35,15 +36,10 @@ pub mod naive;
 pub mod ops;
 pub mod seq;
 
-pub use batch::{
-    run_list_batch, run_list_batch_stats, run_list_batch_with, BatchStats, ListBatchScratch,
-    PrefixOp,
-};
+pub use batch::{run_list_batch_with, BatchStats, ListBatchScratch, PrefixOp};
 pub use decompose::{Decomposition, Strategy};
 pub use naive::{naive_bough_paths, NaiveMinPath};
-pub use ops::{
-    run_tree_batch, run_tree_batch_stats, run_tree_batch_with, TreeBatchScratch, TreeOp,
-};
+pub use ops::{run_tree_batch_stats, run_tree_batch_with, TreeBatchScratch, TreeOp};
 pub use seq::SeqMinPath;
 
 /// Guard value used to mask vertices out of minimum queries.

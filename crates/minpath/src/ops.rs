@@ -3,13 +3,12 @@
 //! Each `MinPath`/`AddPath` on the tree decomposes into at most `log₂ n`
 //! `MinPrefix`/`AddPrefix` operations — one per decomposition path crossed
 //! by the `v → root` path, each covering a *prefix* of that path's list
-//! (paths run downward from their tops). All per-list batches then execute
-//! independently in parallel, and every `MinPath` result is the minimum of
-//! its sub-results.
+//! (paths run downward from their tops). The per-list batches are
+//! independent, so the paper runs them in parallel; here they run one
+//! after another through one reused scratch, and every `MinPath` result is
+//! the minimum of its sub-results.
 
-use rayon::prelude::*;
-
-use crate::batch::{run_list_batch, run_list_batch_stats, BatchStats, ListBatchScratch, PrefixOp};
+use crate::batch::{BatchStats, ListBatchScratch};
 use crate::decompose::{Decomposition, NONE};
 use pmc_graph::RootedTree;
 
@@ -30,57 +29,10 @@ pub enum TreeOp {
     },
 }
 
-/// Executes a batch of tree operations as if sequentially; returns one
-/// result per `Min` op, in the order the `Min` ops appear in `ops`.
-///
-/// Work `O(k log n (log n + log k) + n log n)`,
-/// depth `O(log n (log n + log k))` — Lemma 9.
-///
-/// ```
-/// use pmc_graph::gen;
-/// use pmc_minpath::decompose::{Decomposition, Strategy};
-/// use pmc_minpath::{run_tree_batch, TreeOp};
-///
-/// let tree = gen::star_tree(4); // root 0 with leaves 1, 2, 3
-/// let decomp = Decomposition::new(&tree, Strategy::BoughWalk);
-/// let ops = vec![
-///     TreeOp::Min { v: 1 },           // min(100, 1)  = 1
-///     TreeOp::Add { v: 2, x: -50 },   // root: 50, leaf 2: -48
-///     TreeOp::Min { v: 3 },           // min(50, 3)   = 3
-///     TreeOp::Min { v: 2 },           // min(50, -48) = -48
-/// ];
-/// let results = run_tree_batch(&tree, &decomp, &[100, 1, 2, 3], &ops);
-/// assert_eq!(results, vec![1, 3, -48]);
-/// ```
-pub fn run_tree_batch(
-    tree: &RootedTree,
-    decomp: &Decomposition,
-    init: &[i64],
-    ops: &[TreeOp],
-) -> Vec<i64> {
-    run_tree_batch_impl(tree, decomp, init, ops, None)
-}
-
-/// [`run_tree_batch`] that also reports aggregated [`BatchStats`] across
-/// the per-list batches: total work items, and the depth estimate of the
-/// deepest list (lists run in parallel). Used by the Lemma 9 validation
-/// experiment, which checks `work / k = Θ(log n (log n + log k))`.
-pub fn run_tree_batch_stats(
-    tree: &RootedTree,
-    decomp: &Decomposition,
-    init: &[i64],
-    ops: &[TreeOp],
-) -> (Vec<i64>, BatchStats) {
-    let mut stats = BatchStats::default();
-    let out = run_tree_batch_impl(tree, decomp, init, ops, Some(&mut stats));
-    (out, stats)
-}
-
 /// Walks the decomposition paths crossed by the `v → root` path,
 /// bottom-up, calling `f(pid, pos)` with each path and the position at
 /// which the walk enters it: an op at `v` leaves one prefix record at each
-/// such `(pid, pos)`. Every execution path decomposes its ops through this
-/// walk, so the decomposition rule exists exactly once.
+/// such `(pid, pos)`.
 fn walk_chain(decomp: &Decomposition, v: u32, mut f: impl FnMut(u32, u32)) {
     let mut cur = v;
     loop {
@@ -91,27 +43,6 @@ fn walk_chain(decomp: &Decomposition, v: u32, mut f: impl FnMut(u32, u32)) {
             break;
         }
     }
-}
-
-/// Decomposes one tree op into its per-list prefix ops, emitting
-/// `(path id, prefix op)` for each path [`walk_chain`] crosses.
-fn decompose_op(
-    decomp: &Decomposition,
-    op: &TreeOp,
-    time: u32,
-    mut emit: impl FnMut(u32, PrefixOp),
-) {
-    let (v0, qid) = match *op {
-        TreeOp::Add { v, .. } => (v, 0),
-        TreeOp::Min { v } => (v, time),
-    };
-    walk_chain(decomp, v0, |pid, pos| {
-        let pop = match *op {
-            TreeOp::Add { x, .. } => PrefixOp::Add { time, pos, x },
-            TreeOp::Min { .. } => PrefixOp::Min { time, pos, qid },
-        };
-        emit(pid, pop);
-    });
 }
 
 /// Fills `result_index[t]` with the ordinal position of the `Min` op at
@@ -127,22 +58,6 @@ fn fill_result_slots(ops: &[TreeOp], result_index: &mut Vec<u32>) -> usize {
         }
     }
     nqueries as usize
-}
-
-/// True if the list batch contains no queries (nothing to execute).
-fn no_queries(list_ops: &[PrefixOp]) -> bool {
-    list_ops
-        .iter()
-        .all(|op| !matches!(op, PrefixOp::Min { .. }))
-}
-
-/// Folds one list's `(qid, value)` results into the combined output: each
-/// `Min` op takes the minimum over its per-list sub-results (qid = the
-/// op's batch time, mapped back through `result_index`).
-fn fold_list_results(list_results: &[(u32, i64)], result_index: &[u32], out: &mut [i64]) {
-    for &(qid, val) in list_results {
-        fold_result(qid, val, result_index, out);
-    }
 }
 
 /// Folds one sub-result into the `Min` op it belongs to.
@@ -181,17 +96,39 @@ impl TreeBatchScratch {
     }
 }
 
-/// [`run_tree_batch`] drawing all working state from a reusable
-/// [`TreeBatchScratch`]. Identical results. One counting sort buckets
-/// every prefix record of the batch into the leaf arena, keyed by its
-/// decomposition slot ([`Decomposition::slot_range`]), so each list's
-/// leaves are one contiguous slot range. The lists then run one after
-/// another through the flat sweep of
-/// [`run_list_batch_with`](crate::run_list_batch_with), lists without
-/// queries are skipped, and each answer is folded into the output as the
-/// sweep reaches the root. This is the amortized serving path, which
-/// optimizes allocation traffic over span; concurrency in a serving
-/// scenario comes from independent requests, each with its own workspace.
+/// Executes a batch of tree operations as if sequentially, drawing all
+/// working state from a reusable [`TreeBatchScratch`]; returns one result
+/// per `Min` op, in the order the `Min` ops appear in `ops`.
+///
+/// One counting sort buckets every prefix record of the batch into the
+/// leaf arena, keyed by its decomposition slot
+/// ([`Decomposition::slot_range`]), so each list's leaves are one
+/// contiguous slot range. The lists then run one after another through
+/// the sweep of [`run_list_batch_with`](crate::run_list_batch_with), lists
+/// without queries are skipped, and each answer is folded into the output
+/// as the sweep reaches the root.
+///
+/// Work `O(k log n (log n + log k) + n log n)`, depth
+/// `O(log n (log n + log k))` with the lists and levels in parallel —
+/// Lemma 9. [`run_tree_batch_stats`] counts that work.
+///
+/// ```
+/// use pmc_graph::gen;
+/// use pmc_minpath::decompose::{Decomposition, Strategy};
+/// use pmc_minpath::{run_tree_batch_with, TreeBatchScratch, TreeOp};
+///
+/// let tree = gen::star_tree(4); // root 0 with leaves 1, 2, 3
+/// let decomp = Decomposition::new(&tree, Strategy::BoughWalk);
+/// let ops = vec![
+///     TreeOp::Min { v: 1 },           // min(100, 1)  = 1
+///     TreeOp::Add { v: 2, x: -50 },   // root: 50, leaf 2: -48
+///     TreeOp::Min { v: 3 },           // min(50, 3)   = 3
+///     TreeOp::Min { v: 2 },           // min(50, -48) = -48
+/// ];
+/// let mut ws = TreeBatchScratch::default(); // reusable across batches
+/// let results = run_tree_batch_with(&tree, &decomp, &[100, 1, 2, 3], &ops, &mut ws);
+/// assert_eq!(results, vec![1, 3, -48]);
+/// ```
 ///
 /// # Panics
 /// Panics if `init` does not hold one weight per tree vertex, or (like
@@ -204,6 +141,33 @@ pub fn run_tree_batch_with(
     init: &[i64],
     ops: &[TreeOp],
     ws: &mut TreeBatchScratch,
+) -> Vec<i64> {
+    sweep_tree_batch(tree, decomp, init, ops, ws, None)
+}
+
+/// [`run_tree_batch_with`] that also reports [`BatchStats`]: every list's
+/// record counts, merged as lists that run in parallel (work adds, depth
+/// and levels take the deepest list). Experiment E10 checks them against
+/// Lemma 9's `work / k = Θ(log n (log n + log k))`.
+pub fn run_tree_batch_stats(
+    tree: &RootedTree,
+    decomp: &Decomposition,
+    init: &[i64],
+    ops: &[TreeOp],
+    ws: &mut TreeBatchScratch,
+) -> (Vec<i64>, BatchStats) {
+    let mut stats = BatchStats::default();
+    let out = sweep_tree_batch(tree, decomp, init, ops, ws, Some(&mut stats));
+    (out, stats)
+}
+
+fn sweep_tree_batch(
+    tree: &RootedTree,
+    decomp: &Decomposition,
+    init: &[i64],
+    ops: &[TreeOp],
+    ws: &mut TreeBatchScratch,
+    mut stats: Option<&mut BatchStats>,
 ) -> Vec<i64> {
     assert_eq!(init.len(), tree.n());
     let TreeBatchScratch {
@@ -258,78 +222,10 @@ pub fn run_tree_batch_with(
     let mut out = vec![i64::MAX; nqueries];
     for p in 0..decomp.npaths() as u32 {
         let weights = decomp.path(p).iter().map(|&v| init[v as usize]);
-        list.sweep(decomp.slot_range(p).start, weights, |qid, val| {
+        let first = decomp.slot_range(p).start;
+        list.sweep(first, weights, stats.as_deref_mut(), |qid, val| {
             fold_result(qid, val, result_index, &mut out)
         });
-    }
-    out
-}
-
-fn run_tree_batch_impl(
-    tree: &RootedTree,
-    decomp: &Decomposition,
-    init: &[i64],
-    ops: &[TreeOp],
-    stats: Option<&mut BatchStats>,
-) -> Vec<i64> {
-    assert_eq!(init.len(), tree.n());
-    let npaths = decomp.npaths();
-
-    // Decompose every tree op into per-list prefix ops. Each op walks the
-    // chain of path tops; ops are independent, so this fans out in parallel.
-    let per_op: Vec<Vec<(u32, PrefixOp)>> = ops
-        .par_iter()
-        .enumerate()
-        .map(|(t, op)| {
-            let mut out = Vec::new();
-            decompose_op(decomp, op, t as u32, |pid, pop| out.push((pid, pop)));
-            out
-        })
-        .collect();
-
-    // Bucket prefix ops by list. Sequential scatter keeps per-list time
-    // order (ops were generated in time order).
-    let mut per_list: Vec<Vec<PrefixOp>> = vec![Vec::new(); npaths];
-    for group in &per_op {
-        for &(pid, pop) in group {
-            per_list[pid as usize].push(pop);
-        }
-    }
-
-    // Initial weights per list, then run all list batches in parallel.
-    let want_stats = stats.is_some();
-    let (results, list_stats): (Vec<Vec<(u32, i64)>>, Vec<BatchStats>) = per_list
-        .par_iter()
-        .enumerate()
-        .map(|(pid, list_ops)| {
-            if no_queries(list_ops) {
-                // No queries on this list — nothing to report.
-                return (Vec::new(), BatchStats::default());
-            }
-            let ws: Vec<i64> = decomp
-                .path(pid as u32)
-                .iter()
-                .map(|&v| init[v as usize])
-                .collect();
-            if want_stats {
-                run_list_batch_stats(&ws, list_ops)
-            } else {
-                (run_list_batch(&ws, list_ops), BatchStats::default())
-            }
-        })
-        .unzip();
-    if let Some(stats) = stats {
-        for ls in &list_stats {
-            stats.merge_parallel(ls);
-        }
-    }
-
-    // Combine through the same slot machinery as the amortized path.
-    let mut result_index = Vec::new();
-    let nqueries = fill_result_slots(ops, &mut result_index);
-    let mut out = vec![i64::MAX; nqueries];
-    for list_results in &results {
-        fold_list_results(list_results, &result_index, &mut out);
     }
     out
 }
@@ -371,6 +267,11 @@ mod tests {
             .collect()
     }
 
+    /// The sweep on a fresh scratch.
+    fn run(tree: &RootedTree, decomp: &Decomposition, init: &[i64], ops: &[TreeOp]) -> Vec<i64> {
+        run_tree_batch_with(tree, decomp, init, ops, &mut TreeBatchScratch::default())
+    }
+
     #[test]
     fn single_vertex_tree() {
         let t = gen::path_tree(1);
@@ -380,7 +281,7 @@ mod tests {
             TreeOp::Add { v: 0, x: 5 },
             TreeOp::Min { v: 0 },
         ];
-        assert_eq!(run_tree_batch(&t, &d, &[10], &ops), vec![10, 15]);
+        assert_eq!(run(&t, &d, &[10], &ops), vec![10, 15]);
     }
 
     #[test]
@@ -394,7 +295,7 @@ mod tests {
             let want = reference(&t, &init, &ops);
             for strat in [Strategy::BoughWalk, Strategy::HeavyLight] {
                 let d = Decomposition::new(&t, strat);
-                let got = run_tree_batch(&t, &d, &init, &ops);
+                let got = run(&t, &d, &init, &ops);
                 assert_eq!(got, want, "trial {trial} strat {strat:?}");
             }
         }
@@ -416,24 +317,25 @@ mod tests {
             let ops = random_ops(n, 300, &mut rng);
             let want = reference(t, &init, &ops);
             let d = Decomposition::new(t, Strategy::BoughWalk);
-            assert_eq!(run_tree_batch(t, &d, &init, &ops), want, "shape {si}");
+            assert_eq!(run(t, &d, &init, &ops), want, "shape {si}");
         }
     }
 
     #[test]
     fn scratch_variant_matches_allocating_path() {
+        // One scratch across random trees of varying shapes and sizes
+        // answers like a fresh scratch per batch, and like the naive walk.
         let mut rng = SmallRng::seed_from_u64(74);
         let mut ws = TreeBatchScratch::default();
-        // One scratch across random trees of varying shapes and sizes.
         for trial in 0..30 {
             let n = rng.gen_range(1..200);
             let t = gen::random_tree(n, 100 + trial);
             let init: Vec<i64> = (0..n).map(|_| rng.gen_range(-500..500)).collect();
             let ops = random_ops(n, rng.gen_range(0..300), &mut rng);
             let d = Decomposition::new(&t, Strategy::BoughWalk);
-            let want = run_tree_batch(&t, &d, &init, &ops);
             let got = run_tree_batch_with(&t, &d, &init, &ops, &mut ws);
-            assert_eq!(got, want, "trial {trial}");
+            assert_eq!(got, run(&t, &d, &init, &ops), "trial {trial}");
+            assert_eq!(got, reference(&t, &init, &ops), "trial {trial}");
         }
     }
 
@@ -446,6 +348,6 @@ mod tests {
         let ops = random_ops(n, 20_000, &mut rng);
         let want = reference(&t, &init, &ops);
         let d = Decomposition::new(&t, Strategy::BoughWalk);
-        assert_eq!(run_tree_batch(&t, &d, &init, &ops), want);
+        assert_eq!(run(&t, &d, &init, &ops), want);
     }
 }

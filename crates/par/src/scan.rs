@@ -1,63 +1,31 @@
-//! All-prefix-sums (scan) over an arbitrary monoid.
+//! All-prefix-sums (scan) of `i64`s, for the Euler tour's subtree sums.
 //!
-//! The parallel `AddPrefix` procedure (paper §3.1, Observation 3) and the
-//! root minima computation (§3.1.3) both reduce to prefix sums. The classic
-//! two-pass blocked scan below performs `O(n)` work in `O(log n)` depth
-//! (block partials are combined by a sequential pass over `O(p)` blocks,
-//! which is `O(n / SEQ_THRESHOLD)` and counted as depth only).
+//! The classic two-pass blocked scan below performs `O(n)` work in
+//! `O(log n)` depth (block partials are combined by a sequential pass over
+//! `O(p)` blocks, which is `O(n / SEQ_THRESHOLD)` and counted as depth
+//! only).
 
 use rayon::prelude::*;
 
 use crate::SEQ_THRESHOLD;
 
-/// An associative combining operation with an identity element.
-///
-/// Implementations must satisfy, for all `a, b, c`:
-/// `combine(a, identity()) == a`, `combine(identity(), a) == a`, and
-/// `combine(combine(a, b), c) == combine(a, combine(b, c))`.
-pub trait Monoid: Copy + Send + Sync {
-    /// The identity element of the monoid.
-    fn identity() -> Self;
-    /// The associative combining operation.
-    fn combine(self, other: Self) -> Self;
-}
-
-impl Monoid for i64 {
-    fn identity() -> Self {
-        0
-    }
-    fn combine(self, other: Self) -> Self {
-        self + other
-    }
-}
-
 /// In-place inclusive scan. Two-pass blocked algorithm:
 /// (1) scan each block independently in parallel,
 /// (2) exclusive-scan the block totals sequentially (`O(#blocks)`),
 /// (3) add each block's offset to its elements in parallel.
-pub fn inclusive_scan_in_place<T: Monoid>(xs: &mut [T]) {
-    inclusive_scan_in_place_with(xs, &mut Vec::new());
-}
-
-/// [`inclusive_scan_in_place`] reusing `partials` for the per-block totals,
-/// so repeated scans perform no heap allocation once the scratch has grown
-/// to the high-water block count.
 ///
 /// ```
-/// let mut partials = Vec::new(); // reused across calls
 /// let mut xs = vec![1i64, 2, 3, 4];
-/// pmc_par::scan::inclusive_scan_in_place_with(&mut xs, &mut partials);
+/// pmc_par::scan::inclusive_scan_in_place(&mut xs);
 /// assert_eq!(xs, vec![1, 3, 6, 10]);
 /// ```
-pub fn inclusive_scan_in_place_with<T: Monoid>(xs: &mut [T], partials: &mut Vec<T>) {
+pub fn inclusive_scan_in_place(xs: &mut [i64]) {
     let n = xs.len();
     if n <= SEQ_THRESHOLD {
         seq_inclusive_scan(xs);
         return;
     }
-    let nblocks = n.div_ceil(SEQ_THRESHOLD);
-    partials.clear();
-    partials.resize(nblocks, T::identity());
+    let mut partials = vec![0i64; n.div_ceil(SEQ_THRESHOLD)];
     xs.par_chunks_mut(SEQ_THRESHOLD)
         .zip(partials.par_iter_mut())
         .for_each(|(chunk, p)| {
@@ -65,9 +33,9 @@ pub fn inclusive_scan_in_place_with<T: Monoid>(xs: &mut [T], partials: &mut Vec<
             *p = chunk[chunk.len() - 1];
         });
     // Exclusive scan of block totals (cheap: one element per block).
-    let mut acc = T::identity();
+    let mut acc = 0;
     for p in partials.iter_mut() {
-        let next = acc.combine(*p);
+        let next = acc + *p;
         *p = acc;
         acc = next;
     }
@@ -75,15 +43,15 @@ pub fn inclusive_scan_in_place_with<T: Monoid>(xs: &mut [T], partials: &mut Vec<
         .zip(partials.par_iter())
         .for_each(|(chunk, &offset)| {
             for x in chunk.iter_mut() {
-                *x = offset.combine(*x);
+                *x += offset;
             }
         });
 }
 
-fn seq_inclusive_scan<T: Monoid>(xs: &mut [T]) {
-    let mut acc = T::identity();
+fn seq_inclusive_scan(xs: &mut [i64]) {
+    let mut acc = 0;
     for x in xs.iter_mut() {
-        acc = acc.combine(*x);
+        acc += *x;
         *x = acc;
     }
 }
@@ -129,19 +97,6 @@ mod tests {
         for (i, &x) in xs.iter().enumerate() {
             acc += x;
             assert_eq!(par[i], acc, "mismatch at index {i}");
-        }
-    }
-
-    #[test]
-    fn scratch_variants_match_allocating_path() {
-        let mut partials: Vec<i64> = Vec::new();
-        // Reuse the same scratch across differently-sized inputs, crossing
-        // the parallel threshold both ways.
-        for n in [0usize, 1, 5, SEQ_THRESHOLD, 3 * SEQ_THRESHOLD + 7, 17] {
-            let xs: Vec<i64> = (0..n as i64).map(|i| (i * 37 % 101) - 50).collect();
-            let mut in_place = xs.clone();
-            inclusive_scan_in_place_with(&mut in_place, &mut partials);
-            assert_eq!(in_place, scanned(&xs), "inclusive n={n}");
         }
     }
 

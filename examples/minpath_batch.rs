@@ -14,7 +14,7 @@
 use parallel_mincut::graph::gen;
 use parallel_mincut::minpath::{
     decompose::{Decomposition, Strategy},
-    run_tree_batch, TreeOp,
+    run_tree_batch_with, TreeBatchScratch, TreeOp,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -56,8 +56,9 @@ fn main() {
         .filter(|o| matches!(o, TreeOp::Min { .. }))
         .count();
 
+    let mut ws = TreeBatchScratch::default(); // reusable across batches
     let start = std::time::Instant::now();
-    let results = run_tree_batch(&tree, &decomp, &init, &ops);
+    let results = run_tree_batch_with(&tree, &decomp, &init, &ops, &mut ws);
     let elapsed = start.elapsed();
 
     assert_eq!(results.len(), nqueries);

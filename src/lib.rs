@@ -8,8 +8,9 @@
 //! This facade crate re-exports the workspace's public API:
 //!
 //! * [`Graph`], generators and spanning-tree machinery from `pmc-graph`;
-//! * the sequential and parallel-batch Minimum Path structures from
-//!   `pmc-minpath` (the paper's §3 data structure);
+//! * the Minimum Path structures from `pmc-minpath` (the paper's §3 data
+//!   structure): the batch engine the solver runs, and the sequential
+//!   `Δ`-tree;
 //! * Karger tree packing from `pmc-packing` (Lemma 1);
 //! * the top-level [`minimum_cut`] algorithm from `pmc-core` (Theorem 10);
 //! * exact and randomized baselines from `pmc-baseline`.

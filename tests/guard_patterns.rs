@@ -3,12 +3,13 @@
 //! masks, point-bumps (`+INF` at `v`, `−INF` at `parent(v)`), paired
 //! do/undo walks, and `−2w` accumulations. These patterns stress corners a
 //! uniform random op mix rarely hits (huge magnitudes, exact
-//! cancellation, queries under active masks).
+//! cancellation, queries under active masks). Every case runs the batch
+//! engine the solver runs, through one scratch reused across the cases.
 
 use parallel_mincut::graph::{gen, RootedTree};
 use parallel_mincut::minpath::{
     decompose::{Decomposition, Strategy},
-    run_tree_batch, NaiveMinPath, TreeOp, INF,
+    run_tree_batch_with, NaiveMinPath, TreeBatchScratch, TreeOp, INF,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -78,6 +79,7 @@ fn mincut_shaped_ops(tree: &RootedTree, rng: &mut SmallRng) -> Vec<TreeOp> {
 #[test]
 fn batch_engine_handles_guard_patterns() {
     let mut rng = SmallRng::seed_from_u64(0xF00D);
+    let mut ws = TreeBatchScratch::default();
     for trial in 0..60 {
         let n = rng.gen_range(2..80);
         let tree = gen::random_tree(n, trial);
@@ -85,7 +87,7 @@ fn batch_engine_handles_guard_patterns() {
         let ops = mincut_shaped_ops(&tree, &mut rng);
         let want = reference(&tree, &init, &ops);
         let d = Decomposition::new(&tree, Strategy::BoughWalk);
-        let got = run_tree_batch(&tree, &d, &init, &ops);
+        let got = run_tree_batch_with(&tree, &d, &init, &ops, &mut ws);
         assert_eq!(got, want, "trial {trial}");
     }
 }
@@ -96,6 +98,7 @@ fn guards_fully_cancel() {
     // fresh one: run the shaped batch, then append a probe query per
     // vertex and compare those probes against the un-mutated weights.
     let mut rng = SmallRng::seed_from_u64(0xBEEF);
+    let mut ws = TreeBatchScratch::default();
     for trial in 0..20 {
         let n = rng.gen_range(2..50);
         let tree = gen::random_tree(n, 1000 + trial);
@@ -109,7 +112,7 @@ fn guards_fully_cancel() {
             ops.push(TreeOp::Min { v });
         }
         let d = Decomposition::new(&tree, Strategy::BoughWalk);
-        let got = run_tree_batch(&tree, &d, &init, &ops);
+        let got = run_tree_batch_with(&tree, &d, &init, &ops, &mut ws);
         let fresh = NaiveMinPath::new(&tree, &init);
         for v in 0..n as u32 {
             assert_eq!(
@@ -137,7 +140,7 @@ fn extreme_magnitudes_do_not_overflow() {
     }
     ops.push(TreeOp::Min { v: 31 });
     let d = Decomposition::new(&tree, Strategy::BoughWalk);
-    let got = run_tree_batch(&tree, &d, &init, &ops);
+    let got = run_tree_batch_with(&tree, &d, &init, &ops, &mut TreeBatchScratch::default());
     assert_eq!(got[1], MAX_ABS_WEIGHT);
     assert!(got[0] >= MAX_ABS_WEIGHT);
 }

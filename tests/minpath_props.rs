@@ -1,12 +1,13 @@
-//! Property-based tests: the parallel batch engine is extensionally equal
-//! to the naive one-op-at-a-time oracle on arbitrary trees and op
-//! sequences, for both decomposition strategies.
+//! Property-based tests: the batch engine is extensionally equal to the
+//! one-op-at-a-time oracles (a plain array for one list, the naive walk
+//! for a tree) on arbitrary trees and op sequences, for both decomposition
+//! strategies.
 
 use parallel_mincut::graph::RootedTree;
 use parallel_mincut::minpath::{
     decompose::{Decomposition, Strategy as DecompStrategy},
-    naive_bough_paths, run_list_batch, run_list_batch_with, run_tree_batch, run_tree_batch_with,
-    ListBatchScratch, NaiveMinPath, PrefixOp, SeqMinPath, TreeBatchScratch, TreeOp, INF,
+    naive_bough_paths, run_list_batch_with, run_tree_batch_with, ListBatchScratch, NaiveMinPath,
+    PrefixOp, SeqMinPath, TreeBatchScratch, TreeOp, INF,
 };
 use proptest::prelude::*;
 
@@ -51,6 +52,21 @@ fn reference(tree: &RootedTree, init: &[i64], ops: &[TreeOp]) -> Vec<i64> {
     out
 }
 
+/// One list's oracle: the ops one by one on a plain array.
+fn list_reference(init: &[i64], ops: &[PrefixOp]) -> Vec<(u32, i64)> {
+    let mut arr = init.to_vec();
+    let mut out = Vec::new();
+    for op in ops {
+        match *op {
+            PrefixOp::Add { pos, x, .. } => arr[..=pos as usize].iter_mut().for_each(|w| *w += x),
+            PrefixOp::Min { pos, qid, .. } => {
+                out.push((qid, *arr[..=pos as usize].iter().min().unwrap()))
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -74,9 +90,10 @@ proptest! {
             })
             .collect();
         let want = reference(&tree, &init, &ops);
+        let mut ws = TreeBatchScratch::default();
         for strat in [DecompStrategy::BoughWalk, DecompStrategy::HeavyLight] {
             let d = Decomposition::new(&tree, strat);
-            let got = run_tree_batch(&tree, &d, &init, &ops);
+            let got = run_tree_batch_with(&tree, &d, &init, &ops, &mut ws);
             prop_assert_eq!(&got, &want);
         }
     }
@@ -155,13 +172,12 @@ proptest! {
     }
 
     #[test]
-    fn flat_list_sweep_equals_allocating_reference(
+    fn flat_list_sweep_equals_plain_array(
         n in 1usize..80,
         seed in 0u64..1000,
     ) {
-        // The flat-arena level sweep must return bit-identical (qid, value)
-        // results to the allocating per-node reference, scratch reuse
-        // included.
+        // The flat-arena level sweep returns the plain array's (qid, value)
+        // results in time order, through one scratch reused across rounds.
         let mut r = rand::rngs::mock::StepRng::new(seed, 0x9e3779b97f4a7c15);
         use rand::RngCore;
         let mut ws = ListBatchScratch::default();
@@ -179,21 +195,18 @@ proptest! {
                     }
                 })
                 .collect();
-            let mut want = run_list_batch(&init, &ops);
-            let mut got = run_list_batch_with(&init, &ops, &mut ws);
-            want.sort_unstable();
-            got.sort_unstable();
-            prop_assert_eq!(got, want, "round {}", round);
+            let got = run_list_batch_with(&init, &ops, &mut ws);
+            prop_assert_eq!(got, list_reference(&init, &ops), "round {}", round);
         }
     }
 
     #[test]
-    fn flat_tree_sweep_equals_allocating_reference(
+    fn flat_tree_sweep_equals_naive(
         trees in prop::collection::vec(arb_tree(60), 2..5),
         seed in 0u64..1000,
     ) {
         // Same equivalence one layer up: the slot-keyed bucketing + flat
-        // sweep of run_tree_batch_with against the allocating path. One
+        // sweep of run_tree_batch_with against the naive walk. One
         // scratch serves every tree of the case, so per-slot offsets left
         // over from a differently sized tree would show, and the ops carry
         // the two-respect search's ±INF guards: a vertex's root path is
@@ -220,9 +233,9 @@ proptest! {
                 ops.insert(a.max(b), TreeOp::Add { v: guard, x: -INF });
                 ops.insert(a.min(b), TreeOp::Add { v: guard, x: INF });
             }
+            let want = reference(tree, &init, &ops);
             for strat in [DecompStrategy::BoughWalk, DecompStrategy::HeavyLight] {
                 let d = Decomposition::new(tree, strat);
-                let want = run_tree_batch(tree, &d, &init, &ops);
                 let got = run_tree_batch_with(tree, &d, &init, &ops, &mut ws);
                 prop_assert_eq!(got, want, "tree {} strategy {:?}", ti, strat);
             }

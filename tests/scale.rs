@@ -9,7 +9,7 @@ use parallel_mincut::core_alg::{minimum_cut_report, MinCutConfig};
 use parallel_mincut::graph::gen;
 use parallel_mincut::minpath::{
     decompose::{Decomposition, Strategy},
-    run_tree_batch, TreeOp,
+    run_tree_batch_with, TreeBatchScratch, TreeOp,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -49,7 +49,8 @@ fn million_op_minpath_batch() {
             }
         })
         .collect();
-    let results = run_tree_batch(&tree, &decomp, &init, &ops);
+    let mut ws = TreeBatchScratch::default();
+    let results = run_tree_batch_with(&tree, &decomp, &init, &ops, &mut ws);
     // Spot-check a sample of queries against the naive oracle.
     let mut naive = parallel_mincut::minpath::NaiveMinPath::new(&tree, &init);
     let mut qi = 0usize;
