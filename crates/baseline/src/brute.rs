@@ -4,7 +4,6 @@
 //! other baselines, which in turn validate the parallel algorithm.
 
 use pmc_graph::{Graph, PmcError};
-use rayon::prelude::*;
 
 use crate::Cut;
 
@@ -28,7 +27,6 @@ pub fn brute_force_min_cut(g: &Graph) -> Result<Cut, PmcError> {
     // Fix vertex 0 on the `false` side: enumerate masks over vertices 1..n.
     let masks = 1u32 << (n - 1);
     let best = (1..masks)
-        .into_par_iter()
         .map(|mask| {
             let value: u64 = g
                 .edges()

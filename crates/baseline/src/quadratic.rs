@@ -3,9 +3,10 @@
 //! Stands in for Karger's parallel `Θ(n² log n)` algorithm (the "Best
 //! Previous Polylog-Depth" row of Table 1): given a spanning tree, it
 //! examines **every** pair of tree edges with dense dynamic programming
-//! over all vertex pairs — `Θ(n²)` work and `O(log n)`-ish depth (all three
-//! sweeps parallelize over rows), versus the paper's `O(m log² n)` work for
-//! the same task.
+//! over all vertex pairs — `Θ(n²)` work, and `O(log n)`-ish depth in the
+//! PRAM model, where all three sweeps parallelize over rows (here they run
+//! on one thread) — versus the paper's `O(m log² n)` work for the same
+//! task.
 //!
 //! For a rooted spanning tree `T` of `G`, define
 //! `D[v][t] = Σ_{a ∈ v↓} Σ_{(a,b) ∈ E, b ∈ t↓} w(a,b)`.
@@ -17,7 +18,6 @@
 //!   `t↓ ∖ v↓` has value `cut(t↓) − cut(v↓) + 2·(D[v][t] − D[v][v])`.
 
 use pmc_graph::{EulerTour, Graph, PmcError, RootedTree};
-use rayon::prelude::*;
 
 use crate::Cut;
 
@@ -57,12 +57,12 @@ pub fn quadratic_two_respect(g: &Graph, tree: &RootedTree) -> Result<Cut, PmcErr
         mat[e.u as usize * n + e.v as usize] += e.w as i64;
         mat[e.v as usize * n + e.u as usize] += e.w as i64;
     }
-    // Pass 1: accumulate child columns into parent columns (over t), rows
-    // processed in parallel.
+    // Pass 1: accumulate child columns into parent columns (over t), row by
+    // row.
     let order = tree.bfs_order().to_vec();
     {
         let col_order: Vec<u32> = order.iter().rev().copied().collect();
-        mat.par_chunks_mut(n).for_each(|row| {
+        mat.chunks_mut(n).for_each(|row| {
             for &t in &col_order {
                 let t = t as usize;
                 for &c in tree.children(t as u32) {
@@ -72,7 +72,7 @@ pub fn quadratic_two_respect(g: &Graph, tree: &RootedTree) -> Result<Cut, PmcErr
         });
     }
     // Pass 2: accumulate child rows into parent rows (over v). Rows must be
-    // combined bottom-up; each row addition is parallel over columns.
+    // combined bottom-up.
     for &v in order.iter().rev() {
         let v = v as usize;
         // Collect child rows (copied) then add — avoids aliasing.
@@ -87,19 +87,14 @@ pub fn quadratic_two_respect(g: &Graph, tree: &RootedTree) -> Result<Cut, PmcErr
                 // c > v: child row in b, parent row in a — flip.
                 (&b[..n], vr)
             };
-            vrow.par_iter_mut()
-                .zip(crow.par_iter())
-                .for_each(|(x, &y)| *x += y);
+            vrow.iter_mut().zip(crow).for_each(|(x, &y)| *x += y);
         }
     }
 
     // cut1 via degree subtree sums minus internal edges (D[v][v]).
     let degs: Vec<i64> = g.weighted_degrees().iter().map(|&d| d as i64).collect();
-    let degsum = euler.subtree_sums(&degs);
-    let cut1: Vec<i64> = (0..n)
-        .into_par_iter()
-        .map(|v| degsum[v] - mat[v * n + v])
-        .collect();
+    let degsum = tree.subtree_sums(&degs);
+    let cut1: Vec<i64> = (0..n).map(|v| degsum[v] - mat[v * n + v]).collect();
 
     // Best 1-respecting cut (exclude the root: root↓ = V is not a cut).
     let mut best_val = i64::MAX;
@@ -116,9 +111,8 @@ pub fn quadratic_two_respect(g: &Graph, tree: &RootedTree) -> Result<Cut, PmcErr
         }
     }
 
-    // All pairs. Parallel per-row minima, then a sequential reduce.
+    // All pairs: per-row minima, then a reduce over the rows.
     let row_best: Vec<(i64, u32, u32, bool)> = (0..n as u32)
-        .into_par_iter()
         .map(|v| {
             let mut bv = i64::MAX;
             let mut bt = v;

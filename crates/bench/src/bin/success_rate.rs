@@ -12,11 +12,9 @@
 use pmc_bench::*;
 use pmc_core::{minimum_cut, MinCutConfig};
 use pmc_graph::gen;
-use rayon::prelude::*;
 
 fn success_rate(trials: u64, rounds: usize, trees: usize) -> (usize, usize) {
     let results: Vec<bool> = (0..trials)
-        .into_par_iter()
         .map(|trial| {
             let half = 12 + (trial as usize * 5) % 24;
             let (g, want, _) =

@@ -6,13 +6,12 @@
 //! `(value, tree index)` — and keeps what it built: the packed trees, each
 //! tree's sweep winner, and the answer. The certificate is skipped so that
 //! pinned trees reference edge ids of the *served* graph, against which
-//! mutations are classified. The sweep does not stop at the packing's
-//! lower bound, as one-shot solves do: every tree's winner is cached, and
-//! after a mutation the bound no longer holds. The packing costs about
-//! three to five per-tree sweeps (EXPERIMENTS.md E6), so the state answers
-//! edge mutations by re-sweeping, through the pipeline's own per-tree
-//! loop, only the trees whose cached winner a mutation can have changed,
-//! and reducing the per-tree cache again.
+//! mutations are classified; apart from the certificate, the state and a
+//! one-shot solve run the same pipeline. The packing costs about three to
+//! five per-tree sweeps (EXPERIMENTS.md E6), so the state answers edge
+//! mutations by re-sweeping, through the pipeline's own per-tree loop,
+//! only the trees whose cached winner a mutation can have changed, and
+//! reducing the per-tree cache again.
 //!
 //! A certified packing (see
 //! [`TreePacking::certified`](pmc_packing::TreePacking::certified)) keeps
@@ -66,6 +65,16 @@
 //! admits `best` only when `best ≤ λ − decrease`; and `best` is the value
 //! of a real cut, so it is the minimum.
 //!
+//! The pipeline floors each pack's answer at `δ`, the lightest
+//! single-vertex cut (see the crate docs). An answer that no pinned tree
+//! holds — a shortcut's or the floor's, both with no `tree_index` — has no
+//! cached cut a mutation could invalidate, so such a state re-packs on its
+//! next mutation. An answer the rule admits after a floored pack needs no
+//! floor of its own: it stays at or below the mutated graph's `δ`, since
+//! for every vertex `x`,
+//! `deg_new(x) ≥ deg_old(x) − decrease ≥ δ_old − decrease ≥ packed −
+//! decrease ≥ best`.
+//!
 //! Determinism: re-sweeps run through the same
 //! [`fanout_units`](pmc_par::fanout_units) loop as the one-shot solver, in
 //! stable tree order, so resolved answers are bit-identical at every
@@ -77,7 +86,9 @@ use pmc_packing::PackedTreeList;
 
 use crate::two_respect::{RespectKind, TwoRespectCut};
 use crate::workspace::SolverWorkspace;
-use crate::{best_tree_cut, solve_pipeline, sweep_trees, MinCutConfig, MinCutResult, PmcError};
+use crate::{
+    best_tree_cut, solve_pipeline, sweep_trees, verify_result, MinCutConfig, MinCutResult, PmcError,
+};
 
 /// Cached outcome of one pinned tree's two-respect sweep. Only the fields
 /// a fresh sweep reproduces verbatim under the invalidation rule — the
@@ -148,9 +159,10 @@ pub enum ResolveMode {
         /// Number of trees re-swept.
         reswept: usize,
     },
-    /// Fell back to a full re-pack: a tree edge was deleted, the packing
-    /// was a shortcut placeholder, or the re-swept answer plus the weight
-    /// decrease since the last pack exceeded the answer at that pack.
+    /// Fell back to a full re-pack: a tree edge was deleted, no pinned tree
+    /// held the answer (a shortcut or the single-vertex floor gave it), or
+    /// the re-swept answer plus the weight decrease since the last pack
+    /// exceeded the answer at that pack.
     Repack,
 }
 
@@ -202,11 +214,17 @@ impl SolveState {
             use_certificate: false,
             ..MinCutConfig::default()
         };
-        // Every tree's cut is pinned (see the module docs): no early stop.
-        // A certified packing's one cut comes from the packing itself.
-        let solved = solve_pipeline(g, &cfg, ws, false)?;
+        Self::pin(g, &cfg, ws)
+    }
+
+    /// Runs the pipeline under `cfg`, which has the certificate off, and
+    /// pins every tree's cut (a certified packing's one cut comes from the
+    /// packing itself).
+    fn pin(g: &Graph, cfg: &MinCutConfig, ws: &mut SolverWorkspace) -> Result<Self, PmcError> {
+        debug_assert!(!cfg.use_certificate, "pinned trees index the served graph");
+        let solved = solve_pipeline(g, cfg, ws)?;
         Ok(SolveState {
-            seed,
+            seed: cfg.seed,
             trees: solved.trees,
             invalid: vec![false; solved.cuts.len()],
             per_tree: solved.cuts.into_iter().map(TreeCut::from).collect(),
@@ -263,10 +281,10 @@ impl SolveState {
         if self.force_repack {
             return; // a re-pack rebuilds everything anyway
         }
-        if self.trees.is_empty() {
-            // Shortcut state (disconnected or n ≤ 2): no pinned structure
-            // to patch; re-solve from scratch (still cheap at that size,
-            // and an added edge may reconnect the graph).
+        if self.best.tree_index.is_none() {
+            // No pinned tree holds the answer (a shortcut, or the
+            // single-vertex floor): no cached cut tells what the mutation
+            // changed, so re-solve from scratch.
             self.force_repack = true;
             return;
         }
@@ -302,7 +320,7 @@ impl SolveState {
     /// this as the reference policy: resolve-after-`mark_all_stale` must
     /// be bit-identical to the selectively invalidated resolve.
     pub fn mark_all_stale(&mut self) {
-        if !self.trees.is_empty() {
+        if self.best.tree_index.is_some() {
             self.invalidate_all();
         } else {
             self.force_repack = true;
@@ -351,7 +369,7 @@ impl SolveState {
             } else {
                 let cancel = ws.cancel.as_deref();
                 let cuts: Vec<TreeCut> =
-                    sweep_trees(g, &self.trees, &stale, &mut ws.trees, threads, cancel, None)?
+                    sweep_trees(g, &self.trees, &stale, &mut ws.trees, threads, cancel)?
                         .into_iter()
                         .map(TreeCut::from)
                         .collect();
@@ -359,7 +377,8 @@ impl SolveState {
                     let c = stale.binary_search(&i).map_or(c, |k| &cuts[k]);
                     (c.value, &c.side[..], c.kind)
                 });
-                let best = best_tree_cut(g, per_tree, true);
+                let best = best_tree_cut(per_tree);
+                verify_result(g, &best)?;
                 (cuts, Some(best))
             };
             let value = best.as_ref().map_or(self.best.value, |b| b.value);
@@ -592,6 +611,38 @@ mod tests {
             assert_matches_sw(&g, &state);
         }
         assert!(certified >= 2, "{certified} certified graphs");
+    }
+
+    #[test]
+    fn a_floored_answer_repacks_on_its_next_mutation() {
+        // A starved packing's one tree misses λ = δ, so the pipeline
+        // answers a lightest vertex alone, which no pinned tree holds. A
+        // heavier edge at that vertex changes the answer without touching
+        // any pinned tree's cut: only a re-pack sees it.
+        let mut ws = SolverWorkspace::new();
+        let mut cfg = MinCutConfig {
+            use_certificate: false,
+            ..MinCutConfig::default()
+        };
+        cfg.packing.trees_wanted = 1;
+        cfg.packing.packing_rounds = 2;
+        cfg.packing.estimation_rounds = 4;
+        let (mut g, mut state) = (0..)
+            .map(|s| gen::gnm_heavy_tailed(60, 200, s))
+            .find_map(|g| {
+                let state = SolveState::pin(&g, &cfg, &mut ws).unwrap();
+                state.best().kind.is_none().then_some((g, state))
+            })
+            .expect("some starved search misses");
+        assert_eq!(state.best().tree_index, None);
+        assert_matches_sw(&g, &state);
+        let (x, _) = state.best().partition();
+        let eid = g.incident_edge_ids(x[0])[0];
+        let w = g.edges()[eid as usize].w + 5;
+        apply_delta(&mut g, &mut state, &MutationOp::Reweight { eid, w }).unwrap();
+        let mode = state.resolve(&g, &mut ws, None).unwrap();
+        assert_eq!(mode, ResolveMode::Repack);
+        assert_matches_sw(&g, &state);
     }
 
     #[test]

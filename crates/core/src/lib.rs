@@ -26,27 +26,29 @@
 //!    crosses a minimum cut once;
 //! 4. a certified packing is answered by that cut, which is the cut the
 //!    full search of its tree returns: no tree is rooted or swept again.
-//!    Otherwise, tree by tree in index order, the Lemma 13 search
+//!    Otherwise every selected tree is swept: the Lemma 13 search
 //!    ([`two_respect::two_respect_mincut_reusing`]) finds the smallest cut
 //!    crossing at most two of the tree's edges, using the Minimum Path
 //!    batch engine of `pmc-minpath` (§3). The trees fan out across OS
-//!    workers, and a cancellation token is polled before each. The sweep
-//!    stops at the first tree whose cut meets the lower bound: no cut is
-//!    below `λ`, so no later tree can beat it, and no later tree starts
-//!    once it is found. Each search takes the bound as well: when the
-//!    tree's best 1-respecting cut meets it, that cut is the search's
-//!    answer and no bough cascade is built;
-//! 5. the smallest `(value, tree index)` over the answered trees wins, and
-//!    its witness is checked against the input graph. It is the same
-//!    winner a sweep of every tree picks, at every worker count.
+//!    workers ([`pmc_par::fanout_units`], the workspace's one parallel
+//!    runtime), and a cancellation token is polled before each;
+//! 5. the smallest `(value, tree index)` over the answered trees wins. When
+//!    its value exceeds `δ`, the input's lightest single-vertex cut
+//!    ([`Graph::min_weighted_degree`]), the answer is that cut instead: the
+//!    lowest-id vertex of degree `δ` alone, with no `kind` and no
+//!    `tree_index`. A search that misses `λ` on the certificate graph can
+//!    return a cut the certificate weighs below its input value; the
+//!    certificate keeps every cut of value `≤ δ` exactly, so after the
+//!    floor the witness always weighs the answer. The witness is checked
+//!    against the input graph, and a mismatch answers
+//!    [`PmcError::Verification`].
 //!
 //! [`minimum_cut_with`] runs it on a reused [`SolverWorkspace`];
 //! [`minimum_cut`] and [`minimum_cut_report`] run it on a fresh one; a
-//! [`SolveState`] runs it without the certificate and without the early
-//! stop (every tree of an uncertified packing gets a full search), and
-//! keeps the trees and every tree's cut, so an edge update re-sweeps only
-//! the trees it touched. A certified packing leaves it one tree to pin,
-//! answered by the packing's cut.
+//! [`SolveState`] runs it without the certificate and keeps the trees and
+//! every tree's cut, so an edge update re-sweeps only the trees it touched.
+//! A certified packing leaves it one tree to pin, answered by the
+//! packing's cut.
 //!
 //! ```
 //! use pmc_core::{minimum_cut, MinCutConfig};
@@ -66,8 +68,6 @@ pub mod workspace;
 
 use std::time::Instant;
 
-use rayon::prelude::*;
-
 use pmc_graph::{connected_components, Graph};
 use pmc_packing::{pack_trees_with, PackedTreeList, PackingConfig};
 
@@ -75,6 +75,7 @@ pub use dynamic::{apply_delta, GraphDelta, MutationOp, ResolveMode, SolveState};
 pub use pmc_graph::respect1;
 pub use pmc_graph::PmcError;
 pub use respect1::{best_one_respect, one_respect_cuts, SubtreeCuts};
+use solver::verify_result;
 pub use solver::{
     solver_by_name, solver_names, solvers, solvers_for, BruteSolver, ContractionSolver,
     MinCutSolver, PaperSolver, QuadraticSolver, SolverConfig, StoerWagnerSolver, ALGORITHM_ALIASES,
@@ -95,16 +96,15 @@ pub use workspace::{
 pub const PAR_TREES_MIN_EDGES: usize = 256;
 
 /// Fan-out width of the per-tree loop: the explicit
-/// [`MinCutConfig::threads`] budget when set, otherwise the ambient rayon
-/// thread budget (the width of an installed pool, or the machine's
-/// parallelism outside any pool), clamped by the tree count and the
+/// [`MinCutConfig::threads`] budget when set, otherwise the machine's
+/// available parallelism, clamped by the tree count and the
 /// [`PAR_TREES_MIN_EDGES`] small-input gate.
 fn tree_loop_workers(ntrees: usize, m: usize, threads: Option<usize>) -> usize {
     if ntrees < 2 || m < PAR_TREES_MIN_EDGES {
         return 1;
     }
     threads
-        .unwrap_or_else(rayon::current_num_threads)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
         .clamp(1, ntrees)
 }
 
@@ -116,13 +116,6 @@ fn tree_loop_workers(ntrees: usize, m: usize, threads: Option<usize>) -> usize {
 /// its arena's history, so results are bit-identical at every width.
 /// `cancel` is polled before each tree: once it trips, the remaining trees
 /// are skipped and the loop answers [`PmcError::Cancelled`].
-///
-/// With a `bound` no cut can fall below (a lower bound on `g`'s minimum
-/// cut), the loop stops at the first tree whose cut meets it and returns
-/// the cuts up to that tree: a prefix that is the same at every width
-/// ([`pmc_par::fanout_units_until`]). Each tree's search takes the bound
-/// too, and skips its bough cascade when its best 1-respecting cut meets
-/// it.
 fn sweep_trees(
     g: &Graph,
     trees: &PackedTreeList,
@@ -130,37 +123,19 @@ fn sweep_trees(
     arenas: &mut Vec<TreeArena>,
     threads: Option<usize>,
     cancel: Option<&CancelToken>,
-    bound: Option<u64>,
 ) -> Result<Vec<TwoRespectCut>, PmcError> {
     let workers = tree_loop_workers(indices.len(), g.m(), threads);
     if arenas.len() < workers {
         arenas.resize_with(workers, TreeArena::default);
     }
-    let bound = bound.map(|b| i64::try_from(b).unwrap_or(i64::MAX));
-    let meets_bound = |cut: &Option<TwoRespectCut>| {
-        cut.as_ref()
-            .zip(bound)
-            .is_some_and(|(cut, b)| cut.value <= b)
-    };
-    pmc_par::fanout_units_until(
-        &mut arenas[..workers],
-        indices.len(),
-        |arena, k| {
-            if cancel.is_some_and(|c| c.expired()) {
-                return None;
-            }
-            let TreeArena { root, batch } = arena;
-            root.rebuild(g, &trees[indices[k]], 0);
-            let cut = two_respect::two_respect_mincut_bounded(g, root.tree(), batch, bound);
-            debug_assert!(
-                bound.is_none_or(|b| cut.value >= b),
-                "tree cut {} is below the packing's lower bound {bound:?}",
-                cut.value
-            );
-            Some(cut)
-        },
-        meets_bound,
-    )
+    pmc_par::fanout_units(&mut arenas[..workers], indices.len(), |arena, k| {
+        if cancel.is_some_and(|c| c.expired()) {
+            return None;
+        }
+        let TreeArena { root, batch } = arena;
+        root.rebuild(g, &trees[indices[k]], 0);
+        Some(two_respect_mincut_reusing(g, root.tree(), batch))
+    })
     .into_iter()
     .collect::<Option<Vec<_>>>()
     .ok_or(PmcError::Cancelled)
@@ -168,35 +143,43 @@ fn sweep_trees(
 
 /// The answer from per-tree cuts `(value, side, kind)` given in tree
 /// order: the smallest under the deterministic `(value, tree index)`
-/// order.
+/// order. Unchecked: callers verify the witness with [`verify_result`].
 ///
 /// # Panics
-/// Panics if `cuts` is empty, or, with `verify`, if the winner's side is
-/// not a proper cut of `g` of the winner's value.
-fn best_tree_cut<'a>(
-    g: &Graph,
-    cuts: impl Iterator<Item = (i64, &'a [bool], RespectKind)>,
-    verify: bool,
-) -> MinCutResult {
+/// Panics if `cuts` is empty.
+fn best_tree_cut<'a>(cuts: impl Iterator<Item = (i64, &'a [bool], RespectKind)>) -> MinCutResult {
     let (ti, (value, side, kind)) = cuts
         .enumerate()
         .min_by_key(|&(i, (value, _, _))| (value, i))
         .expect("packing returned no trees");
-    let value = value as u64;
-    if verify {
-        assert!(g.is_proper_cut(side), "witness is not a proper cut");
-        let check = g.cut_value(side);
-        assert_eq!(
-            check, value,
-            "internal error: witness value {check} != reported {value}"
-        );
-    }
     MinCutResult {
-        value,
+        value: value as u64,
         side: side.to_vec(),
         algorithm: "paper",
         kind: Some(kind),
         tree_index: Some(ti),
+    }
+}
+
+/// `best` floored at `δ`, `g`'s lightest single-vertex cut: when `best`
+/// weighs more, the answer is the lowest-id vertex of degree `δ` alone,
+/// with no `kind` and no `tree_index`. A tie keeps `best`.
+fn floor_at_lightest_vertex(g: &Graph, best: MinCutResult) -> MinCutResult {
+    let delta = g.min_weighted_degree();
+    if best.value <= delta {
+        return best;
+    }
+    let x = g
+        .weighted_degrees()
+        .iter()
+        .position(|&d| d == delta)
+        .expect("δ is a vertex's degree");
+    MinCutResult {
+        value: delta,
+        side: (0..g.n()).map(|v| v == x).collect(),
+        algorithm: "paper",
+        kind: None,
+        tree_index: None,
     }
 }
 
@@ -205,13 +188,14 @@ fn best_tree_cut<'a>(
 pub struct MinCutConfig {
     /// Seed for all randomness (sampling, packing, tree selection).
     pub seed: u64,
-    /// Worker budget of the per-tree fan-out; `None` follows the ambient
-    /// rayon thread budget. Never affects results, only scheduling.
+    /// Worker budget of the per-tree fan-out; `None` uses the machine's
+    /// available parallelism. Never affects results, only scheduling.
     pub threads: Option<usize>,
     /// Tree-packing configuration (Lemma 1 constants).
     pub packing: PackingConfig,
-    /// Verify the witness partition against the reported value
-    /// (cheap: one parallel pass over the edges) and panic on mismatch.
+    /// Verify the witness partition against the reported value (cheap:
+    /// one pass over the edges); a mismatch answers
+    /// [`PmcError::Verification`].
     pub verify: bool,
     /// Sparsify dense inputs with a Nagamochi–Ibaraki certificate at
     /// `k = min weighted degree + 1` before packing. Exact: with `k` above
@@ -267,27 +251,18 @@ impl MinCutResult {
     }
 
     /// Edge ids of `g` crossing the cut (the minimum "failure set").
-    /// Edge lists below the `pmc-par` sequential threshold take a plain
-    /// loop — no task spawning for tiny graphs.
     ///
     /// # Panics
     /// Panics if `g` is not the graph this result was computed for
     /// (detected via vertex count).
     pub fn crossing_edges(&self, g: &Graph) -> Vec<u32> {
         assert_eq!(g.n(), self.side.len());
-        let crosses = |e: &pmc_graph::Edge| self.side[e.u as usize] != self.side[e.v as usize];
-        if g.m() <= pmc_par::SEQ_THRESHOLD {
-            return g
-                .edges()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, e)| crosses(e).then_some(i as u32))
-                .collect();
-        }
         g.edges()
-            .par_iter()
+            .iter()
             .enumerate()
-            .filter_map(|(i, e)| crosses(e).then_some(i as u32))
+            .filter_map(|(i, e)| {
+                (self.side[e.u as usize] != self.side[e.v as usize]).then_some(i as u32)
+            })
             .collect()
     }
 }
@@ -328,12 +303,12 @@ pub struct MinCutReport {
     /// Trees the packing selected for the 2-respect search.
     pub trees_selected: usize,
     /// Trees whose cut the answer was chosen from: the certified packing's
-    /// one tree, or the selected trees the 2-respect search swept, up to
-    /// and including the first whose cut met [`MinCutReport::lower_bound`],
-    /// or every selected tree. The same at every worker count.
+    /// one tree, or every selected tree, each swept by the 2-respect
+    /// search. The same at every worker count.
     pub trees_examined: usize,
-    /// Bough phases of the winning tree's cascade (0 when its search
-    /// stopped at a 1-respecting cut that met the lower bound).
+    /// Bough phases of the winning tree's cascade (0 for a certified
+    /// packing, whose cut needs none, and when the answer is the
+    /// lightest single-vertex cut rather than a tree's).
     pub phases: u32,
     /// Total Minimum Path operations generated across the swept trees and
     /// their phases.
@@ -347,9 +322,9 @@ pub struct MinCutReport {
 }
 
 /// What one run of the pipeline built: the answer, the stage report, the
-/// packed trees, and the cuts of the answered trees in tree order (all of
-/// them without the early stop; a certified packing's one tree has the
-/// packing's cut). Both are empty for the shortcut answers.
+/// packed trees, and every tree's cut in tree order (a certified packing's
+/// one tree has the packing's cut). Both are empty for the shortcut
+/// answers.
 struct Solved {
     result: MinCutResult,
     report: MinCutReport,
@@ -362,14 +337,12 @@ struct Solved {
 /// `ws.cert_graph`, the packing runs on `ws.packing`, the per-tree loop on
 /// `ws.trees`. The token installed on `ws` is polled before the
 /// certificate, before the packing, and before each tree's sweep. A
-/// certified packing is answered by its cut. Otherwise, with
-/// `stop_at_bound` the per-tree loop stops at the first tree whose cut
-/// meets the packing's lower bound; without it every tree is swept.
+/// certified packing is answered by its cut; otherwise every tree is
+/// swept.
 fn solve_pipeline(
     g: &Graph,
     cfg: &MinCutConfig,
     ws: &mut SolverWorkspace,
-    stop_at_bound: bool,
 ) -> Result<Solved, PmcError> {
     let n = g.n();
     if n < 2 {
@@ -459,9 +432,9 @@ fn solve_pipeline(
     report.trees_selected = packing.trees.len();
 
     // A certified packing's one tree is answered by the cut that certified
-    // it, the cut its full search returns. Otherwise Lemma 13 runs tree by
-    // tree, up to the first cut that meets the lower bound; the smallest
-    // (value, tree index) wins.
+    // it, the cut its full search returns. Otherwise Lemma 13 runs on every
+    // tree; the smallest (value, tree index) wins, floored at the lightest
+    // single-vertex cut.
     let t0 = Instant::now();
     let cuts = match packing.certified {
         Some(cut) => vec![TwoRespectCut {
@@ -480,16 +453,23 @@ fn solve_pipeline(
                 arenas,
                 cfg.threads,
                 cancel,
-                stop_at_bound.then_some(packing.cut_lower_bound),
             )?
         }
     };
     report.t_two_respect = t0.elapsed();
+    debug_assert!(
+        cuts.iter().all(|c| c.value as u64 >= report.lower_bound),
+        "a tree cut is below the packing's lower bound {}",
+        report.lower_bound
+    );
     report.trees_examined = cuts.len();
     report.batch_ops_total = cuts.iter().map(|c| c.batch_ops).sum();
     let per_tree = cuts.iter().map(|c| (c.value, &c.side[..], c.kind));
-    let result = best_tree_cut(g, per_tree, cfg.verify);
-    report.phases = cuts[result.tree_index.expect("a tree cut")].phases;
+    let result = floor_at_lightest_vertex(g, best_tree_cut(per_tree));
+    if cfg.verify {
+        verify_result(g, &result)?;
+    }
+    report.phases = result.tree_index.map_or(0, |i| cuts[i].phases);
     Ok(Solved {
         result,
         report,
@@ -500,8 +480,9 @@ fn solve_pipeline(
 
 /// Computes a minimum cut of `g` (Theorem 10) on a fresh
 /// [`SolverWorkspace`]. Monte Carlo: the result is a true minimum cut with
-/// high probability; the returned partition always *is* a cut of the
-/// returned value (verified when `cfg.verify`).
+/// high probability, and never heavier than the lightest single-vertex
+/// cut; the returned partition always *is* a cut of the returned value
+/// (verified when `cfg.verify`).
 pub fn minimum_cut(g: &Graph, cfg: &MinCutConfig) -> Result<MinCutResult, PmcError> {
     minimum_cut_with(g, cfg, &mut SolverWorkspace::new())
 }
@@ -516,18 +497,16 @@ pub fn minimum_cut(g: &Graph, cfg: &MinCutConfig) -> Result<MinCutResult, PmcErr
 /// The stages run in the order of the crate docs: shortcuts, the
 /// Nagamochi–Ibaraki certificate (when `cfg.use_certificate` and it
 /// shrinks the graph), the Lemma 1 packing and its lower bound, the
-/// Lemma 13 search tree by tree in index order, then the smallest
-/// `(value, tree index)` wins. The search stops at the first tree whose
-/// cut equals the bound: that cut is proven minimum, and no later tree
-/// can beat its index, so the answer (value, witness, kind and tree
-/// index) is the one a sweep of every tree gives. When the packing
-/// certifies `λ` (its bound meets a tree's lightest 1-respecting cut) it
-/// stops early, keeps one tree and hands out that tree's lightest
-/// 1-respecting cut, which is the answer: no tree is rooted or swept
-/// again, no bough cascade, no Minimum Path operation. The per-tree
-/// searches fan out across OS workers — one [`TreeArena`] per worker — up to
-/// `cfg.threads` or the ambient rayon thread budget; small inputs run the
-/// same loop on one worker. Results are bit-identical at every width.
+/// Lemma 13 search on every selected tree, then the smallest
+/// `(value, tree index)` wins, floored at the lightest single-vertex cut.
+/// When the packing certifies `λ` (its bound meets a tree's lightest
+/// 1-respecting cut) it stops early, keeps one tree and hands out that
+/// tree's lightest 1-respecting cut, which is the answer: no tree is
+/// rooted or swept again, no bough cascade, no Minimum Path operation.
+/// The per-tree searches fan out across OS workers — one [`TreeArena`] per
+/// worker — up to `cfg.threads` or the machine's available parallelism;
+/// small inputs run the same loop on one worker. Results are bit-identical
+/// at every width.
 /// A [`CancelToken`] installed on `ws` is polled before the certificate,
 /// before the packing and before each swept tree, and answers
 /// [`PmcError::Cancelled`] once it trips.
@@ -536,7 +515,7 @@ pub fn minimum_cut_with(
     cfg: &MinCutConfig,
     ws: &mut SolverWorkspace,
 ) -> Result<MinCutResult, PmcError> {
-    solve_pipeline(g, cfg, ws, true).map(|s| s.result)
+    solve_pipeline(g, cfg, ws).map(|s| s.result)
 }
 
 /// [`minimum_cut`] plus a stage-by-stage [`MinCutReport`] with timings and
@@ -545,7 +524,7 @@ pub fn minimum_cut_report(
     g: &Graph,
     cfg: &MinCutConfig,
 ) -> Result<(MinCutResult, MinCutReport), PmcError> {
-    solve_pipeline(g, cfg, &mut SolverWorkspace::new(), true).map(|s| (s.result, s.report))
+    solve_pipeline(g, cfg, &mut SolverWorkspace::new()).map(|s| (s.result, s.report))
 }
 
 #[cfg(test)]
@@ -711,6 +690,37 @@ mod tests {
             assert_eq!(with.value, 2, "trial {trial}");
             assert_eq!(with.value, without.value);
             assert_eq!(g.cut_value(&with.side), with.value);
+        }
+    }
+
+    #[test]
+    fn a_starved_search_is_floored_at_the_lightest_vertex() {
+        // One tree from two greedy rounds misses λ on this graph's
+        // certificate. The cut it finds weighs 7 there but 1,897 on the
+        // input, and λ = δ = 6: the answer is the lightest vertex alone.
+        let g = gen::gnm_heavy_tailed(60, 200, 3);
+        let lambda = stoer_wagner(&g).unwrap().value;
+        assert_eq!((lambda, g.min_weighted_degree()), (6, 6));
+        for verify in [false, true] {
+            let mut cfg = MinCutConfig {
+                seed: 2,
+                verify,
+                ..MinCutConfig::default()
+            };
+            cfg.packing.trees_wanted = 1;
+            cfg.packing.packing_rounds = 2;
+            cfg.packing.estimation_rounds = 4;
+            let (cut, report) = minimum_cut_report(&g, &cfg).unwrap();
+            assert!(report.certificate_applied && !report.certified);
+            assert_eq!(cut.value, lambda, "verify {verify}");
+            assert_eq!(g.cut_value(&cut.side), cut.value, "verify {verify}");
+            assert_eq!((cut.kind, cut.tree_index, report.phases), (None, None, 0));
+            let x = g
+                .weighted_degrees()
+                .iter()
+                .position(|&d| d == lambda)
+                .unwrap();
+            assert_eq!(cut.partition().0, vec![x as u32]);
         }
     }
 

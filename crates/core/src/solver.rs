@@ -23,7 +23,6 @@ use pmc_baseline::{
 };
 use pmc_graph::{Graph, PmcError};
 use pmc_packing::{pack_trees, rooted_tree_from_edges, PackingConfig};
-use rayon::prelude::*;
 
 use crate::workspace::{SolverWorkspace, WorkspacePool};
 use crate::{minimum_cut, minimum_cut_with, MinCutConfig, MinCutResult};
@@ -41,8 +40,10 @@ pub struct SolverConfig {
     /// Number of spanning trees the tree-packing algorithms examine;
     /// `None` = the Lemma 1 default of `Θ(log n)`.
     pub trees: Option<usize>,
-    /// Thread budget: run the solver inside a dedicated pool of this many
-    /// workers. `None` = the process-global pool.
+    /// Worker budget of the fan-out on [`pmc_par::fanout_units`]: the
+    /// paper solver's per-tree loop, and the batch of
+    /// [`MinCutSolver::solve_batch_pooled`]. `None` = the machine's
+    /// available parallelism. Never affects results, only scheduling.
     pub threads: Option<usize>,
     /// Target failure probability `δ` of the Monte Carlo solvers: the
     /// repetition budget is scaled so the returned cut is minimum with
@@ -222,10 +223,7 @@ pub trait MinCutSolver: Send + Sync {
     /// the parallel serving loop. The worker count is `cfg.threads`
     /// (default: the machine's parallelism), capped by the batch size;
     /// workers solve with an inner thread budget of 1, so batch-level
-    /// fan-out is the only *coarse-grained* level (on the sequential
-    /// rayon stand-in, the only level at all; with the real rayon crate
-    /// swapped in, fine-grained kernels above the `pmc-par` threshold
-    /// still dispatch to the global rayon pool). Results come back in
+    /// fan-out is the only level of parallelism. Results come back in
     /// input order and are identical to [`solve`](MinCutSolver::solve)
     /// per graph; if any graph fails, the error of the earliest failing
     /// input is returned.
@@ -279,27 +277,6 @@ pub trait MinCutSolver: Send + Sync {
     }
 }
 
-/// Runs `f` on a dedicated pool when `threads` asks for real width.
-///
-/// `None` and `Some(1)` run inline — a 1-wide budget needs no pool, and
-/// skipping the build keeps per-solve cost flat on the hot pinned paths
-/// (`solve_batch_pooled` workers, suite cells) where every solve carries
-/// `threads: Some(1)`. The paper solver reads its fan-out width from
-/// [`MinCutConfig::threads`] directly, so the pin holds without a pool.
-fn with_thread_budget<T: Send>(
-    threads: Option<usize>,
-    f: impl FnOnce() -> T + Send,
-) -> Result<T, PmcError> {
-    match threads {
-        None | Some(1) => Ok(f()),
-        Some(t) => rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build()
-            .map_err(|e| PmcError::InvalidConfig(format!("thread pool: {e}")))
-            .map(|pool| pool.install(f)),
-    }
-}
-
 fn result_from_cut(cut: Cut, algorithm: &'static str) -> MinCutResult {
     MinCutResult {
         value: cut.value,
@@ -310,7 +287,9 @@ fn result_from_cut(cut: Cut, algorithm: &'static str) -> MinCutResult {
     }
 }
 
-fn verify_result(g: &Graph, r: &MinCutResult) -> Result<(), PmcError> {
+/// Checks that `r`'s witness is a proper cut of `g` weighing `r.value`; a
+/// mismatch answers [`PmcError::Verification`].
+pub(crate) fn verify_result(g: &Graph, r: &MinCutResult) -> Result<(), PmcError> {
     if !g.is_proper_cut(&r.side) {
         return Err(PmcError::Verification {
             algorithm: r.algorithm,
@@ -398,8 +377,7 @@ impl MinCutSolver for PaperSolver {
 
     fn solve(&self, g: &Graph, cfg: &SolverConfig) -> Result<MinCutResult, PmcError> {
         cfg.validate()?;
-        let mc = paper_config(g, cfg);
-        with_thread_budget(cfg.threads, || minimum_cut(g, &mc))?
+        minimum_cut(g, &paper_config(g, cfg))
     }
 
     fn solve_with(
@@ -409,8 +387,7 @@ impl MinCutSolver for PaperSolver {
         ws: &mut SolverWorkspace,
     ) -> Result<MinCutResult, PmcError> {
         cfg.validate()?;
-        let mc = paper_config(g, cfg);
-        with_thread_budget(cfg.threads, || minimum_cut_with(g, &mc, ws))?
+        minimum_cut_with(g, &paper_config(g, cfg), ws)
     }
 }
 
@@ -497,7 +474,8 @@ impl MinCutSolver for ContractionSolver {
 /// The "best previous polylog-depth" baseline: dense `Θ(n²)` 2-respect DP
 /// over the same Lemma 1 tree packing the paper algorithm uses.
 ///
-/// Honors every [`SolverConfig`] field; `trees` bounds the packing size.
+/// Honors every [`SolverConfig`] field but `threads` (its dense DP runs on
+/// the calling thread); `trees` bounds the packing size.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QuadraticSolver;
 
@@ -528,19 +506,14 @@ impl MinCutSolver for QuadraticSolver {
             pcfg.trees_wanted = t;
         }
         let packing = pack_trees(g, &pcfg);
-        let outcomes = with_thread_budget(cfg.threads, || {
-            packing
-                .trees
-                .par_iter()
-                .enumerate()
-                .map(|(i, te)| {
-                    let tree = rooted_tree_from_edges(g, te, 0);
-                    quadratic_two_respect(g, &tree).map(|c| (i, c))
-                })
-                .collect::<Vec<_>>()
-        })?;
-        let (ti, best) = outcomes
-            .into_iter()
+        let (ti, best) = packing
+            .trees
+            .iter()
+            .enumerate()
+            .map(|(i, te)| {
+                let tree = rooted_tree_from_edges(g, te, 0);
+                quadratic_two_respect(g, &tree).map(|c| (i, c))
+            })
             .collect::<Result<Vec<_>, _>>()?
             .into_iter()
             .min_by_key(|(i, c)| (c.value, *i))
@@ -559,8 +532,8 @@ impl MinCutSolver for QuadraticSolver {
 /// Exhaustive bipartition enumeration — the oracle of last resort.
 ///
 /// Exact for `n ≤ 24`; refuses larger inputs with
-/// [`PmcError::Unsupported`]. Ignores everything but `threads` and
-/// `verify`.
+/// [`PmcError::Unsupported`]. Ignores everything but `verify`; the
+/// enumeration runs on the calling thread.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BruteSolver;
 
@@ -579,8 +552,7 @@ impl MinCutSolver for BruteSolver {
 
     fn solve(&self, g: &Graph, cfg: &SolverConfig) -> Result<MinCutResult, PmcError> {
         cfg.validate()?;
-        let r = with_thread_budget(cfg.threads, || brute_force_min_cut(g))??;
-        let r = result_from_cut(r, self.name());
+        let r = result_from_cut(brute_force_min_cut(g)?, self.name());
         if cfg.verify {
             verify_result(g, &r)?;
         }

@@ -17,16 +17,6 @@
 //! winning phase's batch prefix on the sequential argmin-tracking structure
 //! and mapping the discovered pair `(y, t)` back through the contraction
 //! cascade.
-//!
-//! The solver's tree loop may pass a lower bound on the minimum cut (the
-//! packing's `cut_lower_bound`, `max(⌈P⌉, B)` on the full skeleton). The
-//! search computes phase 0's aggregates first; when the best 1-respecting
-//! cut already meets the bound it is returned without building the
-//! cascade. The full search returns the same cut: it starts
-//! from that candidate and replaces it only with a strictly smaller one,
-//! and no cut is below the bound.
-
-use rayon::prelude::*;
 
 use pmc_graph::{best_one_respect, one_respect_cuts, EulerTour, Graph, RootedTree};
 use pmc_minpath::{run_tree_batch_with, SeqMinPath, TreeBatchScratch, TreeOp, INF};
@@ -88,20 +78,7 @@ pub fn two_respect_mincut_reusing(
     tree: &RootedTree,
     ws: &mut TreeBatchScratch,
 ) -> TwoRespectCut {
-    two_respect_mincut_bounded(g, tree, ws, None)
-}
-
-/// [`two_respect_mincut_reusing`] given `bound`, a lower bound on `g`'s
-/// minimum cut: when the best 1-respecting cut meets it, that cut is
-/// returned with no cascade built (`phases` and `batch_ops` read 0). Value,
-/// side and kind always equal the unbounded search's.
-pub(crate) fn two_respect_mincut_bounded(
-    g: &Graph,
-    tree: &RootedTree,
-    ws: &mut TreeBatchScratch,
-    bound: Option<i64>,
-) -> TwoRespectCut {
-    two_respect_impl(g, tree, bound, |p, b| {
+    two_respect_impl(g, tree, |p, b| {
         run_tree_batch_with(&p.tree, &p.decomp, &b.init, &b.ops, ws)
     })
 }
@@ -111,7 +88,7 @@ pub(crate) fn two_respect_mincut_bounded(
 /// execution model (the "Lowest Work" row of Table 1). Identical results;
 /// it is the batch engine's ablation partner (E9a) and a test oracle.
 pub fn two_respect_mincut_sequential(g: &Graph, tree: &RootedTree) -> TwoRespectCut {
-    two_respect_impl(g, tree, None, run_batch_sequential)
+    two_respect_impl(g, tree, run_batch_sequential)
 }
 
 /// The search, with `run` executing one non-empty phase batch and
@@ -119,7 +96,6 @@ pub fn two_respect_mincut_sequential(g: &Graph, tree: &RootedTree) -> TwoRespect
 fn two_respect_impl(
     g: &Graph,
     tree: &RootedTree,
-    bound: Option<i64>,
     mut run: impl FnMut(&Phase, &GenBatch) -> Vec<i64>,
 ) -> TwoRespectCut {
     assert!(g.n() >= 2, "need at least two vertices");
@@ -127,20 +103,11 @@ fn two_respect_impl(
     // covers every original tree edge).
     let cuts0 = one_respect_cuts(g, tree);
     let one = best_one_respect(&cuts0, tree);
-    if let Some((value, v)) = one.filter(|&(value, _)| bound.is_some_and(|b| value <= b)) {
-        return TwoRespectCut {
-            value,
-            side: subtree_side(tree, v),
-            kind: RespectKind::One,
-            phases: 0,
-            batch_ops: 0,
-        };
-    }
     let phases = build_phases_from(g, tree, cuts0);
 
-    // Generate both batches for every phase, in parallel.
+    // Generate both batches for every phase.
     let batches: Vec<(GenBatch, GenBatch)> = phases
-        .par_iter()
+        .iter()
         .map(|p| (gen_incomparable(p), gen_ancestor(p)))
         .collect();
 
@@ -369,33 +336,6 @@ mod tests {
             assert_eq!(a.kind, b.kind, "trial {trial}");
             assert_eq!(a.batch_ops, b.batch_ops, "trial {trial}");
         }
-    }
-
-    #[test]
-    fn bounded_search_returns_the_full_searchs_cut() {
-        // With λ as the bound, a tree whose best 1-respecting cut is a
-        // minimum cut answers without its cascade; every answer equals the
-        // full search's.
-        let mut rng = SmallRng::seed_from_u64(55);
-        let mut ws = TreeBatchScratch::default();
-        let mut early = 0;
-        for trial in 0..40 {
-            let n = rng.gen_range(3..50);
-            let m = rng.gen_range(n - 1..4 * n);
-            let g = gen::gnm_connected(n, m, 9, 900 + trial);
-            let lambda = stoer_wagner(&g).unwrap().value as i64;
-            let t = spanning_tree(&g, trial + 3);
-            let full = two_respect_mincut_reusing(&g, &t, &mut ws);
-            let got = two_respect_mincut_bounded(&g, &t, &mut ws, Some(lambda));
-            assert_eq!(got.value, full.value, "trial {trial}");
-            assert_eq!(got.side, full.side, "trial {trial}");
-            assert_eq!(got.kind, full.kind, "trial {trial}");
-            if got.phases == 0 {
-                early += 1;
-                assert_eq!((got.kind, got.batch_ops), (RespectKind::One, 0));
-            }
-        }
-        assert!(early > 0 && early < 40, "{early} early answers");
     }
 
     #[test]

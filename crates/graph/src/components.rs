@@ -1,12 +1,7 @@
 //! Connectivity.
 //!
 //! A disconnected graph has minimum cut 0 (paper §1.1.1), so the top-level
-//! algorithm starts with a connectivity check. We provide a classic
-//! union-find plus a parallel hooking/compression component labelling in the
-//! spirit of Shiloach–Vishkin, used when the edge set is large.
-
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
+//! algorithm starts with a connectivity check: a classic union-find.
 
 use crate::graph::Graph;
 
@@ -73,77 +68,10 @@ pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
     (labels, count)
 }
 
-/// True if the graph is connected. Uses the parallel labelling for large
-/// graphs and the union-find otherwise.
+/// True if the graph is connected (the union-find of
+/// [`connected_components`]).
 pub fn is_connected(g: &Graph) -> bool {
-    if g.n() <= 1 {
-        return true;
-    }
-    if g.m() >= 1 << 16 {
-        parallel_components(g) == 1
-    } else {
-        connected_components(g).1 == 1
-    }
-}
-
-/// Parallel hooking + pointer jumping component count.
-/// `O(m log n)` work, `O(log² n)` depth.
-pub fn parallel_components(g: &Graph) -> usize {
-    let n = g.n();
-    let label: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    loop {
-        // Hook: every edge tries to attach the larger label's root to the
-        // smaller label. Races are benign: any successful hook makes
-        // progress, and the loop re-checks convergence globally.
-        let changed: bool = g
-            .edges()
-            .par_iter()
-            .map(|e| {
-                let lu = label[e.u as usize].load(Ordering::Relaxed);
-                let lv = label[e.v as usize].load(Ordering::Relaxed);
-                if lu == lv {
-                    return false;
-                }
-                let (hi, lo) = if lu > lv { (lu, lv) } else { (lv, lu) };
-                // Only hook roots to keep the forest shallow-ish.
-                if label[hi as usize].load(Ordering::Relaxed) == hi {
-                    label[hi as usize].store(lo, Ordering::Relaxed);
-                    true
-                } else {
-                    false
-                }
-            })
-            .reduce(|| false, |a, b| a || b);
-        // Compress: pointer jumping until stable.
-        loop {
-            let jumped: bool = (0..n)
-                .into_par_iter()
-                .map(|v| {
-                    let l = label[v].load(Ordering::Relaxed);
-                    let ll = label[l as usize].load(Ordering::Relaxed);
-                    if ll != l {
-                        label[v].store(ll, Ordering::Relaxed);
-                        true
-                    } else {
-                        false
-                    }
-                })
-                .reduce(|| false, |a, b| a || b);
-            if !jumped {
-                break;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut roots: Vec<u32> = (0..n)
-        .into_par_iter()
-        .map(|v| label[v].load(Ordering::Relaxed))
-        .collect();
-    roots.par_sort_unstable();
-    roots.dedup();
-    roots.len()
+    g.n() <= 1 || connected_components(g).1 == 1
 }
 
 #[cfg(test)]
@@ -166,7 +94,6 @@ mod tests {
         assert_eq!(labels[0], labels[1]);
         assert_eq!(labels[2], labels[3]);
         assert_ne!(labels[0], labels[2]);
-        assert_eq!(parallel_components(&g), 2);
     }
 
     #[test]
@@ -175,7 +102,6 @@ mod tests {
         let edges: Vec<(u32, u32, u64)> = (0..n - 1).map(|i| (i as u32, i as u32 + 1, 1)).collect();
         let g = Graph::from_edges(n, &edges).unwrap();
         assert!(is_connected(&g));
-        assert_eq!(parallel_components(&g), 1);
     }
 
     #[test]
@@ -183,7 +109,6 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1, 1)]).unwrap();
         let (_, count) = connected_components(&g);
         assert_eq!(count, 4); // {0,1}, {2}, {3}, {4}
-        assert_eq!(parallel_components(&g), 4);
     }
 
     #[test]
@@ -197,25 +122,5 @@ mod tests {
         assert_ne!(uf.find(0), uf.find(2));
         assert!(uf.union(0, 2));
         assert_eq!(uf.find(3), uf.find(1));
-    }
-
-    #[test]
-    fn parallel_matches_sequential_random() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(11);
-        for _ in 0..10 {
-            let n = rng.gen_range(2..200);
-            let m = rng.gen_range(0..400);
-            let edges: Vec<(u32, u32, u64)> = (0..m)
-                .filter_map(|_| {
-                    let u = rng.gen_range(0..n) as u32;
-                    let v = rng.gen_range(0..n) as u32;
-                    (u != v).then_some((u, v, 1))
-                })
-                .collect();
-            let g = Graph::from_edges(n, &edges).unwrap();
-            assert_eq!(parallel_components(&g), connected_components(&g).1);
-        }
     }
 }

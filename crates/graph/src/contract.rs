@@ -8,8 +8,6 @@
 //! (the paper notes combining them is unnecessary, and keeping them
 //! preserves the `O(m)` bound on per-phase operation counts).
 
-use rayon::prelude::*;
-
 use crate::graph::{Edge, Graph};
 
 /// Contracts `g` according to `mapping` (`mapping[v]` = new id of `v`,
@@ -26,7 +24,7 @@ pub fn contract(g: &Graph, mapping: &[u32], new_n: usize) -> Graph {
     debug_assert!(mapping.iter().all(|&x| (x as usize) < new_n));
     let edges: Vec<Edge> = g
         .edges()
-        .par_iter()
+        .iter()
         .filter_map(|e| {
             let nu = mapping[e.u as usize];
             let nv = mapping[e.v as usize];
@@ -34,33 +32,6 @@ pub fn contract(g: &Graph, mapping: &[u32], new_n: usize) -> Graph {
         })
         .collect();
     Graph::from_edge_structs(new_n, edges).expect("contraction of a valid graph is valid")
-}
-
-/// [`contract`] into a reusable output graph: `out`'s internal buffers
-/// (edge list, CSR arrays, degree cache) are recycled, so a contraction
-/// cascade that ping-pongs between two `Graph` values allocates nothing at
-/// steady state. The filter runs sequentially — this is the amortized
-/// serving path, which optimizes allocation traffic over span.
-///
-/// # Panics
-/// Panics if `mapping.len() != g.n()` or a mapped id is `>= new_n`.
-pub fn contract_into(g: &Graph, mapping: &[u32], new_n: usize, out: &mut Graph) {
-    assert_eq!(mapping.len(), g.n());
-    debug_assert!(mapping.iter().all(|&x| (x as usize) < new_n));
-    out.rebuild_from_edges(
-        new_n,
-        g.edges().iter().filter_map(|e| {
-            let nu = mapping[e.u as usize];
-            let nv = mapping[e.v as usize];
-            (nu != nv).then_some(Edge::new(nu, nv, e.w))
-        }),
-    )
-    .expect("contraction of a valid graph is valid");
-}
-
-/// Composes two contraction mappings: `out[v] = second[first[v]]`.
-pub fn compose_mappings(first: &[u32], second: &[u32]) -> Vec<u32> {
-    first.par_iter().map(|&mid| second[mid as usize]).collect()
 }
 
 #[cfg(test)]
@@ -100,40 +71,6 @@ mod tests {
             let gside: Vec<bool> = mapping.iter().map(|&nv| hside[nv as usize]).collect();
             assert_eq!(h.cut_value(&hside), g.cut_value(&gside));
         }
-    }
-
-    #[test]
-    fn contract_into_matches_contract() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(9);
-        let n = 40usize;
-        let edges: Vec<(u32, u32, u64)> = (0..200)
-            .filter_map(|_| {
-                let u = rng.gen_range(0..n) as u32;
-                let v = rng.gen_range(0..n) as u32;
-                (u != v).then(|| (u, v, rng.gen_range(1..6)))
-            })
-            .collect();
-        let g = Graph::from_edges(n, &edges).unwrap();
-        let mut out = Graph::from_edges(1, &[]).unwrap();
-        // The same output graph absorbs several contractions in a row.
-        for groups in [12usize, 5, 9] {
-            let mapping: Vec<u32> = (0..n).map(|v| (v % groups) as u32).collect();
-            let want = contract(&g, &mapping, groups);
-            contract_into(&g, &mapping, groups, &mut out);
-            assert_eq!(out.n(), want.n());
-            assert_eq!(out.m(), want.m());
-            assert_eq!(out.total_weight(), want.total_weight());
-            assert_eq!(out.weighted_degrees(), want.weighted_degrees());
-        }
-    }
-
-    #[test]
-    fn compose() {
-        let first = vec![0, 1, 1, 2];
-        let second = vec![5, 5, 7];
-        assert_eq!(compose_mappings(&first, &second), vec![5, 5, 5, 7]);
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! Euler tours of rooted trees.
 //!
 //! An Euler tour linearizes a tree so that every subtree `v↓` becomes a
-//! contiguous interval `[enter[v], exit[v])` of the tour. Two consequences
-//! power the algorithm:
-//!
-//! * subtree aggregation (Lemma 11's cut values, Appendix A's `ρ↓`) becomes
-//!   a prefix sum over the tour (`O(n)` work, `O(log n)` depth), and
-//! * ancestor tests are two comparisons (`enter[a] <= enter[v] < exit[a]`).
+//! contiguous interval `[enter[v], exit[v])` of the tour, so ancestor tests
+//! are two comparisons (`enter[a] <= enter[v] < exit[a]`). Subtree
+//! aggregation (Lemma 11's cut values, Appendix A's `ρ↓`) is
+//! [`RootedTree::subtree_sums`], one bottom-up pass; the paper's
+//! `O(log n)`-depth route is a prefix sum over this tour.
 //!
 //! The tour is built by an iterative DFS, `O(n)` work. The PRAM-faithful
 //! route (successor arrays plus list ranking) is not implemented: the DFS
 //! is not on the measured critical path of any experiment.
 
 use crate::tree::RootedTree;
-use pmc_par::scan::inclusive_scan_in_place;
 
 /// Euler tour with entry/exit times and the depth-ordered vertex sequence.
 #[derive(Clone, Debug)]
@@ -69,33 +67,6 @@ impl EulerTour {
         self.enter[a as usize] <= self.enter[v as usize]
             && self.enter[v as usize] < self.exit[a as usize]
     }
-
-    /// Subtree sums via tour prefix sums: `out[v] = Σ_{x ∈ v↓} value[x]`.
-    ///
-    /// `O(n)` work, `O(log n)` depth (one parallel scan + gathers).
-    pub fn subtree_sums(&self, value: &[i64]) -> Vec<i64> {
-        let n = self.order.len();
-        assert_eq!(value.len(), n);
-        // prefix[i] = sum of value[order[0..i]] — so the subtree sum of v is
-        // prefix[exit[v]] - prefix[enter[v]].
-        let mut by_order: Vec<i64> = self.order.iter().map(|&v| value[v as usize]).collect();
-        inclusive_scan_in_place(&mut by_order);
-        let prefix_at = |i: u32| -> i64 {
-            if i == 0 {
-                0
-            } else {
-                by_order[i as usize - 1]
-            }
-        };
-        (0..n)
-            .map(|v| prefix_at(self.exit[v]) - prefix_at(self.enter[v]))
-            .collect()
-    }
-}
-
-/// Convenience: tour + subtree sums in one call.
-pub fn subtree_sums(tree: &RootedTree, value: &[i64]) -> Vec<i64> {
-    EulerTour::new(tree).subtree_sums(value)
 }
 
 #[cfg(test)]
@@ -134,13 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn subtree_sums_match_reference() {
-        let t = sample();
-        let vals = vec![1i64, 2, 3, 4, 5, 6, 7];
-        assert_eq!(subtree_sums(&t, &vals), t.subtree_sums(&vals));
-    }
-
-    #[test]
     fn subtree_sums_large_random_tree() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
@@ -152,7 +116,19 @@ mod tests {
         }
         let t = RootedTree::from_parents(0, parent);
         let vals: Vec<i64> = (0..n).map(|_| rng.gen_range(-100..100)).collect();
-        assert_eq!(subtree_sums(&t, &vals), t.subtree_sums(&vals));
+        let sums = t.subtree_sums(&vals);
+        let e = EulerTour::new(&t);
+        for v in 0..n as u32 {
+            // `v↓` by traversal: its sum, and the tour interval it fills.
+            let mut below = t.descendants(v);
+            let direct: i64 = below.iter().map(|&x| vals[x as usize]).sum();
+            assert_eq!(sums[v as usize], direct, "vertex {v}");
+            let (a, b) = (e.enter[v as usize] as usize, e.exit[v as usize] as usize);
+            let mut interval = e.order[a..b].to_vec();
+            below.sort_unstable();
+            interval.sort_unstable();
+            assert_eq!(interval, below, "vertex {v}");
+        }
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! at construction but silently dropped by contraction (a contracted
 //! self-loop never crosses any cut).
 
-use rayon::prelude::*;
-
 /// Edge weight type. Weights are positive integers as in the paper; all cut
 /// arithmetic is done in `i64` with headroom for the `±INF` guard values
 /// used by the two-respect reduction, so the library requires the *total*
@@ -380,14 +378,14 @@ impl Graph {
     }
 
     /// Value of the cut induced by `side` (`side[v] == true` defines one
-    /// part). Computed in parallel over the edges.
+    /// part). One pass over the edges.
     ///
     /// # Panics
     /// Panics if `side.len() != n`.
     pub fn cut_value(&self, side: &[bool]) -> u64 {
         assert_eq!(side.len(), self.n);
         self.edges
-            .par_iter()
+            .iter()
             .filter(|e| side[e.u as usize] != side[e.v as usize])
             .map(|e| e.w)
             .sum()
@@ -417,7 +415,7 @@ impl Graph {
         }
         let edges: Vec<Edge> = self
             .edges
-            .par_iter()
+            .iter()
             .filter_map(|e| {
                 let (a, b) = (local[e.u as usize], local[e.v as usize]);
                 (a != u32::MAX && b != u32::MAX).then_some(Edge::new(a, b, e.w))

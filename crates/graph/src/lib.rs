@@ -24,7 +24,7 @@ pub use certificate::{
     Certificate,
 };
 pub use components::{connected_components, is_connected, UnionFind};
-pub use contract::{contract, contract_into};
+pub use contract::contract;
 pub use error::PmcError;
 pub use euler::EulerTour;
 pub use graph::{Edge, Graph, GraphError, Weight};

@@ -6,8 +6,6 @@
 //! child counts (bough detection), subtree aggregation (1-respecting cuts),
 //! and ancestor tests (guard placement).
 
-use rayon::prelude::*;
-
 /// Sentinel parent of the root.
 pub const NO_PARENT: u32 = u32::MAX;
 
@@ -286,9 +284,9 @@ impl RootedTree {
     /// Aggregates a per-vertex value over every subtree, bottom-up:
     /// `out[v] = value[v] + Σ_{c child of v} out[c]`.
     ///
-    /// Sequential over the BFS order (`O(n)`); the parallel algorithm uses
-    /// Euler-tour prefix sums instead (see [`crate::euler`]), this method is
-    /// the simple reference used by tests and small phases.
+    /// One pass over the reversed BFS order, `O(n)`: the workspace's one
+    /// subtree-sum routine. (The paper's `O(log n)`-depth route is a prefix
+    /// sum over the Euler tour, see [`crate::euler`].)
     pub fn subtree_sums(&self, value: &[i64]) -> Vec<i64> {
         assert_eq!(value.len(), self.n());
         let mut out = value.to_vec();
@@ -323,11 +321,7 @@ impl RootedTree {
 
     /// Leaves of the tree, in vertex order.
     pub fn leaves(&self) -> Vec<u32> {
-        (0..self.n() as u32)
-            .into_par_iter()
-            .with_min_len(4096)
-            .filter(|&v| self.is_leaf(v))
-            .collect()
+        (0..self.n() as u32).filter(|&v| self.is_leaf(v)).collect()
     }
 }
 

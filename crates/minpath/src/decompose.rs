@@ -24,7 +24,6 @@
 //!   needs bough semantics). Provided as an ablation point.
 
 use pmc_graph::tree::{RootedTree, NO_PARENT};
-use rayon::prelude::*;
 
 /// Which decomposition algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -244,7 +243,6 @@ fn bough_decomposition(tree: &RootedTree, random_mate: bool) -> Decomposition {
         let marked = mark_bough_vertices(&alive_children, parent, order, &alive);
         // Tops: marked vertices whose parent is unmarked/dead/absent.
         let tops: Vec<u32> = (0..n as u32)
-            .into_par_iter()
             .filter(|&v| {
                 alive[v as usize]
                     && marked[v as usize]
@@ -414,7 +412,6 @@ fn heavy_light(tree: &RootedTree) -> Decomposition {
     let size = tree.subtree_sizes();
     // Heavy child of v = child with the largest subtree (ties: first).
     let heavy: Vec<u32> = (0..n as u32)
-        .into_par_iter()
         .map(|v| {
             tree.children(v)
                 .iter()

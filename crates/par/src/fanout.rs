@@ -1,9 +1,8 @@
 //! Deterministic fan-out of independent work units over per-worker states.
 //!
-//! This is the one place in the workspace that spawns real OS threads
-//! (`std::thread::scope`), so coarse-grained parallelism — the per-tree
-//! loop of the top-level solver, the scenario suite's cell grid, pooled
-//! batch solving — works even on the sequential rayon stand-in. Every
+//! This is the one place in the workspace that spawns threads
+//! (`std::thread::scope`): the per-tree loop of the top-level solver, the
+//! scenario suite's cell grid and pooled batch solving all run on it. Every
 //! caller follows the same shape:
 //!
 //! * one mutable **state** per worker (a scratch arena checked out from a
@@ -17,29 +16,12 @@
 //! plain sequential loop — no threads, no atomics — which keeps small
 //! inputs free of spawn overhead and makes "1 worker" bit-identical to
 //! "k workers" by construction.
-//!
-//! [`fanout_units_until`] can also stop early: it returns the results of
-//! the units up to and including the first one whose result satisfies a
-//! predicate. That prefix is the same at every width, because the cursor
-//! hands units out in index order:
-//!
-//! * a worker whose result satisfies the predicate publishes its unit
-//!   with an atomic `fetch_min`, so the published stop only ever falls;
-//! * no unit above the published stop starts. Every unit below the final
-//!   stop `s` was handed out before `s` was (the cursor passed it), saw a
-//!   stop of at least `s`, and so ran;
-//! * hence `s` is the lowest satisfying unit of the whole range, and the
-//!   output is exactly the sequential loop's `0..=s`. Units above `s`
-//!   that were already in flight finish; their results are dropped.
-//!
-//! [`fanout_units`] is the case whose predicate never fires.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `run(state, unit)` for every `unit in 0..units`, fanning across
 /// one OS worker thread per element of `states`; returns the results in
-/// unit order. This is [`fanout_units_until`] with a predicate that never
-/// fires.
+/// unit order.
 ///
 /// Workers pull unit indices from a shared cursor, so the assignment of
 /// units to workers is scheduling-dependent — but each unit is executed
@@ -65,34 +47,6 @@ where
     T: Send,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    fanout_units_until(states, units, run, |_| false)
-}
-
-/// Runs `run(state, unit)` over `0..units` like [`fanout_units`], but
-/// stops at the first unit whose result satisfies `stop`: returns the
-/// results of units `0..=s` in unit order, where `s` is the lowest unit
-/// with `stop(&result)`, or of every unit when none satisfies it.
-///
-/// The returned prefix does not depend on the worker count or on
-/// scheduling (see the module docs). Units above `s` may still run, on
-/// workers that took them before `s` was published, but none starts
-/// after.
-///
-/// ```
-/// let mut states = vec![(), ()];
-/// let out = pmc_par::fanout_units_until(&mut states, 10, |_, u| u * u, |&sq| sq >= 20);
-/// assert_eq!(out, vec![0, 1, 4, 9, 16, 25]);
-/// ```
-///
-/// # Panics
-/// Panics if `states` is empty and `units > 0`.
-pub fn fanout_units_until<S, T, F, P>(states: &mut [S], units: usize, run: F, stop: P) -> Vec<T>
-where
-    S: Send,
-    T: Send,
-    F: Fn(&mut S, usize) -> T + Sync,
-    P: Fn(&T) -> bool + Sync,
-{
     if units == 0 {
         return Vec::new();
     }
@@ -100,43 +54,24 @@ where
     let workers = states.len().min(units);
     if workers == 1 {
         let state = &mut states[0];
-        let mut out = Vec::new();
-        for u in 0..units {
-            let t = run(state, u);
-            let done = stop(&t);
-            out.push(t);
-            if done {
-                break;
-            }
-        }
-        return out;
+        return (0..units).map(|u| run(state, u)).collect();
     }
 
     let cursor = AtomicUsize::new(0);
-    // The lowest unit seen to satisfy `stop`; `units` while none has.
-    // Relaxed suffices for both atomics: they publish no other data (the
-    // results travel through the joins), and the prefix argument in the
-    // module docs needs only each atomic's own modification order.
-    let first_stop = AtomicUsize::new(units);
     let mut harvested: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = states[..workers]
             .iter_mut()
             .map(|state| {
-                let (cursor, first_stop) = (&cursor, &first_stop);
-                let (run, stop) = (&run, &stop);
+                let (cursor, run) = (&cursor, &run);
                 scope.spawn(move || {
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
                         let u = cursor.fetch_add(1, Ordering::Relaxed);
-                        if u >= units || u > first_stop.load(Ordering::Relaxed) {
+                        if u >= units {
                             break;
                         }
-                        let t = run(state, u);
-                        if stop(&t) {
-                            first_stop.fetch_min(u, Ordering::Relaxed);
-                        }
-                        local.push((u, t));
+                        local.push((u, run(state, u)));
                     }
                     local
                 })
@@ -150,17 +85,14 @@ where
         }
     });
 
-    // Reassemble the prefix `0..=s` in unit order.
-    let len = first_stop.into_inner().saturating_add(1).min(units);
-    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    // Reassemble in unit order.
+    let mut out: Vec<Option<T>> = (0..units).map(|_| None).collect();
     for (u, t) in harvested.into_iter().flatten() {
-        if u < len {
-            debug_assert!(out[u].is_none(), "unit {u} executed twice");
-            out[u] = Some(t);
-        }
+        debug_assert!(out[u].is_none(), "unit {u} executed twice");
+        out[u] = Some(t);
     }
     out.into_iter()
-        .map(|slot| slot.expect("every unit up to the stop executes exactly once"))
+        .map(|slot| slot.expect("every unit executes exactly once"))
         .collect()
 }
 
@@ -226,78 +158,5 @@ mod tests {
             });
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn stop_returns_the_prefix_through_the_first_hit_at_every_width() {
-        // The predicate fires at units 37, 38, 60 and 99; the output is
-        // always `0..=37`, whatever the width and the order units finish.
-        let hits = [37usize, 38, 60, 99];
-        for workers in [1usize, 2, 3, 8] {
-            for _ in 0..20 {
-                let mut ran = vec![Vec::new(); workers];
-                let out = fanout_units_until(
-                    &mut ran,
-                    100,
-                    |log: &mut Vec<usize>, u| {
-                        log.push(u);
-                        u
-                    },
-                    |u| hits.contains(u),
-                );
-                assert_eq!(out, (0..=37).collect::<Vec<_>>(), "{workers} workers");
-                // Every unit of the prefix ran exactly once, and no unit
-                // ran twice.
-                let mut all: Vec<usize> = ran.concat();
-                all.sort_unstable();
-                assert_eq!(&all[..38], &out[..], "{workers} workers");
-                assert!(all.windows(2).all(|w| w[0] < w[1]), "{workers} workers");
-                if workers == 1 {
-                    assert_eq!(all.len(), 38, "the sequential loop stops at the hit");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_unit_that_finished_above_the_stop_is_dropped() {
-        // Unit 0 satisfies the predicate but cannot finish before unit 1
-        // has run on another worker: the barrier forces unit 1 to be in
-        // flight above the stop. Its result must still be dropped.
-        for workers in [2usize, 3, 8] {
-            let barrier = std::sync::Barrier::new(2);
-            let mut ran = vec![Vec::new(); workers];
-            let out = fanout_units_until(
-                &mut ran,
-                10,
-                |log: &mut Vec<usize>, u| {
-                    if u < 2 {
-                        barrier.wait();
-                    }
-                    log.push(u);
-                    u
-                },
-                |&u| u == 0,
-            );
-            assert_eq!(out, vec![0], "{workers} workers");
-            assert!(ran.concat().contains(&1), "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn stop_never_returns_a_unit_above_it() {
-        // Unit 0 already satisfies the predicate: one result, at every
-        // width, however many units the other workers had started.
-        for workers in [1usize, 2, 3, 8] {
-            let mut states = vec![(); workers];
-            let out = fanout_units_until(&mut states, 50, |_, u| u, |_| true);
-            assert_eq!(out, vec![0], "{workers} workers");
-        }
-        // A predicate that fires only on the last unit returns every unit.
-        for workers in [1usize, 2, 3, 8] {
-            let mut states = vec![(); workers];
-            let out = fanout_units_until(&mut states, 50, |_, u| u, |&u| u == 49);
-            assert_eq!(out, (0..50).collect::<Vec<_>>(), "{workers} workers");
-        }
     }
 }

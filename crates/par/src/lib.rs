@@ -1,27 +1,15 @@
-//! The parallel primitives the minimum-cut pipeline calls.
+//! The workspace's one parallel runtime.
 //!
 //! The paper (Geissmann & Gianinazzi, SPAA 2018) is stated in the Work-Depth
-//! model. [`scan`] is the one fine-grained primitive: an all-prefix-sums of
-//! `i64`s (`O(n)` work, `O(log n)` depth) on rayon's fork-join scheduler,
-//! behind the Euler tour's subtree sums.
+//! model, and Theorem 10's parallelism is the `Θ(log n)` independent
+//! Lemma 13 searches, one per packed tree (Karger, JACM 2000).
+//! [`fanout_units`] runs such independent work units on scoped OS threads
+//! over per-worker scratch states: the per-tree solver loop, suite cells and
+//! pooled batches. Every other kernel runs on the calling thread.
 //!
-//! [`fanout`](mod@fanout) is the coarse-grained layer: deterministic
-//! OS-thread fan-out of independent work units over per-worker scratch
-//! states, optionally stopping at the first unit whose result meets a
-//! predicate (the per-tree solver loop, suite cells, pooled batches).
-//!
-//! Everything is deterministic given fixed inputs; rayon and the worker
-//! count only change the execution schedule, never the results.
+//! Everything is deterministic given fixed inputs; the worker count only
+//! changes the execution schedule, never the results.
 
 pub mod fanout;
-#[cfg(test)]
-mod proptests;
-pub mod scan;
 
-pub use fanout::{fanout_units, fanout_units_until};
-pub use scan::inclusive_scan_in_place;
-
-/// Minimum slice length below which primitives fall back to the sequential
-/// code path. Tuned so that per-task overhead stays negligible; correctness
-/// never depends on this value.
-pub const SEQ_THRESHOLD: usize = 1 << 12;
+pub use fanout::fanout_units;

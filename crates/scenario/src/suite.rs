@@ -1,9 +1,9 @@
 //! The parallel differential suite runner behind `pmc suite`.
 //!
 //! Work unit = one (scenario, seed) pair. Workers pull units from a
-//! shared cursor ([`pmc_par::fanout_units`] — real OS threads, so
-//! throughput scales with `--threads` even on the sequential rayon
-//! stand-in), materialize the instance once, resolve its oracle (closed
+//! shared cursor ([`pmc_par::fanout_units`], the workspace's one parallel
+//! runtime, on real OS threads, so throughput scales with `--threads`),
+//! materialize the instance once, resolve its oracle (closed
 //! form, or one Stoer–Wagner solve), then run **every** applicable
 //! registered solver on it through the amortized
 //! [`solve_with`](pmc_core::MinCutSolver::solve_with) path. Each worker

@@ -2,8 +2,9 @@
 //! time go, how sparse did the certificate and skeleton make the problem,
 //! what lower bound did the packing prove (and did it certify the answer
 //! by itself, in which case its cut is the answer and no tree is swept),
-//! how many packed trees did the 2-respect search sweep before a cut met
-//! that bound, and how many Minimum Path operations did it generate?
+//! how many packed trees did the 2-respect search sweep (every selected
+//! tree of an uncertified packing), and how many Minimum Path operations
+//! did it generate?
 //!
 //! ```sh
 //! cargo run --release --example pipeline_report
@@ -11,10 +12,9 @@
 //!
 //! The last table runs every scenario of the corpus at seeds 0–2 and
 //! counts, per family, the instances whose packing certified its answer,
-//! the instances whose answer met the bound (the sweep stopped early with
-//! a proven minimum) and the trees examined of the trees packed (a
-//! certified packing's one tree counts as examined, though no tree is
-//! swept).
+//! the instances whose answer met the bound (a proven minimum) and the
+//! trees examined of the trees packed (a certified packing's one tree
+//! counts as examined, though no tree is swept).
 
 use std::collections::BTreeMap;
 

@@ -21,14 +21,12 @@
 //! lists (anything else); `-` means stdin. `mincut` accepts any number of
 //! input files and runs them as one batch through
 //! [`MinCutSolver::solve_batch_pooled`] over a [`WorkspacePool`].
-//! `--threads P` bounds the coarse-grained parallelism of the run: a
-//! single input solves inside a dedicated P-wide pool (the paper solver
-//! fans its packed trees across P OS workers); several inputs fan across
-//! the batch with P pooled workspaces and single-threaded inner solves —
-//! never both levels at once. (With the offline sequential rayon
-//! stand-in this is *all* the parallelism, so P is a hard bound; with
-//! the real rayon crate swapped in, fine-grained kernels above the
-//! `pmc-par` threshold additionally use the global rayon pool.)
+//! `--threads P` bounds the parallelism of the run, a hard bound since
+//! `pmc-par`'s fan-out is the only code that runs threads: a single input
+//! solves with P workers (the paper solver fans its packed trees across P
+//! OS threads); several inputs fan across the batch with P pooled
+//! workspaces and single-threaded inner solves — never both levels at
+//! once.
 //! `suite` fans the scenario corpus × every registered solver ×
 //! `--seeds` seeds across its own worker pool the same way and compares
 //! each cut value against the scenario's oracle.

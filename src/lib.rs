@@ -3,7 +3,8 @@
 //! A Rust reproduction of **"Parallel Minimum Cuts in Near-linear Work and
 //! Low Depth"** (Geissmann & Gianinazzi, SPAA 2018): a Monte Carlo parallel
 //! minimum-cut algorithm with `O(m log⁴ n)` work and `O(log³ n)` depth,
-//! realized on shared memory with rayon.
+//! realized on shared memory: its independent per-tree searches fan out
+//! across OS threads (`pmc-par`).
 //!
 //! This facade crate re-exports the workspace's public API:
 //!

@@ -31,6 +31,40 @@ fn dimacs_roundtrip_through_files() {
 }
 
 #[test]
+fn cli_starved_solve_answers_the_lightest_vertex_cut() {
+    // One tree misses λ on this graph's certificate, where its cut weighs
+    // 88 (769 on the input); λ = δ = 87. The solve verifies its witness,
+    // so a clean exit means the witness weighs the printed value.
+    let g = gen::gnm_heavy_tailed(120, 500, 102);
+    let lambda = parallel_mincut::baseline::stoer_wagner(&g).unwrap().value;
+    assert_eq!((lambda, g.min_weighted_degree()), (87, 87));
+    let mut buf = Vec::new();
+    io::write_dimacs(&g, &mut buf).unwrap();
+    let path = write_temp("starved_heavy_tailed.dimacs", &buf);
+    let out = pmc()
+        .args([
+            "mincut",
+            path.to_str().unwrap(),
+            "--trees",
+            "1",
+            "--seed",
+            "0",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("value: 87\n"), "{text}");
+    // The witness is one lightest vertex, and it weighs the value.
+    let x = g.weighted_degrees().iter().position(|&d| d == 87).unwrap();
+    assert!(text.contains(&format!("smaller side: [{x}]\n")), "{text}");
+}
+
+#[test]
 fn cli_gen_info_mincut_verify_pipeline() {
     let dir = std::env::temp_dir().join("pmc-tests");
     std::fs::create_dir_all(&dir).unwrap();
