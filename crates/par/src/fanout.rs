@@ -1,9 +1,11 @@
 //! Deterministic fan-out of independent work units over per-worker states.
 //!
-//! This is the one place in the workspace that spawns threads
-//! (`std::thread::scope`): the per-tree loop of the top-level solver, the
-//! scenario suite's cell grid and pooled batch solving all run on it. Every
-//! caller follows the same shape:
+//! This is the one place in the workspace that splits computation across
+//! threads (`std::thread::scope`): the per-tree loop of the top-level
+//! solver, the scenario suite's cell grid and pooled batch solving all run
+//! on it. (The service's connection threads and the load generator's
+//! client threads carry I/O, not a split of one computation.) Every caller
+//! follows the same shape:
 //!
 //! * one mutable **state** per worker (a scratch arena checked out from a
 //!   pool), handed exclusively to that worker for the whole run;

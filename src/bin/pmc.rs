@@ -22,11 +22,11 @@
 //! input files and runs them as one batch through
 //! [`MinCutSolver::solve_batch_pooled`] over a [`WorkspacePool`].
 //! `--threads P` bounds the parallelism of the run, a hard bound since
-//! `pmc-par`'s fan-out is the only code that runs threads: a single input
-//! solves with P workers (the paper solver fans its packed trees across P
-//! OS threads); several inputs fan across the batch with P pooled
-//! workspaces and single-threaded inner solves — never both levels at
-//! once.
+//! `pmc-par`'s fan-out is the only code that splits a solve across
+//! threads: a single input solves with P workers (the paper solver fans
+//! its packed trees across P OS threads); several inputs fan across the
+//! batch with P pooled workspaces and single-threaded inner solves —
+//! never both levels at once.
 //! `suite` fans the scenario corpus × every registered solver ×
 //! `--seeds` seeds across its own worker pool the same way and compares
 //! each cut value against the scenario's oracle.
