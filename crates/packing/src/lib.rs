@@ -19,7 +19,9 @@
 //! Every round of one greedy run solves an MST on the same skeleton under
 //! new loads, so [`mst::RepeatedMst`] reduces the skeleton once (bridges
 //! fixed, degree-2 chains compressed) and runs Kruskal on the small kernel
-//! each round, reporting the edges the round leaves out as a bitset. The
+//! each round, reporting the edges the round leaves out as a bitset. Round
+//! 1, whose costs are all equal, is one union-find pass instead, and the
+//! skeleton is reduced only when a run reaches round 2. The
 //! greedy loop keeps no loads: an edge's load is the rounds run minus the
 //! rounds that left it out, and the left-out bitset keys the round's tree,
 //! so outside the engine a round touches only the edges it leaves out.

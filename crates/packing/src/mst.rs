@@ -10,6 +10,12 @@
 //! keyed by their heaviest members, and reports the edges the round leaves
 //! out as a bitset over the edge ids: `m / 8` bytes, whatever the tree.
 //!
+//! The first round needs none of that. Every load is 0 then, so every cost
+//! is equal, and the forest is Kruskal's in edge-id order: `FirstForest`
+//! finds it in one union-find pass, with no sort and no preparation, and
+//! reports it in the engine's bitset layout. A packing that stops after
+//! its first round never prepares the engine.
+//!
 //! Costs are abstract `u64` keys supplied per edge (the packing uses scaled
 //! load ratios). Ties are broken by edge id, so `(cost, edge id)` is a
 //! strict total order and the minimum spanning forest is unique: every
@@ -137,7 +143,10 @@ impl RepeatedMst {
     /// Reduces `g` to its bridges, chains and kernel for the following
     /// [`RepeatedMst::left_out`] calls, and returns the number of connected
     /// components of `g`. `max_cost` bounds every cost those calls pass;
-    /// it decides once whether keys fit in 64 bits.
+    /// it decides once whether keys fit in 64 bits. The packing prepares
+    /// the engine only when a run reaches its second round: the first
+    /// round's costs are all equal, and one union-find pass finds its
+    /// forest.
     pub fn prepare(&mut self, g: &Graph, max_cost: u64) -> usize {
         self.wide = max_cost > u64::from(u32::MAX);
         let components = self.find_bridges(g);
@@ -154,12 +163,6 @@ impl RepeatedMst {
         self.dropped.clear();
         self.dropped.resize(g.m().div_ceil(64), 0);
         components
-    }
-
-    /// Whether edge `e` is a bridge of the prepared graph: it lies in
-    /// every spanning tree, whatever the costs.
-    pub(crate) fn is_bridge(&self, e: u32) -> bool {
-        self.edge_chain[e as usize] == BRIDGE
     }
 
     /// The edges the minimum spanning forest of the prepared graph under
@@ -394,6 +397,53 @@ impl RepeatedMst {
     }
 }
 
+/// The minimum spanning forest when every cost is equal, as a packing's
+/// first round prices every edge at load 0. Under `(cost, edge id)` the
+/// order is then the id order, so the forest is Kruskal's in id order,
+/// [`kruskal_mst`]`(g, &zeros)`: one union-find pass over the edges finds
+/// it, with no sort and no [`RepeatedMst::prepare`]. A warm pass allocates
+/// nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FirstForest {
+    /// Union-find parents over the vertices.
+    parent: Vec<u32>,
+    /// Bitset of the edges the forest leaves out.
+    dropped: Vec<u64>,
+}
+
+impl FirstForest {
+    /// The number of connected components of the graph on `n` vertices
+    /// whose edge `e` joins the `e`-th pair of `ends`, and the edges its
+    /// forest leaves out, as a bitset of [`RepeatedMst::left_out`]'s length
+    /// and layout.
+    pub(crate) fn left_out(
+        &mut self,
+        n: usize,
+        ends: impl ExactSizeIterator<Item = (u32, u32)>,
+    ) -> (usize, &[u64]) {
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.dropped.clear();
+        self.dropped.resize(ends.len().div_ceil(64), 0);
+        let mut components = n;
+        for (e, (u, v)) in (0u32..).zip(ends) {
+            if union(&mut self.parent, u, v) {
+                components -= 1;
+            } else {
+                mark(&mut self.dropped, e);
+            }
+        }
+        (components, &self.dropped)
+    }
+
+    /// Bytes of heap memory in active use by the pass's buffers
+    /// (`len`-based).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.parent.len() * std::mem::size_of::<u32>()
+            + self.dropped.len() * std::mem::size_of::<u64>()
+    }
+}
+
 #[inline]
 fn mark(bits: &mut [u64], e: u32) {
     bits[e as usize / 64] |= 1 << (e % 64);
@@ -415,9 +465,10 @@ pub fn set_bits(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = u3
     })
 }
 
-/// Union-find over kernel labels with path halving, linking the lower
-/// root under the higher; returns false if `a` and `b` were already
-/// joined. Kruskal's accepted set does not depend on how roots are linked.
+/// Union-find over kernel labels (or, in [`FirstForest`], vertices) with
+/// path halving, linking the lower root under the higher; returns false if
+/// `a` and `b` were already joined. Kruskal's accepted set does not depend
+/// on how roots are linked.
 #[inline]
 fn union(parent: &mut [u32], a: u32, b: u32) -> bool {
     let (ra, rb) = (find(parent, a), find(parent, b));
@@ -523,6 +574,7 @@ mod tests {
     use super::*;
     use pmc_graph::gen;
     use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     /// The sorted ids of the edges of `g` outside `edges`.
@@ -631,7 +683,9 @@ mod tests {
         let non_bridge = vec![0, 1, 2, 3, 4, 6, 7, 8];
         let mut mst = RepeatedMst::new();
         assert_eq!(mst.prepare(&g, 100), 1);
-        let marked: Vec<u32> = (0..g.m() as u32).filter(|&e| !mst.is_bridge(e)).collect();
+        let marked: Vec<u32> = (0..g.m() as u32)
+            .filter(|&e| mst.edge_chain[e as usize] != BRIDGE)
+            .collect();
         assert_eq!(marked, non_bridge);
         let mut rng = SmallRng::seed_from_u64(3);
         for round in 0..6 {
@@ -646,6 +700,114 @@ mod tests {
             assert_eq!(priced, non_bridge, "round {round}");
             assert_eq!(out, complement(&g, &kruskal_mst(&g, &cost)));
         }
+    }
+
+    /// A random multigraph grown from vertex 0 by pendant paths, cycles
+    /// back to their start, detached cycles, chords and parallel copies,
+    /// its edges shuffled.
+    fn random_multigraph(rng: &mut SmallRng) -> Graph {
+        let mut n = 1u32;
+        let mut edges: Vec<(u32, u32, u64)> = Vec::new();
+        for _ in 0..rng.gen_range(1..12) {
+            let at = rng.gen_range(0..n);
+            match rng.gen_range(0..5) {
+                kind @ 0..=2 => {
+                    // A pendant path from `at`, closed into a cycle through
+                    // `at` (kind 1) or through no old vertex (kind 2).
+                    let len = rng.gen_range(1..6);
+                    let start = if kind == 2 {
+                        n += 1;
+                        n - 1
+                    } else {
+                        at
+                    };
+                    let mut prev = start;
+                    for _ in 0..len {
+                        edges.push((prev, n, 1));
+                        prev = n;
+                        n += 1;
+                    }
+                    if kind > 0 && prev != start {
+                        edges.push((prev, start, 1));
+                    }
+                }
+                3 => {
+                    let other = rng.gen_range(0..n);
+                    if other != at {
+                        edges.push((at, other, 1));
+                    }
+                }
+                _ => {
+                    if !edges.is_empty() {
+                        let copy = edges[rng.gen_range(0..edges.len())];
+                        edges.push(copy);
+                    }
+                }
+            }
+        }
+        edges.shuffle(rng);
+        Graph::from_edges(n as usize, &edges).unwrap()
+    }
+
+    #[test]
+    fn first_forest_is_the_engines_first_round() {
+        use crate::pack::{pack_greedy_with, PackScratch};
+        use crate::skeleton::Skeleton;
+
+        let mut rng = SmallRng::seed_from_u64(17);
+        let (mut first, mut mst, mut ws) = (
+            FirstForest::default(),
+            RepeatedMst::new(),
+            PackScratch::new(),
+        );
+        let mut disconnected = 0;
+        for trial in 0..400 {
+            let g = random_multigraph(&mut rng);
+            // A sampled skeleton: a random subset of the edges, listed in
+            // id order or shuffled.
+            let keep = [1.0, 0.9, 0.6][trial % 3];
+            let mut live: Vec<u32> = (0..g.m() as u32)
+                .filter(|_| rng.gen::<f64>() < keep)
+                .collect();
+            if trial % 2 == 1 {
+                live.shuffle(&mut rng);
+            }
+            let ends: Vec<(u32, u32)> = live
+                .iter()
+                .map(|&eid| (g.edges()[eid as usize].u, g.edges()[eid as usize].v))
+                .collect();
+            let unit: Vec<(u32, u32, u64)> = ends.iter().map(|&(u, v)| (u, v, 1)).collect();
+            let sub = Graph::from_edges(g.n(), &unit).unwrap();
+
+            let (components, bits) = first.left_out(g.n(), ends.iter().copied());
+            let bits = bits.to_vec();
+            let zeros = vec![0; sub.m()];
+            assert_eq!(
+                ids(&bits),
+                complement(&sub, &kruskal_mst(&sub, &zeros)),
+                "trial {trial}"
+            );
+            assert_eq!(components, mst.prepare(&sub, 0), "trial {trial}");
+            assert_eq!(mst.left_out(|_| 0), bits, "trial {trial}");
+            disconnected += usize::from(components > 1);
+
+            // The packing answers `None` exactly for a disconnected one.
+            if g.n() >= 2 {
+                let mut multiplicity = vec![0; g.m()];
+                for &eid in &live {
+                    multiplicity[eid as usize] = 1;
+                }
+                let sk = Skeleton {
+                    p: keep,
+                    multiplicity,
+                    total_units: live.len() as u64,
+                    live_edges: live,
+                };
+                let packed = pack_greedy_with(&g, &sk, 1, &mut ws);
+                assert_eq!(packed.is_none(), components > 1, "trial {trial}");
+            }
+        }
+        assert!((50..350).contains(&disconnected), "{disconnected}");
     }
 
     #[test]

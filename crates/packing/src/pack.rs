@@ -13,7 +13,11 @@
 //! count. A round prices the chain members the MST engine asks for, bumps
 //! one counter per edge it leaves out, and keys its tree by the engine's
 //! left-out bitset. Each distinct tree's edge list is built once, when the
-//! run ends.
+//! run ends. Round 1 needs no engine: every load is 0, so every cost is 0,
+//! and the unique MST under `(cost, skeleton edge id)` is Kruskal's forest
+//! in skeleton-edge order, one union-find pass with no sort. That pass also
+//! finds a disconnected skeleton. The engine is built only when a run
+//! reaches round 2.
 //!
 //! `pack_trees` wraps the full Lemma 1 pipeline: exponential search for a
 //! sampling rate whose skeleton has packing value `Θ(log n)`, a final
@@ -41,9 +45,13 @@
 //! the cut weighs at least the lightest bridge. Otherwise it crosses two
 //! distinct edges and weighs at least `w₁ + w₂`. Parallel copies count as
 //! distinct edges, and a parallel edge is never a bridge. So `λ ≥ B`. The
-//! run reads the bridges off [`RepeatedMst::prepare`]'s marks and the
-//! weights off the graph itself, not off the capped multiplicities, so
-//! `B` stays exact where `⌈P⌉` is capped. It closes the gap the packing
+//! first certificate check of a [`pack_trees_with`] call reads `B` off its
+//! own tree and cuts, and every later run of the call on the full skeleton
+//! reuses it. Every bridge lies in every spanning tree, and the tree edge
+//! `(c, parent(c))` is a bridge iff no other edge crosses `c↓`: since
+//! weights are positive, iff its 1-respecting cut equals its weight. The
+//! weights are the graph's own, not the capped multiplicities, so `B`
+//! stays exact where `⌈P⌉` is capped. It closes the gap the packing
 //! leaves on cycle-like graphs: a cycle packs at most 1 against `λ = 2`
 //! (Nash-Williams–Tutte; Karger, *Minimum cuts in near-linear time*, JACM
 //! 2000), and its floor is 2. [`TreePacking::cut_lower_bound`] is
@@ -59,15 +67,18 @@
 //! checkpoint round's own tree at rounds 1, 2, 4, 8, … and at the run's
 //! last round. A check roots the tree at vertex 0 in an arena
 //! [`PackScratch`] keeps, and takes its 1-respecting cuts in one Lemma 11
-//! pass (`O(m α(n) + n)` work, Tarjan's offline LCAs). When it holds, the
-//! run stops and returns that one tree, and the cut it certified:
+//! pass (`O(m α(n) + n)` work, Tarjan's offline LCAs), the pass the first
+//! check also reads `B` from. When it holds, the run stops and returns
+//! that one tree, and the cut it certified:
 //! [`TreePacking::certified`] holds `λ` and its side `v↓`, for the vertex
 //! `v` that [`best_one_respect`] picks. A caller answers with that cut and
 //! sweeps no tree. A bridge is a cut by itself, so it weighs at least `λ`,
 //! and two edges weigh at least 2, so `B ≥ min(λ, 2)`. A graph with
 //! `λ ≤ 2` therefore has `B = λ` and certifies at round 1 whenever its
 //! first tree crosses a minimum cut once: always when `λ = 1`, whose
-//! minimum cut is a bridge every tree holds. A check draws no randomness
+//! minimum cut is a bridge every tree holds. Such a packing does round-1
+//! work only: one union-find pass, one rooting and one Lemma 11 pass, with
+//! no skeleton subgraph and no MST engine. A check draws no randomness
 //! and changes no counter, so a run it does not stop, and the whole
 //! packing when none holds, is bit-identical to a run without checks.
 //!
@@ -76,8 +87,10 @@
 //! bounds the sample's cuts, measured in sampled units, not the graph's
 //! `λ`. When an estimation run and the final run both pack the full
 //! skeleton, their first rounds are the same rounds, so the final run
-//! skips every check the estimation run already made. An `R`-round run
-//! pays at most `⌊log₂ R⌋ + 2` checks.
+//! skips every check the estimation run already made, and inherits `B`
+//! from its first. A final run of 2 rounds after an estimation run of 4
+//! makes no check at all. An `R`-round run pays at most `⌊log₂ R⌋ + 2`
+//! checks.
 //!
 //! **Starved runs.** E8 (`success_rate`) starves the packing to 1, 2 or 8
 //! rounds on planted bisections to measure the raw Monte Carlo engine, so
@@ -99,7 +112,7 @@ use rand::{Rng, SeedableRng};
 
 use pmc_graph::{best_one_respect, one_respect_cuts, Edge, Graph, RootedTree};
 
-use crate::mst::{set_bits, RepeatedMst};
+use crate::mst::{set_bits, FirstForest, RepeatedMst};
 use crate::skeleton::{full_skeleton, sample_skeleton, Skeleton};
 
 /// Fixed-point shift for load-ratio MST keys.
@@ -308,15 +321,21 @@ pub struct TreePacking {
 pub type PackedTrees = Vec<(Vec<u32>, u32)>;
 
 /// Reusable state of the greedy packing loop ([`pack_greedy_with`],
-/// [`pack_trees_with`]): the skeleton-subgraph arena, the repeated-MST
-/// engine, two per-skeleton-edge counters, the distinct trees keyed by
-/// their left-out bitsets, and the arena the certificate checks root their
-/// trees in. One scratch amortizes every packing a solver performs.
+/// [`pack_trees_with`]): the union-find and bitset of the first round's
+/// pass, the skeleton-subgraph arena and the repeated-MST engine of the
+/// later rounds, two per-skeleton-edge counters, the distinct trees keyed
+/// by their left-out bitsets, and the arena the certificate checks root
+/// their trees in. One scratch amortizes every packing a solver performs.
+/// The subgraph and the engine are built only by a run that reaches its
+/// second round, so a packing certified at round 1 leaves them as they
+/// were.
 ///
 /// An edge's load is never stored: it is the number of rounds run so far
 /// minus the number of rounds that left the edge out.
 #[derive(Clone, Debug)]
 pub struct PackScratch {
+    /// Round 1's forest, found without the engine.
+    first: FirstForest,
     sub: Graph,
     mst: RepeatedMst,
     /// Per skeleton edge: its multiplicity, the capacity its load is
@@ -334,6 +353,7 @@ pub struct PackScratch {
 impl Default for PackScratch {
     fn default() -> Self {
         PackScratch {
+            first: FirstForest::default(),
             sub: Graph::from_edges(1, &[]).expect("placeholder graph"),
             mst: RepeatedMst::new(),
             mult: Vec::new(),
@@ -355,7 +375,8 @@ impl PackScratch {
     /// multiplicities, not hash-table overhead).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.sub.heap_bytes()
+        self.first.heap_bytes()
+            + self.sub.heap_bytes()
             + self.mst.heap_bytes()
             + (self.mult.len() + self.left_out.len()) * size_of::<u32>()
             + self
@@ -375,10 +396,12 @@ impl PackScratch {
 /// distinct tree's edge list is built once, at the end.
 ///
 /// Every round's tree is the unique minimum spanning tree under
-/// `(load ratio, edge id)`. The skeleton is reduced once per call by
-/// [`RepeatedMst::prepare`], which also detects a disconnected skeleton;
-/// each round then costs one [`RepeatedMst::left_out`] over the kernel,
-/// one counter update per left-out edge, and one hash of the left-out
+/// `(load ratio, edge id)`. Round 1's loads are all 0, so its tree is
+/// Kruskal's in skeleton-edge order: one union-find pass finds it and
+/// detects a disconnected skeleton. When round 2 runs, the skeleton is
+/// reduced once by [`RepeatedMst::prepare`], and each later round costs
+/// one [`RepeatedMst::left_out`] over the kernel. Every round also costs
+/// one counter update per left-out edge and one hash of the left-out
 /// bitset.
 pub fn pack_greedy_with(
     g: &Graph,
@@ -396,9 +419,8 @@ pub fn pack_greedy_with(
 
 /// How a [`greedy_run`] ended.
 enum RunEnd {
-    /// Every round ran. `floor` is the floor `B` the run checked against,
-    /// 0 for a run that does not check.
-    Done { floor: u64 },
+    /// Every round ran.
+    Done,
     /// Round `rounds` certified its own tree, whose left-out bitset is
     /// `dropped`: `max(⌈P⌉, B)` of the rounds so far equals that tree's
     /// lightest 1-respecting cut, `cut` (see the module docs).
@@ -415,66 +437,95 @@ fn is_check_round(run: usize, rounds: usize) -> bool {
     run.is_power_of_two() || run == rounds
 }
 
+/// What the certificate checks of one [`pack_trees_with`] call carry from
+/// one run on the full skeleton to the next.
+#[derive(Default)]
+struct Checks {
+    /// Rounds of the estimation run on the full skeleton, when one ran
+    /// (0 before): a later run's first rounds repeat it, checks included.
+    checked: usize,
+    /// The floor `B`, from the call's first check.
+    floor: Option<u64>,
+}
+
+impl Checks {
+    /// Whether a run of `rounds` rounds checks after round `run`: at its
+    /// check rounds that a run of `checked` rounds did not already check.
+    fn due(&self, run: usize, rounds: usize) -> bool {
+        is_check_round(run, rounds) && !(run <= self.checked && is_check_round(run, self.checked))
+    }
+}
+
 /// The greedy loop of [`pack_greedy_with`] and [`pack_trees_with`]: up to
 /// `rounds` rounds on the skeleton, their counters and distinct trees left
 /// in `ws`. `None` if the skeleton does not span the graph. With
-/// `checks = Some(checked)`, the skeleton is the full one and the run
-/// checks its certificate at rounds 1, 2, 4, 8, … and at its last round,
-/// skipping those a run of `checked` rounds on it already checked (0 for
-/// none), and stops at the first that holds. A check reads the counters
-/// and the round's tree and draws no randomness, so a run it does not stop
-/// is the same run as without it. `g` has at least two vertices.
+/// `checks = Some(_)`, the skeleton is the full one and the run checks its
+/// certificate at the rounds [`Checks::due`] names, and stops at the first
+/// that holds. A check reads the counters and the round's tree and draws
+/// no randomness, so a run it does not stop is the same run as without it.
+/// `g` has at least two vertices.
+///
+/// Round 1 is one union-find pass; the skeleton subgraph is built, and the
+/// engine prepared on it, only when round 2 runs.
 fn greedy_run(
     g: &Graph,
     sk: &Skeleton,
     rounds: usize,
-    checks: Option<usize>,
+    mut checks: Option<&mut Checks>,
     ws: &mut PackScratch,
 ) -> Option<RunEnd> {
     let n = g.n();
-    // Build the skeleton subgraph once; skeleton edge i maps to original
-    // edge live_edges[i].
+    // Skeleton edge i is original edge live_edges[i].
     let live = &sk.live_edges;
     if live.len() < n - 1 {
         return None;
     }
-    ws.sub
-        .rebuild_from_edges(
-            n,
-            live.iter().map(|&eid| {
-                let e = g.edges()[eid as usize];
-                Edge::new(e.u, e.v, 1)
-            }),
-        )
-        .expect("skeleton subgraph is valid");
-    // A load never exceeds `rounds` and a multiplicity is at least 1, so
-    // no cost exceeds `rounds << RATIO_SHIFT`: 64-bit MST keys below 4096
-    // rounds, exact 128-bit keys from there on.
-    let max_cost = (rounds as u64).saturating_mul(1 << RATIO_SHIFT);
-    if ws.mst.prepare(&ws.sub, max_cost) != 1 {
-        return None; // skeleton disconnected
-    }
+    let ends = live.iter().map(|&eid| {
+        let e = g.edges()[eid as usize];
+        (e.u, e.v)
+    });
     let PackScratch {
+        first,
+        sub,
         mst,
         mult,
         left_out,
         trees,
         root,
-        ..
     } = ws;
     mult.clear();
     mult.extend(live.iter().map(|&eid| sk.multiplicity[eid as usize]));
     left_out.clear();
     left_out.resize(live.len(), 0);
     trees.clear();
-    let floor = checks.map_or(0, |_| cut_floor(g, live, mst));
     for done in 0..rounds as u64 {
-        // An edge's load is `done - left_out[e]`: the integer cost is
-        // `(load << RATIO_SHIFT) / multiplicity`.
-        let dropped = mst.left_out(|e| {
-            let e = e as usize;
-            ((done - u64::from(left_out[e])) << RATIO_SHIFT) / u64::from(mult[e])
-        });
+        let dropped = if done == 0 {
+            // Every load is 0, so every cost is 0: the tree is Kruskal's
+            // in skeleton-edge order.
+            let (components, dropped) = first.left_out(n, ends.clone());
+            if components != 1 {
+                return None; // skeleton disconnected
+            }
+            dropped
+        } else {
+            if done == 1 {
+                sub.rebuild_from_edges(n, ends.clone().map(|(u, v)| Edge::new(u, v, 1)))
+                    .expect("skeleton subgraph is valid");
+                // A load never exceeds `rounds` and a multiplicity is at
+                // least 1, so no cost exceeds `rounds << RATIO_SHIFT`:
+                // 64-bit MST keys below 4096 rounds, exact 128-bit keys
+                // from there on.
+                let max_cost = (rounds as u64).saturating_mul(1 << RATIO_SHIFT);
+                let components = mst.prepare(sub, max_cost);
+                debug_assert_eq!(components, 1, "round 1 found the skeleton connected");
+            }
+            // An edge's load is `done - left_out[e]`: the integer cost is
+            // `(load << RATIO_SHIFT) / multiplicity`.
+            mst.left_out(|e| {
+                let e = e as usize;
+                ((done - u64::from(left_out[e])) << RATIO_SHIFT) / u64::from(mult[e])
+            })
+        };
         let mut count = 0;
         for e in set_bits(dropped.iter().copied()) {
             left_out[e as usize] += 1;
@@ -488,13 +539,10 @@ fn greedy_run(
             trees.insert(dropped.to_vec(), 1);
         }
         let run = done as usize + 1;
-        let check = checks.is_some_and(|checked| {
-            is_check_round(run, rounds) && !(run <= checked && is_check_round(run, checked))
-        });
-        if check {
-            let bound = cut_lower_bound(run as u64, left_out, mult).max(floor);
+        if let Some(checks) = checks.as_deref_mut().filter(|c| c.due(run, rounds)) {
+            let bound = cut_lower_bound(run as u64, left_out, mult);
             let root = root.get_or_insert_with(RootScratch::default);
-            if let Some(cut) = certified_cut(g, live, dropped, bound, root) {
+            if let Some(cut) = certified_cut(g, live, dropped, bound, &mut checks.floor, root) {
                 return Some(RunEnd::Certified {
                     rounds: run,
                     dropped: dropped.to_vec(),
@@ -503,41 +551,59 @@ fn greedy_run(
             }
         }
     }
-    Some(RunEnd::Done { floor })
+    Some(RunEnd::Done)
 }
 
-/// The floor `B = min(lightest bridge, w₁ + w₂)` of the full skeleton
-/// `live` prepared in `mst`, from `g`'s true weights: a lower bound on
-/// `λ` (see the module docs).
-fn cut_floor(g: &Graph, live: &[u32], mst: &RepeatedMst) -> u64 {
-    let (mut bridge, mut w1, mut w2) = (u64::MAX, u64::MAX, u64::MAX);
-    for (e, &eid) in live.iter().enumerate() {
-        let w = g.edges()[eid as usize].w;
-        if mst.is_bridge(e as u32) {
-            bridge = bridge.min(w);
+/// The floor `B = min(lightest bridge, w₁ + w₂)` of `g`, a lower bound on
+/// `λ` (see the module docs), read off a spanning tree of `g` given by its
+/// edge ids `tree_edges`, rooted as `tree`, and its 1-respecting cuts
+/// `cut1`. Every bridge lies in every spanning tree, and the tree edge
+/// `(c, parent(c))` is a bridge iff no other edge crosses `c↓`: since
+/// weights are positive, iff `cut1[c]` is its weight.
+fn floor_from_cuts(
+    g: &Graph,
+    tree_edges: impl Iterator<Item = u32>,
+    tree: &RootedTree,
+    cut1: &[i64],
+) -> u64 {
+    let mut bridge = u64::MAX;
+    for eid in tree_edges {
+        let e = g.edges()[eid as usize];
+        let c = if tree.parent(e.u) == e.v { e.u } else { e.v };
+        if u64::try_from(cut1[c as usize]) == Ok(e.w) {
+            bridge = bridge.min(e.w);
         }
-        if w < w1 {
-            (w1, w2) = (w, w1);
-        } else if w < w2 {
-            w2 = w;
+    }
+    let (mut w1, mut w2) = (u64::MAX, u64::MAX);
+    for e in g.edges() {
+        if e.w < w1 {
+            (w1, w2) = (e.w, w1);
+        } else if e.w < w2 {
+            w2 = e.w;
         }
     }
     bridge.min(w1.saturating_add(w2))
 }
 
-/// The lightest 1-respecting cut of the tree that leaves out the skeleton
-/// edges `dropped`, rooted at vertex 0 in `root`, when its value is
-/// `bound`. With `bound` a proven lower bound on `λ`, that cut is a minimum
-/// cut and `λ = bound`.
+/// The lightest 1-respecting cut of the tree that leaves out the edges
+/// `dropped` of the full skeleton `live`, rooted at vertex 0 in `root`,
+/// when its value is `max(bound, B)`, for the floor `B`, which the call's
+/// first check reads off its own cuts into `floor`. With `bound` a proven
+/// lower bound on `λ`, that cut is a minimum cut and `λ = max(bound, B)`.
 fn certified_cut(
     g: &Graph,
     live: &[u32],
     dropped: &[u64],
     bound: u64,
+    floor: &mut Option<u64>,
     root: &mut RootScratch,
 ) -> Option<CertifiedCut> {
     let tree = root.rebuild(g, tree_edges(live, dropped), 0);
-    let (value, v) = best_one_respect(&one_respect_cuts(g, tree), tree)?;
+    let cuts = one_respect_cuts(g, tree);
+    let floor = *floor
+        .get_or_insert_with(|| floor_from_cuts(g, tree_edges(live, dropped), tree, &cuts.cut1));
+    let bound = bound.max(floor);
+    let (value, v) = best_one_respect(&cuts, tree)?;
     (u64::try_from(value) == Ok(bound)).then(|| {
         let mut side = vec![false; g.n()];
         for x in tree.descendants(v) {
@@ -657,9 +723,7 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
         cfg.estimation_rounds
     };
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    // Rounds of the estimation run on the full skeleton, when one ran: the
-    // final run's first rounds repeat it, checks included.
-    let mut checked = 0;
+    let mut checks = Checks::default();
 
     // --- Rate search -------------------------------------------------------
     let target = cfg.target_factor * (n.max(2) as f64).ln();
@@ -680,7 +744,7 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
                 sample_skeleton(g, p, &mut rng)
             };
             // Only a run on the full skeleton bounds the graph's own λ.
-            match greedy_run(g, &sk, est_rounds, (p >= 1.0).then_some(checked), ws) {
+            match greedy_run(g, &sk, est_rounds, (p >= 1.0).then_some(&mut checks), ws) {
                 None => {
                     // Disconnected: not enough sampled edges.
                     if p >= 1.0 {
@@ -695,9 +759,9 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
                 }) => {
                     return certified_packing(ws, &sk.live_edges, rounds, &dropped, cut);
                 }
-                Some(RunEnd::Done { .. }) => {
+                Some(RunEnd::Done) => {
                     if p >= 1.0 {
-                        checked = est_rounds;
+                        checks.checked = est_rounds;
                     }
                     let value = packing_value(est_rounds, ws);
                     if value < target / 2.0 && p < 1.0 {
@@ -716,18 +780,24 @@ pub fn pack_trees_with(g: &Graph, cfg: &PackingConfig, ws: &mut PackScratch) -> 
 
     // --- Final packing ------------------------------------------------------
     let live = &skeleton.live_edges;
-    let checks = (skeleton.p >= 1.0).then_some(checked);
-    let floor = match greedy_run(g, &skeleton, final_rounds, checks, ws)
+    let full = skeleton.p >= 1.0;
+    if let RunEnd::Certified {
+        rounds,
+        dropped,
+        cut,
+    } = greedy_run(g, &skeleton, final_rounds, full.then_some(&mut checks), ws)
         .expect("accepted skeleton must span the graph")
     {
-        RunEnd::Certified {
-            rounds,
-            dropped,
-            cut,
-        } => {
-            return certified_packing(ws, live, rounds, &dropped, cut);
-        }
-        RunEnd::Done { floor } => floor,
+        return certified_packing(ws, live, rounds, &dropped, cut);
+    }
+    // The first run on the full skeleton checked its round 1, so the floor
+    // is known; it bounds the graph's λ, not a sampled skeleton's cuts.
+    let floor = if full {
+        checks
+            .floor
+            .expect("a run on the full skeleton checks round 1")
+    } else {
+        0
     };
     let (mut distinct, value) = drain_trees(ws, live, final_rounds);
     let distinct_trees = distinct.len();
@@ -1206,6 +1276,63 @@ mod tests {
             .fold(pair, u64::min)
     }
 
+    /// A random multigraph with bridges and parallel copies: a gnm graph,
+    /// a pendant path off it, a cycle joined to it by a bridge, and
+    /// parallel copies of a few edges (a copied bridge is a bridge no
+    /// more), weights 1–8.
+    fn bridged_multigraph(seed: u64) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(8..24u32);
+        let base = gen::gnm_connected(n as usize, 2 * n as usize, 8, seed);
+        let mut edges: Vec<(u32, u32, u64)> =
+            base.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
+        let mut next = n;
+        let mut prev = rng.gen_range(0..n);
+        for _ in 0..rng.gen_range(1..4) {
+            edges.push((prev, next, rng.gen_range(1..=8)));
+            (prev, next) = (next, next + 1);
+        }
+        let cycle = rng.gen_range(3..6);
+        edges.push((rng.gen_range(0..n), next, rng.gen_range(1..=8)));
+        for i in 0..cycle {
+            edges.push((next + i, next + (i + 1) % cycle, rng.gen_range(1..=8)));
+        }
+        for _ in 0..rng.gen_range(0..4) {
+            let (u, v, _) = edges[rng.gen_range(0..edges.len())];
+            edges.push((u, v, rng.gen_range(1..=8)));
+        }
+        Graph::from_edges((next + cycle) as usize, &edges).unwrap()
+    }
+
+    #[test]
+    fn floor_read_off_every_tree_is_the_floor() {
+        let mut ws = PackScratch::new();
+        // The bridge heavier than `u32::MAX` of
+        // `capped_multiplicities_only_weaken_the_lower_bound`.
+        let capped = Graph::from_edges(3, &[(0, 1, 1 << 38), (1, 2, 3)]).unwrap();
+        let graphs = std::iter::once(capped).chain((0..24).map(bridged_multigraph));
+        let (mut bridge_set, mut pair_set) = (0, 0);
+        for (i, g) in graphs.enumerate() {
+            let want = floor_by_definition(&g);
+            let (run, _) = pack_greedy_with(&g, &full_skeleton(&g), 40, &mut ws).unwrap();
+            for (tree, _) in &run {
+                let rooted = rooted_tree_from_edges(&g, tree, 0);
+                let cuts = one_respect_cuts(&g, &rooted);
+                let floor = floor_from_cuts(&g, tree.iter().copied(), &rooted, &cuts.cut1);
+                assert_eq!(floor, want, "graph {i}");
+            }
+            let mut weights: Vec<u64> = g.edges().iter().map(|e| e.w).collect();
+            weights.sort_unstable();
+            if want < weights[0] + weights[1] {
+                bridge_set += 1;
+            } else {
+                pair_set += 1;
+            }
+        }
+        // Both terms of the floor decide some of the graphs.
+        assert!(bridge_set > 0 && pair_set > 0, "{bridge_set} {pair_set}");
+    }
+
     /// A graph of serve-mixed's shape: a cycle on 28–43 vertices plus
     /// chords up to `m = 1.5 n`, weights 1–6.
     fn serve_shaped(seed: u64) -> Graph {
@@ -1327,6 +1454,32 @@ mod tests {
         let n = g.n();
         let arena = 20 * n + 8 * (n - 1) + 4 * ((n + 1) + 2 * (n - 1) + n) + n;
         assert_eq!(ws.root.as_ref().map(RootScratch::heap_bytes), Some(arena));
+    }
+
+    #[test]
+    fn a_round_one_certificate_builds_no_engine() {
+        let leaf = (0u64..)
+            .map(|seed| gen::gnm_connected(256, 1024, 8, seed))
+            .find(|g| g.min_weighted_degree() == 1)
+            .unwrap();
+        for g in [gen::community_ring(32, 64, 4, 1).0, leaf] {
+            let mut ws = PackScratch::new();
+            let packing = pack_trees_with(&g, &PackingConfig::default(), &mut ws);
+            assert!(packing.certified.is_some());
+            assert_eq!(packing.rounds, 1);
+            // No skeleton subgraph, no bridge or chain arrays: only the
+            // first round's union-find (4n bytes) and bitset.
+            assert_eq!(ws.sub.m(), 0);
+            assert_eq!(ws.mst.heap_bytes(), 0);
+            let first = 4 * g.n() + 8 * g.m().div_ceil(64);
+            assert_eq!(ws.first.heap_bytes(), first);
+        }
+        let mut ws = PackScratch::new();
+        let torus = gen::torus(6, 7);
+        let packing = pack_trees_with(&torus, &PackingConfig::default(), &mut ws);
+        assert!(packing.certified.is_none());
+        assert_eq!(ws.sub.m(), torus.m());
+        assert!(ws.mst.heap_bytes() > 0);
     }
 
     #[test]
